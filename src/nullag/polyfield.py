@@ -1,11 +1,18 @@
 """Exact multivariate polynomials on R^3 and vector fields built from them.
 
-Coefficients live in a sparse exponent->coefficient map, so differentiation
-is exact (degree drops by one, coefficients scale by integer exponents) and
-evaluation is vectorized over batches of points.
+A scalar `Poly3` keeps its coefficients in a sparse exponent->coefficient
+map, so differentiation is exact (degree drops by one, coefficients scale
+by integer exponents).  A `PolyField` keeps one coefficient matrix over a
+shared, sorted exponent table; the table carries integer maps to the tables
+of its partial derivatives, so a field's gradient and Hessian coefficients
+are built once, and each evaluation is one power table and one matrix
+product over a whole batch of points.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -18,18 +25,28 @@ __all__ = [
     "gradient_field",
     "random_scalar_poly",
     "evaluate_monomials",
+    "monomials_upto",
 ]
+
+
+# Points per power table: bounds the working set of large quadrature batches.
+_BLOCK_ROWS = 2048
 
 
 def evaluate_monomials(points: np.ndarray, expos: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Sum of coeffs * prod_v points[:, v] ** expos[:, v] over terms.
 
-    Uses per-variable power tables instead of float pow, which dominates
-    the cost of batched polynomial evaluation.
+    `coeffs` has one row per term and may carry trailing columns, one per
+    polynomial sharing the exponents.  Uses per-variable power tables
+    instead of float pow, which dominates the cost of batched polynomial
+    evaluation.
     """
     m = points.shape[0]
+    if m > _BLOCK_ROWS:
+        return np.concatenate([evaluate_monomials(points[i:i + _BLOCK_ROWS], expos, coeffs)
+                               for i in range(0, m, _BLOCK_ROWS)])
     if expos.shape[0] == 0:
-        return np.zeros(m)
+        return np.zeros((m,) + coeffs.shape[1:])
     mono = np.ones((m, expos.shape[0]))
     for v in range(expos.shape[1]):
         col = expos[:, v]
@@ -42,6 +59,18 @@ def evaluate_monomials(points: np.ndarray, expos: np.ndarray, coeffs: np.ndarray
             powers[:, e] = powers[:, e - 1] * points[:, v]
         mono *= powers[:, col]
     return mono @ coeffs
+
+
+def monomials_upto(nvars: int, degree: int) -> list[tuple[int, ...]]:
+    """Exponent tuples of total degree <= degree, graded: by total degree,
+    then lexicographically.  Seeded random polynomials draw in this order."""
+    expos = []
+    for combo in combinations_with_replacement(range(nvars + 1), degree):
+        expo = [0] * (nvars + 1)
+        for slot in combo:
+            expo[slot] += 1
+        expos.append(tuple(expo[:nvars]))
+    return sorted(expos, key=lambda e: (sum(e), e))
 
 
 class Poly3:
@@ -107,96 +136,210 @@ class Poly3:
                 out[key] = out.get(key, 0.0) + c1 * c2
         return Poly3(out)
 
-    def _arrays(self):
-        if self._cache is None:
-            if self._terms:
-                expos = np.array(sorted(self._terms), dtype=np.int64)
-                coeffs = np.array([self._terms[tuple(e)] for e in expos], dtype=float)
-            else:
-                expos = np.zeros((0, 3), dtype=np.int64)
-                coeffs = np.zeros(0)
-            self._cache = (expos, coeffs)
-        return self._cache
-
     def eval(self, points: np.ndarray) -> np.ndarray:
         """Evaluate on points of shape (n, 3); returns shape (n,)."""
         points = np.asarray(points, dtype=float)
-        single = points.ndim == 1
-        pts = points.reshape(-1, 3)
-        expos, coeffs = self._arrays()
-        vals = evaluate_monomials(pts, expos, coeffs)
-        return vals[0] if single else vals
+        if self._cache is None:
+            self._cache = _matrix_of([self])
+        table, coeffs = self._cache
+        vals = evaluate_monomials(points.reshape(-1, 3), table.expos, coeffs[0])
+        return vals[0] if points.ndim == 1 else vals
+
+
+class _Table:
+    """Sorted exponent table, shared by every field over the same monomials.
+
+    `derivative()` gives the table of all first partials of its monomials
+    and, per axis, the integer map (source column, target column, exponent
+    factor) that differentiates a coefficient matrix.
+    """
+
+    __slots__ = ("keys", "expos", "degrees", "index", "_derivative")
+
+    def __init__(self, keys: tuple):
+        self.keys = keys
+        self.expos = np.array(keys, dtype=np.int64).reshape(-1, 3)
+        self.degrees = self.expos.sum(axis=1)
+        self.expos.flags.writeable = self.degrees.flags.writeable = False
+        self.index = {e: i for i, e in enumerate(keys)}
+        self._derivative = None
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def derivative(self):
+        if self._derivative is None:
+            shifted = [[] for _ in range(3)]
+            for j, e in enumerate(self.keys):
+                for a in range(3):
+                    if e[a]:
+                        shifted[a].append((j, e[:a] + (e[a] - 1,) + e[a + 1:], e[a]))
+            child = _table(tuple(sorted({s[1] for rows in shifted for s in rows})))
+            maps = [
+                (
+                    np.array([j for j, _, _ in rows], dtype=np.int64),
+                    np.array([child.index[s] for _, s, _ in rows], dtype=np.int64),
+                    np.array([f for _, _, f in rows], dtype=float),
+                )
+                for rows in shifted
+            ]
+            self._derivative = (child, maps)
+        return self._derivative
+
+    def differentiate(self, coeffs: np.ndarray):
+        """Partials of the polynomials with coefficients (..., len(self)):
+        (child table, coefficients (..., 3, len(child)))."""
+        child, maps = self.derivative()
+        out = np.zeros(coeffs.shape[:-1] + (3, len(child)))
+        for a, (src, dst, factor) in enumerate(maps):
+            out[..., a, dst] = coeffs[..., src] * factor
+        return child, out
+
+
+@lru_cache(maxsize=256)
+def _table(keys: tuple) -> _Table:
+    return _Table(keys)
+
+
+@lru_cache(maxsize=None)
+def _dense(degree: int):
+    """Table of all monomials of degree <= degree, and the table column of
+    each monomial in the graded draw order of `monomials_upto`."""
+    graded = monomials_upto(3, degree)
+    table = _table(tuple(sorted(graded)))
+    return table, np.array([table.index[e] for e in graded], dtype=np.int64)
+
+
+def _points(points) -> np.ndarray:
+    return np.atleast_2d(np.asarray(points, dtype=float))
+
+
+def _matrix_of(polys) -> tuple[_Table, np.ndarray]:
+    """Shared table and coefficient matrix (len(polys), M) of scalar polys."""
+    table = _table(tuple(sorted(set().union(*(p._terms for p in polys)))))
+    coeffs = np.zeros((len(polys), len(table)))
+    for i, p in enumerate(polys):
+        for expo, c in p._terms.items():
+            coeffs[i, table.index[expo]] = c
+    return table, coeffs
+
+
+# Hessian entry (a, b) -> row of its a <= b pair (0,0),(0,1),(0,2),(1,1),(1,2),(2,2).
+_PAIR = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+_UPPER = np.triu_indices(3)
 
 
 class PolyField:
-    """Vector-valued polynomial map R^3 -> R^N with exact derivatives."""
+    """Vector-valued polynomial map R^3 -> R^N with exact derivatives.
 
-    __slots__ = ("components",)
+    Holds one exponent table and an (N, M) coefficient matrix; the scalar
+    `components` are built from it on demand (and vice versa).  Gradient
+    and Hessian coefficient matrices are built once, on first use.
+    """
+
+    __slots__ = ("_components", "_table", "_coeffs", "_grad", "_hess")
 
     def __init__(self, components):
-        self.components = tuple(components)
+        self._components = tuple(components)
+        self._table = self._coeffs = self._grad = self._hess = None
+
+    @classmethod
+    def _from_matrix(cls, table: _Table, coeffs: np.ndarray) -> "PolyField":
+        field = cls.__new__(cls)
+        field._components = field._grad = field._hess = None
+        field._table, field._coeffs = table, coeffs
+        return field
 
     @classmethod
     def zero(cls, n: int) -> "PolyField":
         return cls([Poly3() for _ in range(n)])
 
     @property
+    def components(self) -> tuple:
+        if self._components is None:
+            keys = self._table.keys
+            self._components = tuple(Poly3(dict(zip(keys, row.tolist()))) for row in self._coeffs)
+        return self._components
+
+    def _matrix(self) -> tuple[_Table, np.ndarray]:
+        if self._table is None:
+            self._table, self._coeffs = _matrix_of(self._components)
+        return self._table, self._coeffs
+
+    @property
     def n(self) -> int:
-        return len(self.components)
+        return len(self._components) if self._coeffs is None else self._coeffs.shape[0]
 
     def degree(self) -> int:
-        return max((c.degree() for c in self.components), default=0)
+        table, coeffs = self._matrix()
+        used = table.degrees[np.any(coeffs != 0.0, axis=0)]
+        return int(used.max()) if used.size else 0
 
     def __add__(self, other: "PolyField") -> "PolyField":
         if other.n != self.n:
             raise ValueError("component count mismatch")
-        return PolyField([a + b for a, b in zip(self.components, other.components)])
+        (t1, c1), (t2, c2) = self._matrix(), other._matrix()
+        table = _table(tuple(sorted(set(t1.keys).union(t2.keys))))
+        coeffs = np.zeros((self.n, len(table)))
+        for t, c in ((t1, c1), (t2, c2)):
+            coeffs[:, [table.index[e] for e in t.keys]] += c
+        return PolyField._from_matrix(table, coeffs)
 
     def scale(self, factor: float) -> "PolyField":
-        return PolyField([c.scale(factor) for c in self.components])
+        table, coeffs = self._matrix()
+        return PolyField._from_matrix(table, coeffs * factor)
+
+    def _gradient(self) -> tuple[_Table, np.ndarray]:
+        """First-partial table and coefficients (N, 3, M1)."""
+        if self._grad is None:
+            table, coeffs = self._matrix()
+            self._grad = table.differentiate(coeffs)
+        return self._grad
+
+    def _hessian(self) -> tuple[_Table, np.ndarray]:
+        """Second-partial table and coefficients (N * 6, M2) of the a <= b
+        pairs, each differentiated first along a, then along b."""
+        if self._hess is None:
+            table, grad = self._gradient()
+            child, second = table.differentiate(grad)
+            self._hess = (child, second[:, _UPPER[0], _UPPER[1]].reshape(6 * self.n, len(child)))
+        return self._hess
 
     def eval(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.stack([c.eval(pts) for c in self.components], axis=1)
+        """Values, shape (n_points, N)."""
+        table, coeffs = self._matrix()
+        return evaluate_monomials(_points(points), table.expos, coeffs.T)
 
     def eval_grad(self, points: np.ndarray) -> np.ndarray:
         """First derivatives, shape (n_points, N, 3)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.empty((pts.shape[0], self.n, 3))
-        for i, c in enumerate(self.components):
-            for a in range(3):
-                out[:, i, a] = c.diff(a).eval(pts)
-        return out
+        pts = _points(points)
+        table, grad = self._gradient()
+        vals = evaluate_monomials(pts, table.expos, grad.reshape(3 * self.n, len(table)).T)
+        return vals.reshape(pts.shape[0], self.n, 3)
 
     def eval_hess(self, points: np.ndarray) -> np.ndarray:
         """Second derivatives, shape (n_points, N, 3, 3), exactly symmetric."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.empty((pts.shape[0], self.n, 3, 3))
-        for i, c in enumerate(self.components):
-            for a in range(3):
-                da = c.diff(a)
-                for b in range(a, 3):
-                    vals = da.diff(b).eval(pts)
-                    out[:, i, a, b] = vals
-                    out[:, i, b, a] = vals
-        return out
+        pts = _points(points)
+        table, hess = self._hessian()
+        vals = evaluate_monomials(pts, table.expos, hess.T)
+        return vals.reshape(pts.shape[0], self.n, 6)[:, :, _PAIR]
 
 
 class PolyMatrixField:
     """3x3 matrix of scalar polynomials (e.g. a strain field)."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "_matrix")
 
     def __init__(self, entries):
         self.entries = tuple(tuple(row) for row in entries)
+        self._matrix = None
 
     def eval(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.empty((pts.shape[0], 3, 3))
-        for i in range(3):
-            for j in range(3):
-                out[:, i, j] = self.entries[i][j].eval(pts)
-        return out
+        pts = _points(points)
+        if self._matrix is None:
+            self._matrix = _matrix_of([e for row in self.entries for e in row])
+        table, coeffs = self._matrix
+        return evaluate_monomials(pts, table.expos, coeffs.T).reshape(pts.shape[0], 3, 3)
 
     def degree(self) -> int:
         return max(self.entries[i][j].degree() for i in range(3) for j in range(3))
@@ -211,20 +354,18 @@ def bubble() -> Poly3:
     return out
 
 
-def _monomials_upto(degree: int):
-    for total in range(degree + 1):
-        for e1 in range(total + 1):
-            for e2 in range(total - e1 + 1):
-                yield (e1, e2, total - e1 - e2)
-
-
 def random_scalar_poly(rng: np.random.Generator, degree: int) -> Poly3:
     """Dense random polynomial with coefficients uniform in [-1, 1]."""
-    return Poly3({expo: rng.uniform(-1.0, 1.0) for expo in _monomials_upto(degree)})
+    return Poly3({expo: rng.uniform(-1.0, 1.0) for expo in monomials_upto(3, degree)})
 
 
 def random_polyfield(rng: np.random.Generator, n: int, degree: int) -> PolyField:
-    return PolyField([random_scalar_poly(rng, degree) for _ in range(n)])
+    """Dense random field; draws the same coefficients, in the same order,
+    as `n` successive `random_scalar_poly` calls."""
+    table, columns = _dense(degree)
+    coeffs = np.zeros((n, len(table)))
+    coeffs[:, columns] = rng.uniform(-1.0, 1.0, size=(n, len(columns)))
+    return PolyField._from_matrix(table, coeffs)
 
 
 def gradient_field(potential: Poly3) -> PolyField:

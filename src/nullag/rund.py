@@ -10,13 +10,12 @@ exact and the partial-derivative order never matters.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .polyfield import evaluate_monomials
+from .polyfield import evaluate_monomials, monomials_upto
 from .verifier import Lagrangian
 
 __all__ = [
@@ -307,19 +306,10 @@ def coefficient_identity_residuals(g: GeneratorSet, x, y) -> tuple[np.ndarray, n
     return lin / lin_scale, quad / quad_scale
 
 
-def _monomials_upto(nvars: int, degree: int):
-    for combo in itertools.combinations_with_replacement(range(nvars + 1), degree):
-        expo = [0] * nvars
-        for slot in combo:
-            if slot < nvars:
-                expo[slot] += 1
-        yield tuple(expo)
-
-
 def random_generator_set(rng: np.random.Generator, n: int, degree: int = 2) -> GeneratorSet:
     """Random sparse generators with small exact rational coefficients."""
     nvars = 3 + n
-    monomials = sorted(set(_monomials_upto(nvars, degree)))
+    monomials = sorted(monomials_upto(nvars, degree))
     polys = []
     for _ in range(3):
         terms = {}
@@ -333,28 +323,45 @@ def random_generator_set(rng: np.random.Generator, n: int, degree: int = 2) -> G
     return GeneratorSet(polys, n)
 
 
+def _parse_term(term) -> tuple[tuple[int, ...], Fraction]:
+    """One {"exponents": [...], "coeff": "p/q"} term, strictly validated."""
+    if not isinstance(term, dict) or set(term) != {"exponents", "coeff"}:
+        keys = sorted(term) if isinstance(term, dict) else type(term).__name__
+        raise ValueError(f"generator term must have exactly keys exponents/coeff, got {keys}")
+    expo = term["exponents"]
+    if not isinstance(expo, list) or not all(type(e) is int and e >= 0 for e in expo):
+        raise ValueError(f"generator exponents must be a list of non-negative integers, got {expo!r}")
+    try:
+        coeff = Fraction(str(term["coeff"]))
+    except ZeroDivisionError:
+        raise ValueError(f"generator coefficient {term['coeff']!r} has a zero denominator") from None
+    return tuple(expo), coeff
+
+
 def generator_set_from_json(obj, n: int | None = None) -> GeneratorSet:
     """Parse the generator file format: a list of three polynomials, each a
-    list of {"exponents": [ex1,ex2,ex3,ey1..eyN], "coeff": "p/q"}."""
+    list of {"exponents": [ex1,ex2,ex3,ey1..eyN], "coeff": "p/q"}.
+
+    Exponents must be non-negative JSON integers and coefficients finite
+    rationals; anything else is a ValueError.
+    """
     if not isinstance(obj, list) or len(obj) != 3:
         raise ValueError("generator file must be a list of three polynomials")
     nvars = None
     polys = []
     for poly_terms in obj:
+        if not isinstance(poly_terms, list):
+            raise ValueError("each generator polynomial must be a list of terms")
         terms = {}
         for term in poly_terms:
-            if set(term) != {"exponents", "coeff"}:
-                raise ValueError(
-                    f"generator term must have exactly keys exponents/coeff, got {sorted(term)}"
-                )
-            expo = tuple(int(e) for e in term["exponents"])
+            expo, coeff = _parse_term(term)
             if nvars is None:
                 nvars = len(expo)
                 if nvars < 4:
                     raise ValueError("exponent tuples need at least four entries (3 for x)")
             elif len(expo) != nvars:
                 raise ValueError("inconsistent exponent tuple lengths")
-            terms[expo] = terms.get(expo, Fraction(0)) + Fraction(str(term["coeff"]))
+            terms[expo] = terms.get(expo, Fraction(0)) + coeff
         polys.append(terms)
     if nvars is None:
         raise ValueError("generator file has no terms; field dimension is undetermined")

@@ -16,8 +16,6 @@ with two-level Richardson extrapolation.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,11 +99,13 @@ class QuadraticLagrangian(Lagrangian):
         return 2 * max(int(field_degree), 0)
 
     def closed_residual(self, y0: np.ndarray, dy0: np.ndarray, d2y0: np.ndarray) -> np.ndarray:
-        """E_k at a state (values, gradients, hessians of the field)."""
-        res = np.einsum("kcj,jc->k", self.q, dy0)
-        res -= np.einsum("jbk,jb->k", self.q, dy0)
-        res += np.einsum("kcjb,jbc->k", self.p, d2y0)
-        res -= self.r @ y0
+        """E_k at states: values (..., N), gradients (..., N, 3) and
+        Hessians (..., N, 3, 3) of the field, with any leading batch axes;
+        returns (..., N)."""
+        res = np.einsum("kcj,...jc->...k", self.q, dy0)
+        res -= np.einsum("jbk,...jb->...k", self.q, dy0)
+        res += np.einsum("kcjb,...jbc->...k", self.p, d2y0)
+        res -= np.einsum("kj,...j->...k", self.r, y0)
         return res
 
     def second_derivative_scale(self) -> float:
@@ -135,8 +135,10 @@ class CallableLagrangian(Lagrangian):
 
 
 def _field_state(y: PolyField, x: np.ndarray):
+    """Values (m, N), gradients (m, N, 3) and Hessians (m, N, 3, 3) of the
+    field at a batch of points."""
     pts = np.atleast_2d(np.asarray(x, dtype=float))
-    return y.eval(pts)[0], y.eval_grad(pts)[0], y.eval_hess(pts)[0]
+    return y.eval(pts), y.eval_grad(pts), y.eval_hess(pts)
 
 
 def _fd_partials(lag: Lagrangian, x0: np.ndarray, y0: np.ndarray, dy0: np.ndarray):
@@ -259,24 +261,34 @@ def _fd_partials(lag: Lagrangian, x0: np.ndarray, y0: np.ndarray, dy0: np.ndarra
     return d_y, d_x_dyp, d_y_dyp, d_dyp.reshape(n, 3, n, 3)
 
 
-def _residual_and_scale(lag: Lagrangian, y: PolyField, x, method: str):
-    y0, dy0, d2y0 = _field_state(y, x)
-    hess_mag = float(np.max(np.abs(d2y0)))
+def _residuals(lag: Lagrangian, x, y0, dy0, d2y0, method: str):
+    """Euler residuals (..., N) and normalization scales (...) at the states
+    (y0, dy0, d2y0) of points x (..., 3), for any leading batch axes."""
+    hess_mag = np.max(np.abs(d2y0), axis=(-3, -2, -1))
     if method == "closed":
         if not isinstance(lag, QuadraticLagrangian):
             raise TypeError("closed-form residual requires a quadratic density")
         res = lag.closed_residual(y0, dy0, d2y0)
         coeff = lag.second_derivative_scale()
     elif method == "fd":
-        d_y, d_x_dyp, d_y_dyp, d_dyp = _fd_partials(lag, np.asarray(x, dtype=float), y0, dy0)
-        res = np.einsum("gkg->k", d_x_dyp)
-        res += np.einsum("jkg,jg->k", d_y_dyp, dy0)
-        res += np.einsum("jbkg,jbg->k", d_dyp, d2y0)
-        res -= d_y
-        coeff = float(np.max(np.abs(d_dyp)))
+        res = np.empty(y0.shape)
+        coeff = np.empty(hess_mag.shape)
+        for i in np.ndindex(hess_mag.shape):
+            d_y, d_x_dyp, d_y_dyp, d_dyp = _fd_partials(lag, x[i], y0[i], dy0[i])
+            res[i] = np.einsum("gkg->k", d_x_dyp)
+            res[i] += np.einsum("jkg,jg->k", d_y_dyp, dy0[i])
+            res[i] += np.einsum("jbkg,jbg->k", d_dyp, d2y0[i])
+            res[i] -= d_y
+            coeff[i] = np.max(np.abs(d_dyp))
     else:
         raise ValueError(f"unknown residual method {method!r}")
     return res, 1.0 + coeff * hess_mag
+
+
+def _residual_and_scale(lag: Lagrangian, y: PolyField, x, method: str):
+    x = np.asarray(x, dtype=float)
+    res, scale = _residuals(lag, x[None, :], *_field_state(y, x), method)
+    return res[0], float(scale[0])
 
 
 def euler_residual(lag: Lagrangian, y: PolyField, x, method: str = "auto") -> np.ndarray:
@@ -355,12 +367,6 @@ class NullCertificate:
         }
 
 
-def _thread_count(trials: int, threads: int | None) -> int:
-    if threads is None:
-        threads = int(os.environ.get("NULLLAG_THREADS", "1") or "1")
-    return max(1, min(threads, trials))
-
-
 def certify_null(
     lag: Lagrangian,
     trials: int = 64,
@@ -373,15 +379,13 @@ def certify_null(
     points_per_trial: int = 3,
     order: int = 8,
     boundary_pairs: int = 3,
-    threads: int | None = None,
 ) -> NullCertificate:
     """Randomized certificate that the density has identically vanishing
     Euler residual and boundary-only action dependence.
 
-    Deterministic for a fixed seed: each trial derives its own generator
-    from the seed sequence and results are reduced in trial order, so the
-    certificate is identical regardless of trial-level parallelism (capped
-    by NULLLAG_THREADS).
+    Deterministic for a fixed seed: each trial draws its field, then its
+    points, from its own child of the seed sequence.  The states of all
+    trials are then reduced in one batched residual evaluation.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -394,23 +398,16 @@ def certify_null(
 
     children = np.random.SeedSequence(seed).spawn(trials + boundary_pairs)
 
-    def run_trial(t: int) -> float:
+    points, states = [], []
+    for t in range(trials):
         rng = np.random.default_rng(children[t])
         field = sampler.field(rng, degree)
         pts = rng.uniform(0.0, 1.0, size=(points_per_trial, 3))
-        worst = 0.0
-        for x in pts:
-            res, scale = _residual_and_scale(lag, field, x, method)
-            worst = max(worst, float(np.max(np.abs(res))) / scale)
-        return worst
-
-    n_threads = _thread_count(trials, threads)
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            per_trial = list(pool.map(run_trial, range(trials)))
-    else:
-        per_trial = [run_trial(t) for t in range(trials)]
-    max_resid = max(per_trial)
+        points.append(pts)
+        states.append(_field_state(field, pts))
+    y0, dy0, d2y0 = (np.stack(parts) for parts in zip(*states))
+    res, scale = _residuals(lag, np.stack(points), y0, dy0, d2y0, method)
+    max_resid = float(np.max(np.max(np.abs(res), axis=-1) / scale, initial=0.0))
 
     deltas = []
     for b in range(boundary_pairs):

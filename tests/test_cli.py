@@ -170,3 +170,27 @@ def test_malformed_json_is_usage_error(tmp_path, capsys):
 
 def test_missing_file_is_usage_error(capsys):
     assert main(["check", "/nonexistent/file.json"]) == 2
+
+
+def generator_with(first_term):
+    others = [[{"exponents": [0, 1, 0, 1], "coeff": "1/2"}], [{"exponents": [0, 0, 1, 0], "coeff": "-1"}]]
+    return [[first_term]] + others
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        {"exponents": [1.7, 0, 0, 0], "coeff": "1"},
+        {"exponents": [1, 0, 0, -1], "coeff": "1"},
+        {"exponents": [True, 0, 0, 1], "coeff": "1"},
+        {"exponents": [1, 0, 0, 1], "coeff": "1/0"},
+    ],
+    ids=["fractional-exponent", "negative-exponent", "bool-exponent", "zero-denominator"],
+)
+def test_generator_file_contract_violation_is_usage_error(tmp_path, capsys, term):
+    path = write(tmp_path, "gen.json", generator_with(term))
+    for argv in (["check", path], ["split", path], ["certify", path, "--trials", "1", "--degree", "2"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -7,6 +7,7 @@ from nullag.polyfield import (
     bubble,
     constant_field,
     gradient_field,
+    monomials_upto,
     random_polyfield,
     random_scalar_poly,
 )
@@ -66,6 +67,75 @@ def test_field_arithmetic():
     s = f + g.scale(2.0)
     vals = s.eval(np.array([[0.5, 0.25, 0.0]]))
     assert np.allclose(vals, [[2.0, 2.5]], rtol=0, atol=1e-15)
+
+
+def cross_check_fields():
+    """Fields whose tables are dense, sparse, empty, mixed or derived."""
+    rng = np.random.default_rng(3)
+    fields = [random_polyfield(rng, 3, d) for d in range(6)]
+    fields.append(PolyField.zero(4))
+    fields.append(PolyField([random_scalar_poly(rng, d) for d in (0, 2, 5)] + [Poly3()]))
+    fields.append(gradient_field(random_scalar_poly(rng, 4)))
+    b = bubble()
+    fields.append(PolyField([b * c for c in random_polyfield(rng, 3, 1).components]))
+    fields.append(fields[3] + fields[-1].scale(-0.5))
+    return fields
+
+
+def reference_state(field, pts):
+    """Values, gradients and Hessians component by component via Poly3.diff,
+    and the sum of absolute term values that bounds their roundoff."""
+    def absolute(p):
+        return Poly3({e: abs(c) for e, c in p.terms.items()})
+
+    partials = lambda c: (c, [c.diff(a) for a in range(3)],
+                          [[c.diff(a).diff(b) for b in range(3)] for a in range(3)])
+    states = []
+    for transform in (lambda p: p, absolute):
+        v, g, h = zip(*(partials(c) for c in field.components))
+        ev = lambda p: transform(p).eval(pts)
+        states.append((
+            np.stack([ev(c) for c in v], axis=1),
+            np.stack([np.stack([ev(d) for d in row], axis=1) for row in g], axis=1),
+            np.stack([np.stack([np.stack([ev(d) for d in r], axis=1) for r in m], axis=1)
+                      for m in h], axis=1),
+        ))
+    return states
+
+
+def test_field_state_matches_per_component_reference():
+    pts = np.random.default_rng(4).uniform(0, 1, (40, 3))
+    for field in cross_check_fields():
+        got = (field.eval(pts), field.eval_grad(pts), field.eval_hess(pts))
+        (ref, size) = reference_state(field, pts)
+        for g, r, s in zip(got, ref, size):
+            assert g.shape == r.shape
+            # 1e-15 per unit of term magnitude: summation order is free,
+            # and values reach ~60 (degree-5 Hessians) with ulp ~7e-15.
+            assert np.all(np.abs(g - r) <= 1e-15 * (1.0 + s))
+        h = got[2]
+        assert np.array_equal(h, np.transpose(h, (0, 1, 3, 2)))
+        assert field.degree() == max(c.degree() for c in field.components)
+
+
+def test_random_polyfield_draws_like_scalar_polys():
+    for degree in range(5):
+        field = random_polyfield(np.random.default_rng(degree), 4, degree)
+        rng = np.random.default_rng(degree)
+        scalar = [random_scalar_poly(rng, degree) for _ in range(4)]
+        assert [c.terms for c in field.components] == [c.terms for c in scalar]
+        assert field.degree() == degree
+
+
+def test_monomials_upto_graded_order():
+    assert list(monomials_upto(3, 4)) == [
+        (e1, e2, t - e1 - e2) for t in range(5) for e1 in range(t + 1) for e2 in range(t - e1 + 1)
+    ]
+    for nvars, degree in ((3, 4), (5, 2), (1, 3)):
+        expos = list(monomials_upto(nvars, degree))
+        assert len(set(expos)) == len(expos)
+        assert [sum(e) for e in expos] == sorted(sum(e) for e in expos)
+        assert max(sum(e) for e in expos) == degree
 
 
 def test_quadrature_monomial_exactness():
