@@ -8,14 +8,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensors
-from .polyfield import Poly3, PolyField, gradient_field
 from .report import DEFAULT_TOL_ABS, ConditionReport, make_check, make_report
 from .tensors import MAJOR, MINOR_LEFT, as_matrix3, as_tensor3, as_tensor4, combine
 from .verifier import QuadraticLagrangian
 
 __all__ = [
     "EmModuli",
-    "EmState",
     "em_enthalpy",
     "em_enthalpy_audit_variant",
     "em_constitutive",
@@ -76,22 +74,6 @@ class EmModuli:
         z3 = np.zeros((3, 3, 3))
         z2 = np.zeros((3, 3))
         return cls(z4, z3, z3, z2, z2, z2)
-
-
-@dataclass(frozen=True)
-class EmState:
-    """Displacement plus electric/magnetic potentials; the field vectors are
-    the exact negative potential gradients."""
-
-    u: PolyField
-    varphi: Poly3
-    psi: Poly3
-
-    def e_field(self) -> PolyField:
-        return gradient_field(self.varphi).scale(-1.0)
-
-    def h_field(self) -> PolyField:
-        return gradient_field(self.psi).scale(-1.0)
 
 
 def em_enthalpy(m: EmModuli, eps, e, h) -> float:

@@ -11,7 +11,7 @@ import numpy as np
 from . import em, micropolar, quasicrystal
 from .rund import GeneratorSet, generator_set_from_json
 
-__all__ = ["LoadedModel", "load_model", "load_input_file", "model_to_json"]
+__all__ = ["LoadedModel", "load_model", "load_input_file"]
 
 _MODEL_KEYS = {
     "micropolar": {"model", "A", "B", "D"},
@@ -102,31 +102,3 @@ def load_input_file(path: str | Path) -> LoadedModel | GeneratorSet:
         return generator_set_from_json(obj)
     return load_model(obj)
 
-
-def model_to_json(model: LoadedModel) -> dict:
-    """Re-encode a loaded model in its file format (micropolar family only
-    re-encodes the expanded tensors)."""
-    m = model.moduli
-    if model.family == "micropolar":
-        return {
-            "model": "micropolar",
-            "A": [float(v) for v in m.a.reshape(-1)],
-            "B": [float(v) for v in m.b.reshape(-1)],
-            "D": [float(v) for v in m.d.reshape(-1)],
-        }
-    if model.family == "quasicrystal":
-        return {
-            "model": "quasicrystal",
-            "C": [float(v) for v in m.c.reshape(-1)],
-            "D": [float(v) for v in m.d.reshape(-1)],
-            "E": [float(v) for v in m.e.reshape(-1)],
-        }
-    return {
-        "model": "em_elast",
-        "C": [float(v) for v in m.c.reshape(-1)],
-        "P": [float(v) for v in m.p.reshape(-1)],
-        "Q": [float(v) for v in m.q.reshape(-1)],
-        "Ediel": [float(v) for v in m.ediel.reshape(-1)],
-        "Bperm": [float(v) for v in m.bperm.reshape(-1)],
-        "Acpl": [float(v) for v in m.acpl.reshape(-1)],
-    }

@@ -10,6 +10,7 @@ exact and the partial-derivative order never matters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,7 +38,7 @@ __all__ = [
 class GenPoly:
     """Polynomial in (x1..x3, y1..yN) with exact rational coefficients."""
 
-    __slots__ = ("nvars", "_terms", "_cache")
+    __slots__ = ("nvars", "_terms")
 
     def __init__(self, nvars: int, terms: dict[tuple[int, ...], Fraction] | None = None):
         self.nvars = int(nvars)
@@ -50,7 +51,6 @@ class GenPoly:
             if coeff != 0:
                 clean[expo] = clean.get(expo, Fraction(0)) + coeff
         self._terms = {e: c for e, c in clean.items() if c != 0}
-        self._cache = None
 
     @property
     def terms(self) -> dict:
@@ -70,24 +70,39 @@ class GenPoly:
             out[key] = out.get(key, Fraction(0)) + coeff * expo[var]
         return GenPoly(self.nvars, out)
 
-    def eval(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[1] != self.nvars:
-            raise ValueError(f"points must have {self.nvars} columns")
-        if self._cache is None:
-            if self._terms:
-                expos = np.array(sorted(self._terms), dtype=np.int64)
-                coeffs = np.array([float(self._terms[tuple(e)]) for e in expos])
-            else:
-                expos = np.zeros((0, self.nvars), dtype=np.int64)
-                coeffs = np.zeros(0)
-            self._cache = (expos, coeffs)
-        expos, coeffs = self._cache
-        return evaluate_monomials(pts, expos, coeffs)
+
+def _to_float(value: Fraction, what: str) -> float:
+    """float(value); a ValueError if it overflows or a nonzero value underflows to 0."""
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out) or (out == 0.0 and value != 0):
+        power = round(math.log10(abs(value.numerator)) - math.log10(value.denominator))
+        raise ValueError(f"{what} of magnitude ~1e{power} is outside the double range")
+    return out
+
+
+def _partial_matrix(partials: list[GenPoly], nvars: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted union of the exponents of exact partials (T, nvars) and their
+    float coefficients (T, len(partials)), each converted once."""
+    keys = sorted(set().union(*(p._terms for p in partials)))
+    index = {e: i for i, e in enumerate(keys)}
+    coeffs = np.zeros((len(keys), len(partials)))
+    for col, poly in enumerate(partials):
+        for expo, c in poly._terms.items():
+            coeffs[index[expo], col] = _to_float(c, "generator partial coefficient")
+    return np.array(keys, dtype=np.int64).reshape(-1, nvars), coeffs
 
 
 class GeneratorSet:
-    """Three generator polynomials of (x, y) with cached exact partials."""
+    """Three generator polynomials of (x, y).
+
+    Their first and second partials are evaluated from float matrices built
+    once, on first use, from the exact rational partials: one exponent table
+    and one coefficient column per partial, so each evaluation is one power
+    table and one matrix product over the whole batch.
+    """
 
     def __init__(self, polys, n: int):
         polys = tuple(polys)
@@ -101,65 +116,60 @@ class GeneratorSet:
             if poly.nvars != nvars:
                 raise ValueError(f"generator polynomials must use {nvars} variables")
         self.polys = polys
-        self._d1: dict[tuple[int, int], GenPoly] = {}
-        self._d2: dict[tuple[int, int, int], GenPoly] = {}
+        self._grad = self._hess = None
 
     def degree(self) -> int:
         return max(p.degree() for p in self.polys)
 
-    def _first(self, alpha: int, var: int) -> GenPoly:
-        key = (alpha, var)
-        if key not in self._d1:
-            self._d1[key] = self.polys[alpha].diff(var)
-        return self._d1[key]
+    def _gradient(self) -> tuple[np.ndarray, np.ndarray]:
+        """Exponents and coefficients (T1, 3 * (3+N)) of dS^a/dv, column a*(3+N) + v."""
+        if self._grad is None:
+            nvars = 3 + self.n
+            self._grad = _partial_matrix([p.diff(v) for p in self.polys for v in range(nvars)], nvars)
+        return self._grad
 
-    def _second(self, alpha: int, var1: int, var2: int) -> GenPoly:
-        v1, v2 = sorted((var1, var2))
-        key = (alpha, v1, v2)
-        if key not in self._d2:
-            self._d2[key] = self._first(alpha, v1).diff(v2)
-        return self._d2[key]
+    def _hessian(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Exponents and coefficients of d2S^a/dv1 dv2 for v1 <= v2, and the
+        column of every (a, v1, v2) in the full symmetric (3, 3+N, 3+N) array."""
+        if self._hess is None:
+            nvars = 3 + self.n
+            pairs = [(v1, v2) for v1 in range(nvars) for v2 in range(v1, nvars)]
+            partials = []
+            for poly in self.polys:
+                first = [poly.diff(v) for v in range(nvars)]
+                partials += [first[v1].diff(v2) for v1, v2 in pairs]
+            index = np.empty((3, nvars, nvars), dtype=np.int64)
+            for a in range(3):
+                for col, (v1, v2) in enumerate(pairs):
+                    index[a, v1, v2] = index[a, v2, v1] = a * len(pairs) + col
+            self._hess = _partial_matrix(partials, nvars) + (index,)
+        return self._hess
 
-    def first_partials(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Batched (Sx, Sy): x-partials (m,3,3) and y-partials (m,3,N)."""
+    def _points(self, x, y) -> np.ndarray:
         pts = np.concatenate(
             [np.atleast_2d(np.asarray(x, dtype=float)), np.atleast_2d(np.asarray(y, dtype=float))],
             axis=1,
         )
-        m = pts.shape[0]
-        sx = np.empty((m, 3, 3))
-        sy = np.empty((m, 3, self.n))
-        for alpha in range(3):
-            for beta in range(3):
-                sx[:, alpha, beta] = self._first(alpha, beta).eval(pts)
-            for i in range(self.n):
-                sy[:, alpha, i] = self._first(alpha, 3 + i).eval(pts)
-        return sx, sy
+        if pts.shape[1] != 3 + self.n:
+            raise ValueError(f"points must have {3 + self.n} columns")
+        return pts
+
+    def first_partials(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Batched (Sx, Sy): x-partials (m,3,3) and y-partials (m,3,N)."""
+        pts = self._points(x, y)
+        expos, coeffs = self._gradient()
+        vals = evaluate_monomials(pts, expos, coeffs).reshape(pts.shape[0], 3, 3 + self.n)
+        return vals[:, :, :3], vals[:, :, 3:]
 
     def second_partials(self, x: np.ndarray, y: np.ndarray):
         """Single-point second partials: (Sxx (3,3,3), Sxy (3,3,N), Syy (3,N,N)).
 
         Sxx[a,b,c] = d2 S^a / dx_b dx_c, Sxy[a,b,j] = d2 S^a / dx_b dy_j,
-        Syy[a,i,j] = d2 S^a / dy_i dy_j.
+        Syy[a,i,j] = d2 S^a / dy_i dy_j; exactly symmetric.
         """
-        pts = np.concatenate([np.asarray(x, dtype=float), np.asarray(y, dtype=float)])[None, :]
-        sxx = np.empty((3, 3, 3))
-        sxy = np.empty((3, 3, self.n))
-        syy = np.empty((3, self.n, self.n))
-        for alpha in range(3):
-            for b in range(3):
-                for c in range(b, 3):
-                    val = self._second(alpha, b, c).eval(pts)[0]
-                    sxx[alpha, b, c] = val
-                    sxx[alpha, c, b] = val
-                for j in range(self.n):
-                    sxy[alpha, b, j] = self._second(alpha, b, 3 + j).eval(pts)[0]
-            for i in range(self.n):
-                for j in range(i, self.n):
-                    val = self._second(alpha, 3 + i, 3 + j).eval(pts)[0]
-                    syy[alpha, i, j] = val
-                    syy[alpha, j, i] = val
-        return sxx, sxy, syy
+        expos, coeffs, index = self._hessian()
+        full = evaluate_monomials(self._points(x, y), expos, coeffs)[0][index]
+        return full[:, :3, :3], full[:, :3, 3:], full[:, 3:, 3:]
 
 
 @dataclass(frozen=True)
@@ -203,7 +213,7 @@ class RundLagrangian(Lagrangian):
 
     def evaluate(self, x, y, dy):
         sx, sy = self.generators.first_partials(x, y)
-        j = sx + np.einsum("mai,mib->mab", sy, np.asarray(dy, dtype=float))
+        j = sx + sy @ np.asarray(dy, dtype=float)
         tr = np.trace(j, axis1=1, axis2=2)
         tr_sq = np.einsum("mab,mba->m", j, j)
         return 0.5 * (tr * tr - tr_sq)
@@ -335,6 +345,7 @@ def _parse_term(term) -> tuple[tuple[int, ...], Fraction]:
         coeff = Fraction(str(term["coeff"]))
     except ZeroDivisionError:
         raise ValueError(f"generator coefficient {term['coeff']!r} has a zero denominator") from None
+    _to_float(coeff, "generator coefficient")
     return tuple(expo), coeff
 
 
@@ -343,7 +354,8 @@ def generator_set_from_json(obj, n: int | None = None) -> GeneratorSet:
     list of {"exponents": [ex1,ex2,ex3,ey1..eyN], "coeff": "p/q"}.
 
     Exponents must be non-negative JSON integers and coefficients finite
-    rationals; anything else is a ValueError.
+    rationals that a double represents without overflow or underflow to
+    zero; anything else is a ValueError.
     """
     if not isinstance(obj, list) or len(obj) != 3:
         raise ValueError("generator file must be a list of three polynomials")

@@ -29,7 +29,6 @@ __all__ = [
     "SWAP24_ANTI",
     "SWAP13_ANTI",
     "ZERO_IF_IK_OR_JL",
-    "ZERO_IF_JL",
     "combine",
     "check_symmetry",
     "project",
@@ -153,9 +152,6 @@ ZERO_IF_IK_OR_JL = SymmetryClass(
     4,
     (),
     _zeros_from_predicate(4, lambda t: t[0] == t[2] or t[1] == t[3]),
-)
-ZERO_IF_JL = SymmetryClass(
-    "ZERO_IF_JL", 4, (), _zeros_from_predicate(4, lambda t: t[1] == t[3])
 )
 
 

@@ -17,6 +17,8 @@ with two-level Richardson extrapolation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,9 +92,12 @@ class QuadraticLagrangian(Lagrangian):
         self.label = label
 
     def evaluate(self, x, y, dy):
-        out = 0.5 * np.einsum("mjb,jbkc,mkc->m", dy, self.p, dy)
-        out += np.einsum("mjb,jbk,mk->m", dy, self.q, y)
-        out += 0.5 * np.einsum("mj,jk,mk->m", y, self.r, y)
+        y = np.asarray(y, dtype=float)
+        dy = np.asarray(dy, dtype=float)
+        f = dy.reshape(dy.shape[0], 3 * self.n)
+        out = 0.5 * np.einsum("mi,mi->m", f @ self.p.reshape(3 * self.n, 3 * self.n), f)
+        out += np.einsum("mi,mi->m", f @ self.q.reshape(3 * self.n, self.n), y)
+        out += 0.5 * np.einsum("mi,mi->m", y @ self.r, y)
         return out
 
     def integrand_degree(self, field_degree: int) -> int:
@@ -141,6 +146,90 @@ def _field_state(y: PolyField, x: np.ndarray):
     return y.eval(pts), y.eval_grad(pts), y.eval_hess(pts)
 
 
+# Step multipliers of the two Richardson levels.
+_LEVELS = np.array([1.0, 0.5])
+
+
+class _Stencil(NamedTuple):
+    """Richardson stencil over z = (x, y, Dy) for one field dimension N."""
+
+    offsets: np.ndarray  # (R, 3+4N) step multipliers of the rows, in evaluation order
+    center: int          # row of the unperturbed state
+    first: np.ndarray    # (n1, 2, 2) rows (+s, -s) per level of each first estimate
+    first_var: np.ndarray
+    diag: np.ndarray     # (n2, 2, 2) rows (+s, -s) per level of each pure second estimate
+    diag_var: np.ndarray
+    mixed: np.ndarray    # (n3, 2, 4) rows (++, +-, -+, --) per level of each mixed estimate
+    mixed_var: np.ndarray  # (n3, 2) the two differentiated variables
+    src: np.ndarray      # estimate (first, then diag, then mixed) feeding each slot
+    dst: np.ndarray      # slot in the flat (dL/dy, d2L/dx dy', d2L/dy dy', d2L/dy' dy')
+
+
+@lru_cache(maxsize=None)
+def _fd_stencil(n: int) -> _Stencil:
+    """The stencil for N components, built once: rows for the first
+    y-partials, the centre, then the x-Dy, y-Dy and Dy-Dy second partials."""
+    width = 3 + 4 * n
+    rows: list[np.ndarray] = []
+
+    def push(*bumps) -> int:
+        row = np.zeros(width)
+        for idx, mult in bumps:
+            row[idx] = mult
+        rows.append(row)
+        return len(rows) - 1
+
+    def plan_pm(i):
+        return [[push((i, +s)), push((i, -s))] for s in _LEVELS]
+
+    def plan_mixed(i, j):
+        return [[push((i, +s), (j, +s)), push((i, +s), (j, -s)),
+                 push((i, -s), (j, +s)), push((i, -s), (j, -s))] for s in _LEVELS]
+
+    iy = lambda k: 3 + k
+    idp = lambda k, g: 3 + n + 3 * k + g
+    # flat output offsets of d_x_dyp (3,N,3), d_y_dyp (N,N,3), d_dyp (3N,3N)
+    o_x, o_y, o_d = n, 10 * n, 10 * n + 3 * n * n
+    first, diag, mixed = [], [], []  # (rows, variables, slots)
+
+    for k in range(n):
+        first.append((plan_pm(iy(k)), iy(k), [k]))
+    center = push()
+    for g in range(3):
+        for k in range(n):
+            mixed.append((plan_mixed(g, idp(k, g)), (g, idp(k, g)), [o_x + (g * n + k) * 3 + g]))
+    for j in range(n):
+        for k in range(n):
+            for g in range(3):
+                mixed.append((plan_mixed(iy(j), idp(k, g)), (iy(j), idp(k, g)),
+                              [o_y + (j * n + k) * 3 + g]))
+    for a in range(3 * n):
+        for b in range(a, 3 * n):
+            i, j = 3 + n + a, 3 + n + b
+            if a == b:
+                diag.append((plan_pm(i), i, [o_d + a * 3 * n + a]))
+            else:
+                mixed.append((plan_mixed(i, j), (i, j), [o_d + a * 3 * n + b, o_d + b * 3 * n + a]))
+
+    estimates = first + diag + mixed
+    src = [e for e, (_, _, slots) in enumerate(estimates) for _ in slots]
+    dst = [slot for _, _, slots in estimates for slot in slots]
+    parts = [np.array(rows, dtype=float).reshape(len(rows), width), center]
+    for group in (first, diag, mixed):
+        parts += [np.array([r for r, _, _ in group], dtype=np.int64),
+                  np.array([v for _, v, _ in group], dtype=np.int64)]
+    stencil = _Stencil(*parts, np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64))
+    for arr in stencil:
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
+    return stencil
+
+
+def _richardson(ests: np.ndarray) -> np.ndarray:
+    """Two-level extrapolation of estimates (..., 2) at steps s and s/2."""
+    return (4.0 * ests[..., 1] - ests[..., 0]) / 3.0
+
+
 def _fd_partials(lag: Lagrangian, x0: np.ndarray, y0: np.ndarray, dy0: np.ndarray):
     """All partials of L entering the Euler operator, by batched central
     differences with two-level Richardson extrapolation.
@@ -148,117 +237,31 @@ def _fd_partials(lag: Lagrangian, x0: np.ndarray, y0: np.ndarray, dy0: np.ndarra
     Returns (dL_dy (N,), d2_x_dyp (3,N,3), d2_y_dyp (N,N,3), d2_dyp_dyp (N,3,N,3)).
     """
     n = lag.n
+    plan = _fd_stencil(n)
     z0 = np.concatenate([x0, y0, dy0.reshape(-1)])
     h = lag.fd_base_step * (1.0 + np.abs(z0))
     if np.any(h <= 0.0) or np.any(h < 1e-300):
         raise FloatingPointError("finite-difference step underflow")
 
-    rows: list[np.ndarray] = []
-
-    def push(*bumps) -> int:
-        z = z0.copy()
-        for idx, amount in bumps:
-            z[idx] += amount
-        rows.append(z)
-        return len(rows) - 1
-
-    ix = lambda g: g
-    iy = lambda k: 3 + k
-    idp = lambda k, g: 3 + n + 3 * k + g
-
-    first_plan = []
-    for k in range(n):
-        i = iy(k)
-        recs = []
-        for scale in (1.0, 0.5):
-            s = scale * h[i]
-            recs.append((push((i, +s)), push((i, -s)), s))
-        first_plan.append(recs)
-
-    def plan_mixed(i, j):
-        recs = []
-        for scale in (1.0, 0.5):
-            si, sj = scale * h[i], scale * h[j]
-            recs.append(
-                (
-                    push((i, +si), (j, +sj)),
-                    push((i, +si), (j, -sj)),
-                    push((i, -si), (j, +sj)),
-                    push((i, -si), (j, -sj)),
-                    si,
-                    sj,
-                )
-            )
-        return recs
-
-    def plan_diag(i):
-        recs = []
-        for scale in (1.0, 0.5):
-            s = scale * h[i]
-            recs.append((push((i, +s)), push((i, -s)), s))
-        return recs
-
-    center = push()
-
-    xdyp_plan = {}
-    for g in range(3):
-        for k in range(n):
-            xdyp_plan[(g, k)] = plan_mixed(ix(g), idp(k, g))
-
-    ydyp_plan = {}
-    for j in range(n):
-        for k in range(n):
-            for g in range(3):
-                ydyp_plan[(j, k, g)] = plan_mixed(iy(j), idp(k, g))
-
-    dypdyp_plan = {}
-    for a in range(3 * n):
-        for b in range(a, 3 * n):
-            i, j = 3 + n + a, 3 + n + b
-            dypdyp_plan[(a, b)] = plan_diag(i) if a == b else plan_mixed(i, j)
-
-    batch = np.array(rows)
-    xs = batch[:, :3]
-    ys = batch[:, 3:3 + n]
-    dys = batch[:, 3 + n:].reshape(-1, n, 3)
-    vals = lag.evaluate(xs, ys, dys)
+    batch = z0 + plan.offsets * h
+    vals = lag.evaluate(batch[:, :3], batch[:, 3:3 + n], batch[:, 3 + n:].reshape(-1, n, 3))
     if not np.all(np.isfinite(vals)):
         raise FloatingPointError("non-finite density evaluation during differentiation")
 
-    def richardson(d_h, d_h2):
-        return (4.0 * d_h2 - d_h) / 3.0
+    f0 = vals[plan.center]
+    s = _LEVELS * h[plan.first_var][:, None]
+    first = (vals[plan.first[..., 0]] - vals[plan.first[..., 1]]) / (2.0 * s)
+    s = _LEVELS * h[plan.diag_var][:, None]
+    diag = (vals[plan.diag[..., 0]] - 2.0 * f0 + vals[plan.diag[..., 1]]) / (s * s)
+    si = _LEVELS * h[plan.mixed_var[:, 0]][:, None]
+    sj = _LEVELS * h[plan.mixed_var[:, 1]][:, None]
+    quad = vals[plan.mixed]
+    mixed = (quad[..., 0] - quad[..., 1] - quad[..., 2] + quad[..., 3]) / (4.0 * si * sj)
 
-    def first(recs):
-        ests = [(vals[p] - vals[q]) / (2.0 * s) for p, q, s in recs]
-        return richardson(ests[0], ests[1])
-
-    def mixed(recs):
-        ests = [
-            (vals[pp] - vals[pm] - vals[mp] + vals[mm]) / (4.0 * si * sj)
-            for pp, pm, mp, mm, si, sj in recs
-        ]
-        return richardson(ests[0], ests[1])
-
-    f0 = vals[center]
-
-    def diag(recs):
-        ests = [(vals[p] - 2.0 * f0 + vals[q]) / (s * s) for p, q, s in recs]
-        return richardson(ests[0], ests[1])
-
-    d_y = np.array([first(first_plan[k]) for k in range(n)])
-    d_x_dyp = np.zeros((3, n, 3))
-    for g in range(3):
-        for k in range(n):
-            d_x_dyp[g, k, g] = mixed(xdyp_plan[(g, k)])
-    d_y_dyp = np.zeros((n, n, 3))
-    for (j, k, g), recs in ydyp_plan.items():
-        d_y_dyp[j, k, g] = mixed(recs)
-    d_dyp = np.zeros((3 * n, 3 * n))
-    for (a, b), recs in dypdyp_plan.items():
-        value = diag(recs) if a == b else mixed(recs)
-        d_dyp[a, b] = value
-        d_dyp[b, a] = value
-    return d_y, d_x_dyp, d_y_dyp, d_dyp.reshape(n, 3, n, 3)
+    out = np.zeros(10 * n + 12 * n * n)
+    out[plan.dst] = np.concatenate([_richardson(first), _richardson(diag), _richardson(mixed)])[plan.src]
+    d_y, d_x_dyp, d_y_dyp, d_dyp = np.split(out, [n, 10 * n, 10 * n + 3 * n * n])
+    return d_y, d_x_dyp.reshape(3, n, 3), d_y_dyp.reshape(n, n, 3), d_dyp.reshape(n, 3, n, 3)
 
 
 def _residuals(lag: Lagrangian, x, y0, dy0, d2y0, method: str):

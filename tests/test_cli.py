@@ -194,3 +194,17 @@ def test_generator_file_contract_violation_is_usage_error(tmp_path, capsys, term
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "coeff",
+    ["1e400", "9" * 400, "1e-400"],
+    ids=["overflow-exponent", "overflow-400-digits", "underflow-to-zero"],
+)
+def test_certify_rejects_coefficient_outside_double_range(tmp_path, capsys, coeff):
+    path = write(tmp_path, "gen.json", generator_with({"exponents": [1, 0, 0, 1], "coeff": coeff}))
+    assert main(["certify", path, "--trials", "1", "--degree", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "double range" in captured.err

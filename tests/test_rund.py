@@ -224,3 +224,83 @@ def test_generator_set_validates_dimensions():
         GeneratorSet([GenPoly(9)], 6)
     with pytest.raises(ValueError, match="9 variables"):
         GeneratorSet([GenPoly(8), GenPoly(9), GenPoly(9)], 6)
+
+
+def _exact_value(poly, pt):
+    """Value and absolute term sum of an exact polynomial, term by term."""
+    terms = [float(c) * float(np.prod(pt ** np.array(e, dtype=float))) for e, c in poly.terms.items()]
+    return sum(terms), sum(abs(t) for t in terms)
+
+
+def _reference_sets():
+    """Random sets for N in {1, 3, 6}, degree 0-3, plus an all-zero
+    polynomial and a constant-only set."""
+    sets = []
+    for n in (1, 3, 6):
+        for degree in range(4):
+            sets.append(random_generator_set(np.random.default_rng(100 * n + degree), n, degree))
+        nvars = 3 + n
+        sparse = random_generator_set(np.random.default_rng(7 * n), n, 2)
+        sets.append(GeneratorSet([sparse.polys[0], GenPoly(nvars), sparse.polys[2]], n))
+        const = {(0,) * nvars: Fraction(-7, 3)}
+        sets.append(GeneratorSet([GenPoly(nvars, const), GenPoly(nvars, const), GenPoly(nvars)], n))
+    return sets
+
+
+@pytest.mark.parametrize("g", _reference_sets(), ids=lambda g: f"n{g.n}d{g.degree()}")
+def test_partials_match_exact_per_partial_evaluation(g):
+    nvars = 3 + g.n
+    rng = np.random.default_rng(g.n + 10 * g.degree())
+    x, y = rng.uniform(0, 1, (4, 3)), rng.uniform(-1, 1, (4, g.n))
+    sx, sy = g.first_partials(x, y)
+    got1 = np.concatenate([sx, sy], axis=2)
+    for m in range(4):
+        pt = np.concatenate([x[m], y[m]])
+        sxx, sxy, syy = g.second_partials(x[m], y[m])
+        assert np.array_equal(sxx, np.transpose(sxx, (0, 2, 1)))
+        assert np.array_equal(syy, np.transpose(syy, (0, 2, 1)))
+        got2 = np.zeros((3, nvars, nvars))
+        got2[:, :3, :3], got2[:, :3, 3:], got2[:, 3:, 3:] = sxx, sxy, syy
+        got2[:, 3:, :3] = np.transpose(sxy, (0, 2, 1))
+        for a, poly in enumerate(g.polys):
+            for v1 in range(nvars):
+                ref, size = _exact_value(poly.diff(v1), pt)
+                assert abs(got1[m, a, v1] - ref) <= 1e-15 * size
+                for v2 in range(nvars):
+                    ref, size = _exact_value(poly.diff(v1).diff(v2), pt)
+                    assert abs(got2[a, v1, v2] - ref) <= 1e-15 * size
+
+
+@pytest.mark.parametrize("g", _reference_sets(), ids=lambda g: f"n{g.n}d{g.degree()}")
+def test_partial_matrices_hold_float_of_exact_coefficients(g):
+    nvars = 3 + g.n
+    expos, coeffs = g._gradient()
+    rows = {tuple(e): i for i, e in enumerate(expos.tolist())}
+    expected = np.zeros_like(coeffs)
+    for a, poly in enumerate(g.polys):
+        for v in range(nvars):
+            for e, c in poly.diff(v).terms.items():
+                expected[rows[e], a * nvars + v] = float(c)
+    assert np.array_equal(coeffs, expected)
+
+    expos, coeffs, index = g._hessian()
+    rows = {tuple(e): i for i, e in enumerate(expos.tolist())}
+    expected = np.zeros_like(coeffs)
+    for a, poly in enumerate(g.polys):
+        for v1 in range(nvars):
+            for v2 in range(nvars):
+                for e, c in poly.diff(v1).diff(v2).terms.items():
+                    expected[rows[e], index[a, v1, v2]] = float(c)
+    assert np.array_equal(coeffs, expected)
+    assert np.array_equal(index, np.transpose(index, (0, 2, 1)))
+
+
+def test_partial_coefficient_outside_double_range_is_rejected():
+    x2 = (2,) + (0,) * (NVARS - 1)
+    big = GeneratorSet([GenPoly(NVARS, {x2: Fraction(10**308)}), GenPoly(NVARS), GenPoly(NVARS)], N)
+    with pytest.raises(ValueError, match="double range"):
+        big.first_partials(np.zeros((1, 3)), np.zeros((1, N)))
+    tiny = GeneratorSet([GenPoly(NVARS, {x2: Fraction(1, 10**400)}), GenPoly(NVARS), GenPoly(NVARS)], N)
+    with pytest.raises(ValueError, match="double range"):
+        tiny.second_partials(np.zeros(3), np.zeros(N))
+

@@ -219,3 +219,108 @@ def test_certify_matches_per_point_reference():
         assert cert.max_normalized_residual == pytest.approx(ref, rel=1e-12, abs=1e-15)
         verdicts.append(cert.passed)
     assert verdicts == [True, False, False, True, False]
+
+
+def reference_fd_partials(lag, x0, y0, dy0):
+    """The finite-difference stencil built row by row from Python dicts, in
+    the row and operation order that `_fd_partials` keeps."""
+    n = lag.n
+    z0 = np.concatenate([x0, y0, dy0.reshape(-1)])
+    h = lag.fd_base_step * (1.0 + np.abs(z0))
+    rows = []
+
+    def push(*bumps):
+        z = z0.copy()
+        for idx, amount in bumps:
+            z[idx] += amount
+        rows.append(z)
+        return len(rows) - 1
+
+    def plan_pm(i):
+        return [(push((i, +s)), push((i, -s)), s) for s in (1.0 * h[i], 0.5 * h[i])]
+
+    def plan_mixed(i, j):
+        recs = []
+        for scale in (1.0, 0.5):
+            si, sj = scale * h[i], scale * h[j]
+            recs.append((push((i, +si), (j, +sj)), push((i, +si), (j, -sj)),
+                         push((i, -si), (j, +sj)), push((i, -si), (j, -sj)), si, sj))
+        return recs
+
+    idp = lambda k, g: 3 + n + 3 * k + g
+    first_plan = [plan_pm(3 + k) for k in range(n)]
+    center = push()
+    xdyp = {(g, k): plan_mixed(g, idp(k, g)) for g in range(3) for k in range(n)}
+    ydyp = {(j, k, g): plan_mixed(3 + j, idp(k, g)) for j in range(n) for k in range(n) for g in range(3)}
+    dypdyp = {}
+    for a in range(3 * n):
+        for b in range(a, 3 * n):
+            i, j = 3 + n + a, 3 + n + b
+            dypdyp[(a, b)] = plan_pm(i) if a == b else plan_mixed(i, j)
+
+    batch = np.array(rows)
+    vals = lag.evaluate(batch[:, :3], batch[:, 3:3 + n], batch[:, 3 + n:].reshape(-1, n, 3))
+    f0 = vals[center]
+    richardson = lambda e: (4.0 * e[1] - e[0]) / 3.0
+    first = lambda recs: richardson([(vals[p] - vals[q]) / (2.0 * s) for p, q, s in recs])
+    diag = lambda recs: richardson([(vals[p] - 2.0 * f0 + vals[q]) / (s * s) for p, q, s in recs])
+    mixed = lambda recs: richardson([(vals[pp] - vals[pm] - vals[mp] + vals[mm]) / (4.0 * si * sj)
+                                     for pp, pm, mp, mm, si, sj in recs])
+
+    d_y = np.array([first(recs) for recs in first_plan])
+    d_x_dyp = np.zeros((3, n, 3))
+    for (g, k), recs in xdyp.items():
+        d_x_dyp[g, k, g] = mixed(recs)
+    d_y_dyp = np.zeros((n, n, 3))
+    for (j, k, g), recs in ydyp.items():
+        d_y_dyp[j, k, g] = mixed(recs)
+    d_dyp = np.zeros((3 * n, 3 * n))
+    for (a, b), recs in dypdyp.items():
+        d_dyp[a, b] = d_dyp[b, a] = diag(recs) if a == b else mixed(recs)
+    return d_y, d_x_dyp, d_y_dyp, d_dyp.reshape(n, 3, n, 3)
+
+
+def test_fd_partials_bit_identical_to_dict_stencil():
+    from nullag.rund import build_null_lagrangian, random_generator_set
+
+    rng = np.random.default_rng(21)
+    p, q, r = rng.uniform(-1, 1, (3, 3, 3, 3)), rng.uniform(-1, 1, (3, 3, 3)), rng.uniform(-1, 1, (3, 3))
+    densities = [QuadraticLagrangian(p, q, r),
+                 build_null_lagrangian(random_generator_set(np.random.default_rng(22), 6, 3))]
+    for lag in densities:
+        for _ in range(3):
+            x0, y0, dy0 = rng.uniform(0, 1, 3), rng.uniform(-1, 1, lag.n), rng.uniform(-1, 1, (lag.n, 3))
+            got = vf._fd_partials(lag, x0, y0, dy0)
+            ref = reference_fd_partials(lag, x0, y0, dy0)
+            for a, b in zip(got, ref):
+                assert a.shape == b.shape
+                assert np.all(a == b)
+
+
+def test_quadratic_evaluate_matches_einsum_form():
+    rng = np.random.default_rng(23)
+    sym3 = lambda t: 0.5 * (t + np.transpose(t, (0, 2, 1)))
+    sym2 = lambda t: 0.5 * (t + t.T)
+    sym4 = lambda t: 0.5 * (t + np.transpose(t, (2, 3, 0, 1)))
+    densities = [
+        random_micropolar_density(rng),
+        qc.lagrangian(qc.QcModuli(project(rng.uniform(-1, 1, (3, 3, 3, 3)), qc.PHONON_CLASS),
+                                  project(rng.uniform(-1, 1, (3, 3, 3, 3)), qc.MINOR_LEFT),
+                                  sym4(rng.uniform(-1, 1, (3, 3, 3, 3))))),
+        em.lagrangian(em.EmModuli(
+            project(rng.uniform(-1, 1, (3, 3, 3, 3)), em.EM_ELASTIC_CLASS),
+            sym3(rng.uniform(-1, 1, (3, 3, 3))), sym3(rng.uniform(-1, 1, (3, 3, 3))),
+            sym2(rng.uniform(-1, 1, (3, 3))), sym2(rng.uniform(-1, 1, (3, 3))),
+            sym2(rng.uniform(-1, 1, (3, 3))),
+        )),
+    ]
+    for lag in densities:
+        m = 500
+        x, y, dy = rng.uniform(0, 1, (m, 3)), rng.uniform(-1, 1, (m, lag.n)), rng.uniform(-1, 1, (m, lag.n, 3))
+        ref = 0.5 * np.einsum("mjb,jbkc,mkc->m", dy, lag.p, dy)
+        ref += np.einsum("mjb,jbk,mk->m", dy, lag.q, y)
+        ref += 0.5 * np.einsum("mj,jk,mk->m", y, lag.r, y)
+        size = 0.5 * np.einsum("mjb,jbkc,mkc->m", abs(dy), abs(lag.p), abs(dy))
+        size += np.einsum("mjb,jbk,mk->m", abs(dy), abs(lag.q), abs(y))
+        size += 0.5 * np.einsum("mj,jk,mk->m", abs(y), abs(lag.r), abs(y))
+        assert np.all(np.abs(lag.evaluate(x, y, dy) - ref) <= 1e-12 * size)
