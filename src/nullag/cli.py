@@ -9,7 +9,7 @@ import argparse
 import json
 import sys
 
-from . import em, micropolar, quasicrystal
+from . import micropolar
 from .modelio import load_input_file
 from .report import DEFAULT_TOL_ABS, ConditionReport
 from .rund import GeneratorSet, build_null_lagrangian
@@ -78,22 +78,17 @@ def _cmd_check(args) -> int:
     model = load_input_file(args.model_file)
     if isinstance(model, GeneratorSet):
         raise ValueError("check needs a model file, not a generator file")
-    if model.family == "micropolar":
-        report = micropolar.check_null_sufficient(model.moduli, tol_abs=args.tol_abs)
-    elif model.family == "quasicrystal":
-        report = quasicrystal.check_qc_null(model.moduli, tol_abs=args.tol_abs)
-    else:
-        report = em.check_em_null(model.moduli, tol_abs=args.tol_abs)
+    report = model.check(args.tol_abs)
     _emit({"command": "check", "model": model.kind, "report": report.as_dict()}, args.format)
     return _report_exit(report)
 
 
 def _cmd_split(args) -> int:
     model = load_input_file(args.model_file)
-    if isinstance(model, GeneratorSet) or model.family != "micropolar":
+    if isinstance(model, GeneratorSet) or not isinstance(model.moduli, micropolar.MicropolarModuli):
         raise ValueError("split needs a micropolar model file")
     parts = micropolar.split_B(model.moduli.b)
-    cauchy = micropolar.cauchy_analogue(parts.b_tilde)
+    cauchy = micropolar.cauchy_analogue(parts.b_tilde, tol_abs=args.tol_abs)
     counts = orbit_summary(micropolar.TILDE_CLASS)
     zero_entries = counts["forced_zero_entries"]
     payload = {
@@ -113,16 +108,9 @@ def _cmd_split(args) -> int:
 def _cmd_certify(args) -> int:
     loaded = load_input_file(args.input_file)
     if isinstance(loaded, GeneratorSet):
-        lag = build_null_lagrangian(loaded)
-        kind = "generator"
+        lag, kind = build_null_lagrangian(loaded), "generator"
     else:
-        kind = loaded.kind
-        if loaded.family == "micropolar":
-            lag = micropolar.lagrangian(loaded.moduli)
-        elif loaded.family == "quasicrystal":
-            lag = quasicrystal.lagrangian(loaded.moduli)
-        else:
-            lag = em.lagrangian(loaded.moduli)
+        lag, kind = loaded.lagrangian(), loaded.kind
     cert = certify_null(
         lag,
         trials=args.trials,
@@ -141,7 +129,7 @@ def main(argv=None) -> int:
     handlers = {"check": _cmd_check, "split": _cmd_split, "certify": _cmd_certify}
     try:
         return handlers[args.command](args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

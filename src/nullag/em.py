@@ -3,19 +3,28 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensors
-from .report import DEFAULT_TOL_ABS, ConditionReport, make_check, make_report
-from .tensors import MAJOR, MINOR_LEFT, as_matrix3, as_tensor3, as_tensor4, combine
+from .report import DEFAULT_TOL_ABS, ConditionReport, make_check, make_report, tensor_scale
+from .tensors import (
+    MAJOR,
+    MINOR_LEFT,
+    IndexRelation,
+    SymmetryClass,
+    as_matrix3,
+    as_tensor3,
+    as_tensor4,
+    check_symmetry,
+    combine,
+)
 from .verifier import QuadraticLagrangian
 
 __all__ = [
     "EmModuli",
     "em_enthalpy",
-    "em_enthalpy_audit_variant",
     "em_constitutive",
     "check_em_null",
     "lagrangian",
@@ -25,10 +34,19 @@ __all__ = [
 SYMMETRY_TOL = 1e-12
 
 EM_ELASTIC_CLASS = combine("EM_ELASTIC", MINOR_LEFT, MAJOR)
+TRAILING_SYM3 = SymmetryClass("TRAILING_SYM3", 3, (IndexRelation((0, 2, 1), 1.0),))
+SYM2 = SymmetryClass("SYM2", 2, (IndexRelation((1, 0), 1.0),))
 
-
-def _sym_gap(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m - m.T)))
+#: Null relations: a rank-3 coupling is antisymmetric under the swap of its
+#: outer indices and zero where they match; the coupling matrix is antisymmetric.
+OUTER_SWAP_ANTI = SymmetryClass("OUTER_SWAP_ANTI", 3, (IndexRelation((2, 1, 0), -1.0),))
+ZERO_IF_OUTER_EQUAL = SymmetryClass(
+    "ZERO_IF_OUTER_EQUAL",
+    3,
+    (),
+    frozenset(idx for idx in itertools.product(range(3), repeat=3) if idx[0] == idx[2]),
+)
+ANTISYM2 = SymmetryClass("ANTISYM2", 2, (IndexRelation((1, 0), -1.0),))
 
 
 @dataclass(frozen=True)
@@ -52,14 +70,13 @@ class EmModuli:
         c = as_tensor4(c)
         p, q = as_tensor3(p), as_tensor3(q)
         ediel, bperm, acpl = as_matrix3(ediel), as_matrix3(bperm), as_matrix3(acpl)
-        if (gap := tensors.check_symmetry(c, EM_ELASTIC_CLASS)) > SYMMETRY_TOL:
+        if (gap := check_symmetry(c, EM_ELASTIC_CLASS)) > SYMMETRY_TOL:
             raise ValueError(f"elastic modulus violates its symmetries by {gap:.3e}")
         for name, t3 in (("piezoelectric", p), ("piezomagnetic", q)):
-            gap = float(np.max(np.abs(t3 - np.transpose(t3, (0, 2, 1)))))
-            if gap > SYMMETRY_TOL:
+            if (gap := check_symmetry(t3, TRAILING_SYM3)) > SYMMETRY_TOL:
                 raise ValueError(f"{name} coupling must be symmetric in its trailing pair ({gap:.3e})")
         for name, m2 in (("dielectric", ediel), ("permeability", bperm), ("coupling", acpl)):
-            if (gap := _sym_gap(m2)) > SYMMETRY_TOL:
+            if (gap := check_symmetry(m2, SYM2)) > SYMMETRY_TOL:
                 raise ValueError(f"{name} matrix must be symmetric ({gap:.3e})")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "p", p)
@@ -91,22 +108,6 @@ def em_enthalpy(m: EmModuli, eps, e, h) -> float:
     return float(out)
 
 
-def em_enthalpy_audit_variant(m: EmModuli, eps, e, h) -> float:
-    """Audit-only variant in which the piezomagnetic modulus couples the
-    strain to the electric field instead of the magnetic one.  Kept solely
-    to quantify the difference against `em_enthalpy`; not used anywhere."""
-    eps = as_matrix3(eps)
-    e = np.asarray(e, dtype=float)
-    h = np.asarray(h, dtype=float)
-    out = 0.5 * np.einsum("ijkl,ij,kl->", m.c, eps, eps)
-    out -= 0.5 * float(e @ m.ediel @ e)
-    out -= 0.5 * float(h @ m.bperm @ h)
-    out -= np.einsum("kij,ij,k->", m.p, eps, e)
-    out -= np.einsum("kij,ij,k->", m.q, eps, e)
-    out -= float(e @ m.acpl @ h)
-    return float(out)
-
-
 def em_constitutive(m: EmModuli, eps, e, h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stress, electric displacement and magnetic induction.
 
@@ -129,32 +130,16 @@ def em_constitutive(m: EmModuli, eps, e, h) -> tuple[np.ndarray, np.ndarray, np.
 def check_em_null(m: EmModuli, tol_abs: float = DEFAULT_TOL_ABS) -> ConditionReport:
     """Null conditions for the enthalpy; with the constructor symmetries
     they admit only the all-zero material."""
-    sc = float(np.max(np.abs(m.c))) or 1.0
-    sp = float(np.max(np.abs(m.p))) or 1.0
-    sq = float(np.max(np.abs(m.q))) or 1.0
-    se = float(np.max(np.abs(m.ediel))) or 1.0
-    sb = float(np.max(np.abs(m.bperm))) or 1.0
-    sa = float(np.max(np.abs(m.acpl))) or 1.0
-
-    def rank3_alt(t3: np.ndarray) -> float:
-        return float(np.max(np.abs(t3 + np.transpose(t3, (2, 1, 0)))))
-
-    def rank3_zero_pred(t3: np.ndarray) -> float:
-        worst = 0.0
-        for k in range(3):
-            for i in range(3):
-                worst = max(worst, abs(float(t3[k, i, k])))
-        return worst
-
+    sp, sq = tensor_scale(m.p), tensor_scale(m.q)
     checks = [
-        make_check("C zero", np.max(np.abs(m.c)), sc, tol_abs),
-        make_check("Ediel zero", np.max(np.abs(m.ediel)), se, tol_abs),
-        make_check("Bperm zero", np.max(np.abs(m.bperm)), sb, tol_abs),
-        make_check("P alternating antisym", rank3_alt(m.p), sp, tol_abs),
-        make_check("P zero on matching outer index", rank3_zero_pred(m.p), sp, tol_abs),
-        make_check("Q alternating antisym", rank3_alt(m.q), sq, tol_abs),
-        make_check("Q zero on matching outer index", rank3_zero_pred(m.q), sq, tol_abs),
-        make_check("A antisym", np.max(np.abs(m.acpl + m.acpl.T)), sa, tol_abs),
+        make_check("C zero", np.max(np.abs(m.c)), tensor_scale(m.c), tol_abs),
+        make_check("Ediel zero", np.max(np.abs(m.ediel)), tensor_scale(m.ediel), tol_abs),
+        make_check("Bperm zero", np.max(np.abs(m.bperm)), tensor_scale(m.bperm), tol_abs),
+        make_check("P alternating antisym", check_symmetry(m.p, OUTER_SWAP_ANTI), sp, tol_abs),
+        make_check("P zero on matching outer index", check_symmetry(m.p, ZERO_IF_OUTER_EQUAL), sp, tol_abs),
+        make_check("Q alternating antisym", check_symmetry(m.q, OUTER_SWAP_ANTI), sq, tol_abs),
+        make_check("Q zero on matching outer index", check_symmetry(m.q, ZERO_IF_OUTER_EQUAL), sq, tol_abs),
+        make_check("A antisym", check_symmetry(m.acpl, ANTISYM2), tensor_scale(m.acpl), tol_abs),
     ]
     return make_report(checks)
 

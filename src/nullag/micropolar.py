@@ -18,7 +18,7 @@ import numpy as np
 from . import tensors
 from .polyfield import PolyField, PolyMatrixField, bubble, gradient_field, random_polyfield, random_scalar_poly
 from .quadrature import face_rules, required_order
-from .report import DEFAULT_TOL_ABS, ConditionReport, make_check, make_report
+from .report import DEFAULT_TOL_ABS, ConditionReport, make_check, make_report, tensor_scale
 from .tensors import (
     MAJOR,
     MINOR_RIGHT,
@@ -215,10 +215,6 @@ def constitutive(m: MicropolarModuli, eps, kap) -> tuple[np.ndarray, np.ndarray]
     return sigma, mu
 
 
-def _swap24_violation(t: np.ndarray) -> float:
-    return float(np.max(np.abs(t + np.transpose(t, (0, 3, 2, 1)))))
-
-
 def _alternating_balance(d: np.ndarray) -> np.ndarray:
     """e_mkl D_klin - e_ijk D_jkmn, indexed (m, i, n)."""
     lc = levi_civita()
@@ -227,22 +223,19 @@ def _alternating_balance(d: np.ndarray) -> np.ndarray:
     return t1 - t2
 
 
-def check_null_sufficient(m: MicropolarModuli, tol_abs: float | None = None) -> ConditionReport:
+def check_null_sufficient(m: MicropolarModuli, tol_abs: float = DEFAULT_TOL_ABS) -> ConditionReport:
     """Sufficient conditions for the full stored energy to be null.
 
     Both odd-swap antisymmetries for every modulus, the alternating balance
     of the coupling modulus, and the annihilation of the strain modulus by
     the alternating tensor (which, with major symmetry, forces it to zero).
     """
-    tol_abs = DEFAULT_TOL_ABS if tol_abs is None else tol_abs
     lc = levi_civita()
-    sa = float(np.max(np.abs(m.a))) or 1.0
-    sb = float(np.max(np.abs(m.b))) or 1.0
-    sd = float(np.max(np.abs(m.d))) or 1.0
+    sa, sb, sd = tensor_scale(m.a), tensor_scale(m.b), tensor_scale(m.d)
     checks = [
-        make_check("A swap24 antisym", _swap24_violation(m.a), sa, tol_abs),
-        make_check("B swap24 antisym", _swap24_violation(m.b), sb, tol_abs),
-        make_check("D swap24 antisym", _swap24_violation(m.d), sd, tol_abs),
+        make_check("A swap24 antisym", tensors.check_symmetry(m.a, SWAP24_ANTI), sa, tol_abs),
+        make_check("B swap24 antisym", tensors.check_symmetry(m.b, SWAP24_ANTI), sb, tol_abs),
+        make_check("D swap24 antisym", tensors.check_symmetry(m.d, SWAP24_ANTI), sd, tol_abs),
         make_check("D alternating balance", np.max(np.abs(_alternating_balance(m.d))), sd, tol_abs),
         make_check(
             "A alternating annihilation",
@@ -262,14 +255,14 @@ def check_coupling_entrywise(d: np.ndarray) -> ConditionReport:
     equivalence is probed by `coupling_equivalence_probe`.
     """
     d = as_tensor4(d)
-    scale = float(np.max(np.abs(d))) or 1.0
+    scale = tensor_scale(d)
     v_b = 0.0
     v_c = 0.0
     for i, j, k in itertools.permutations(range(3)):
         v_b = max(v_b, abs(d[i, j, j, i] + d[i, k, k, i]))
         v_c = max(v_c, abs(d[i, j, j, k] - d[k, i, k, k] - d[j, i, j, k]))
     checks = [
-        make_check("D swap24 antisym", _swap24_violation(d), scale),
+        make_check("D swap24 antisym", tensors.check_symmetry(d, SWAP24_ANTI), scale),
         make_check("D opposite transposed diagonals", v_b, scale),
         make_check("D mixed-entry sum rule", v_c, scale),
     ]
@@ -341,7 +334,7 @@ def coupling_equivalence_probe(d: np.ndarray, tol: float = 1e-10) -> bool:
     return True for every input."""
     d = as_tensor4(d)
     flat = d.reshape(81)
-    scale = float(np.max(np.abs(flat))) or 1.0
+    scale = tensor_scale(flat)
     direct = float(np.max(np.abs(coupling_direct_rows() @ flat)))
     entrywise = float(np.max(np.abs(coupling_entrywise_rows() @ flat)))
     return (direct <= tol * scale) == (entrywise <= tol * scale)
@@ -352,18 +345,12 @@ def check_centrosymmetric_null(a: np.ndarray, b: np.ndarray) -> ConditionReport:
     vanishing strain modulus together with the tilde-class relations on the
     wryness modulus."""
     a, b = as_tensor4(a), as_tensor4(b)
-    sa = float(np.max(np.abs(a))) or 1.0
-    sb = float(np.max(np.abs(b))) or 1.0
-    zero_pred = max((abs(float(b[idx])) for idx in ZERO_IF_IK_OR_JL.zero_indices), default=0.0)
+    sb = tensor_scale(b)
     checks = [
-        make_check("A zero", np.max(np.abs(a)), sa),
-        make_check("B swap24 antisym", _swap24_violation(b), sb),
-        make_check(
-            "B swap13 antisym",
-            np.max(np.abs(np.transpose(b, (2, 1, 0, 3)) + b)),
-            sb,
-        ),
-        make_check("B zero on repeated odd/even index", zero_pred, sb),
+        make_check("A zero", np.max(np.abs(a)), tensor_scale(a)),
+        make_check("B swap24 antisym", tensors.check_symmetry(b, SWAP24_ANTI), sb),
+        make_check("B swap13 antisym", tensors.check_symmetry(b, SWAP13_ANTI), sb),
+        make_check("B zero on repeated odd/even index", tensors.check_symmetry(b, ZERO_IF_IK_OR_JL), sb),
         make_check("B major symmetry", tensors.check_symmetry(b, MAJOR), sb),
     ]
     return make_report(checks)
@@ -383,16 +370,16 @@ def split_B(b: np.ndarray) -> BSplit:
     return BSplit(as_tensor4(hat), as_tensor4(tilde), as_tensor4(ring))
 
 
-def cauchy_analogue(b_tilde: np.ndarray) -> ConditionReport:
+def cauchy_analogue(b_tilde: np.ndarray, tol_abs: float = DEFAULT_TOL_ABS) -> ConditionReport:
     """The 18 entry conditions whose joint vanishing annihilates the tilde
     part (the micropolar analogue of the classical Cauchy relations)."""
     b_tilde = as_tensor4(b_tilde)
-    scale = float(np.max(np.abs(b_tilde))) or 1.0
+    scale = tensor_scale(b_tilde)
     checks = []
     for entry in CAUCHY_ANALOGUE_ENTRIES:
         idx = tuple(v - 1 for v in entry)
         name = "B~_" + "".join(str(v) for v in entry)
-        checks.append(make_check(name, abs(float(b_tilde[idx])), scale))
+        checks.append(make_check(name, abs(float(b_tilde[idx])), scale, tol_abs))
     return make_report(checks)
 
 

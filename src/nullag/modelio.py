@@ -9,18 +9,44 @@ from pathlib import Path
 import numpy as np
 
 from . import em, micropolar, quasicrystal
+from .report import ConditionReport
 from .rund import GeneratorSet, generator_set_from_json
+from .verifier import QuadraticLagrangian
 
 __all__ = ["LoadedModel", "load_model", "load_input_file"]
 
-_MODEL_KEYS = {
-    "micropolar": {"model", "A", "B", "D"},
-    "micropolar_isotropic": {"model", "lambda", "mu", "kappa", "beta1", "beta2", "beta3"},
-    "micropolar_hemitropic": {
-        "model", "lambda", "mu", "kappa", "beta1", "beta2", "beta3", "zeta", "nu", "rho",
-    },
-    "quasicrystal": {"model", "C", "D", "E"},
-    "em_elast": {"model", "C", "P", "Q", "Ediel", "Bperm", "Acpl"},
+#: family -> (module, name of its null-condition check).  Each module also
+#: defines `lagrangian(moduli)`.  Both are looked up on the module at call
+#: time, so a replaced module attribute takes effect.
+_FAMILIES = {
+    "micropolar": (micropolar, "check_null_sufficient"),
+    "quasicrystal": (quasicrystal, "check_qc_null"),
+    "em_elast": (em, "check_em_null"),
+}
+
+_ISO_KEYS = ("lambda", "mu", "kappa", "beta1", "beta2", "beta3")
+
+#: model tag -> (family, fields, constructor).  Fields map each key to the
+#: flat length of its tensor, or to None for a number; the constructor takes
+#: the parsed fields in order and returns the family's moduli.
+_MODEL_TAGS = {
+    "micropolar": ("micropolar", {"A": 81, "B": 81, "D": 81}, micropolar.MicropolarModuli),
+    "micropolar_isotropic": (
+        "micropolar",
+        dict.fromkeys(_ISO_KEYS),
+        lambda *v: micropolar.IsotropicParams(*v).moduli(),
+    ),
+    "micropolar_hemitropic": (
+        "micropolar",
+        dict.fromkeys((*_ISO_KEYS, "zeta", "nu", "rho")),
+        lambda *v: micropolar.HemitropicParams(*v).moduli(),
+    ),
+    "quasicrystal": ("quasicrystal", {"C": 81, "D": 81, "E": 81}, quasicrystal.QcModuli),
+    "em_elast": (
+        "em_elast",
+        {"C": 81, "P": 27, "Q": 27, "Ediel": 9, "Bperm": 9, "Acpl": 9},
+        em.EmModuli,
+    ),
 }
 
 _SHAPES = {81: (3, 3, 3, 3), 27: (3, 3, 3), 9: (3, 3)}
@@ -30,7 +56,16 @@ _SHAPES = {81: (3, 3, 3, 3), 27: (3, 3, 3), 9: (3, 3)}
 class LoadedModel:
     kind: str
     moduli: object
-    family: str  # micropolar | quasicrystal | em_elast
+    family: str  # a key of _FAMILIES
+
+    def check(self, tol_abs: float) -> ConditionReport:
+        """Run the family's null-condition check on the moduli."""
+        module, name = _FAMILIES[self.family]
+        return getattr(module, name)(self.moduli, tol_abs=tol_abs)
+
+    def lagrangian(self) -> QuadraticLagrangian:
+        """The family's quadratic density for the moduli."""
+        return _FAMILIES[self.family][0].lagrangian(self.moduli)
 
 
 def _array(obj: dict, key: str, length: int) -> np.ndarray:
@@ -52,46 +87,24 @@ def load_model(obj: dict) -> LoadedModel:
     if not isinstance(obj, dict):
         raise ValueError("model file must contain a JSON object")
     kind = obj.get("model")
-    if kind not in _MODEL_KEYS:
-        raise ValueError(f"unknown model tag {kind!r}; expected one of {sorted(_MODEL_KEYS)}")
-    if set(obj) != _MODEL_KEYS[kind]:
-        unknown = set(obj) - _MODEL_KEYS[kind]
-        missing = _MODEL_KEYS[kind] - set(obj)
+    if kind not in _MODEL_TAGS:
+        raise ValueError(f"unknown model tag {kind!r}; expected one of {sorted(_MODEL_TAGS)}")
+    family, fields, build = _MODEL_TAGS[kind]
+    keys = {"model", *fields}
+    if set(obj) != keys:
+        unknown = set(obj) - keys
+        missing = keys - set(obj)
         parts = []
         if unknown:
             parts.append(f"unknown keys {sorted(unknown)}")
         if missing:
             parts.append(f"missing keys {sorted(missing)}")
         raise ValueError(f"model {kind!r}: " + "; ".join(parts))
-
-    if kind == "micropolar":
-        moduli = micropolar.MicropolarModuli(
-            _array(obj, "A", 81), _array(obj, "B", 81), _array(obj, "D", 81)
-        )
-        return LoadedModel(kind, moduli, "micropolar")
-    if kind == "micropolar_isotropic":
-        params = micropolar.IsotropicParams(
-            _scalar(obj, "lambda"), _scalar(obj, "mu"), _scalar(obj, "kappa"),
-            _scalar(obj, "beta1"), _scalar(obj, "beta2"), _scalar(obj, "beta3"),
-        )
-        return LoadedModel(kind, params.moduli(), "micropolar")
-    if kind == "micropolar_hemitropic":
-        params = micropolar.HemitropicParams(
-            _scalar(obj, "lambda"), _scalar(obj, "mu"), _scalar(obj, "kappa"),
-            _scalar(obj, "beta1"), _scalar(obj, "beta2"), _scalar(obj, "beta3"),
-            _scalar(obj, "zeta"), _scalar(obj, "nu"), _scalar(obj, "rho"),
-        )
-        return LoadedModel(kind, params.moduli(), "micropolar")
-    if kind == "quasicrystal":
-        moduli = quasicrystal.QcModuli(
-            _array(obj, "C", 81), _array(obj, "D", 81), _array(obj, "E", 81)
-        )
-        return LoadedModel(kind, moduli, "quasicrystal")
-    moduli = em.EmModuli(
-        _array(obj, "C", 81), _array(obj, "P", 27), _array(obj, "Q", 27),
-        _array(obj, "Ediel", 9), _array(obj, "Bperm", 9), _array(obj, "Acpl", 9),
-    )
-    return LoadedModel(kind, moduli, "em_elast")
+    values = [
+        _scalar(obj, key) if length is None else _array(obj, key, length)
+        for key, length in fields.items()
+    ]
+    return LoadedModel(kind, build(*values), family)
 
 
 def load_input_file(path: str | Path) -> LoadedModel | GeneratorSet:
@@ -101,4 +114,3 @@ def load_input_file(path: str | Path) -> LoadedModel | GeneratorSet:
     if isinstance(obj, list):
         return generator_set_from_json(obj)
     return load_model(obj)
-

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import tensors
 from .polyfield import PolyField, PolyMatrixField
-from .report import DEFAULT_TOL_ABS, ConditionReport, make_check, make_report
+from .report import DEFAULT_TOL_ABS, ConditionReport, make_check, make_report, tensor_scale
 from .tensors import (
     MAJOR,
     MINOR_LEFT,
@@ -134,19 +134,19 @@ def qc_equilibrium_residual(
 def check_qc_null(m: QcModuli, tol_abs: float = DEFAULT_TOL_ABS) -> ConditionReport:
     """Null conditions: phonon and coupling moduli vanish, phason modulus
     lies in the admissible (major, doubly swap-antisymmetric) class."""
-    sc = float(np.max(np.abs(m.c))) or 1.0
-    sd = float(np.max(np.abs(m.d))) or 1.0
-    se = float(np.max(np.abs(m.e))) or 1.0
-    zero_pred = max(
-        (abs(float(m.e[idx])) for idx in ZERO_IF_IK_OR_JL.zero_indices), default=0.0
-    )
+    se = tensor_scale(m.e)
     checks = [
-        make_check("C zero", np.max(np.abs(m.c)), sc, tol_abs),
-        make_check("D zero", np.max(np.abs(m.d)), sd, tol_abs),
+        make_check("C zero", np.max(np.abs(m.c)), tensor_scale(m.c), tol_abs),
+        make_check("D zero", np.max(np.abs(m.d)), tensor_scale(m.d), tol_abs),
         make_check("E major symmetry", tensors.check_symmetry(m.e, MAJOR), se, tol_abs),
         make_check("E swap13 antisym", tensors.check_symmetry(m.e, SWAP13_ANTI), se, tol_abs),
         make_check("E swap24 antisym", tensors.check_symmetry(m.e, SWAP24_ANTI), se, tol_abs),
-        make_check("E zero on repeated odd/even index", zero_pred, se, tol_abs),
+        make_check(
+            "E zero on repeated odd/even index",
+            tensors.check_symmetry(m.e, ZERO_IF_IK_OR_JL),
+            se,
+            tol_abs,
+        ),
     ]
     return make_report(checks)
 
@@ -158,31 +158,18 @@ def admissible_phason_modulus(seeds: dict[tuple[int, int, int, int], float]) -> 
     Raises if the closure forces a seeded entry to two different values or
     to zero.
     """
-    relations = PHASON_NULL_CLASS.relations
-    zero_idx = PHASON_NULL_CLASS.zero_indices
+    orbit_of = {idx: orbit for orbit in tensors._orbits(PHASON_NULL_CLASS) for idx in orbit[0]}
     e = np.zeros((3, 3, 3, 3))
     assigned: dict[tuple, float] = {}
     for start, value in seeds.items():
         start = tuple(int(v) for v in start)
-        if start in zero_idx and value != 0.0:
+        if start in PHASON_NULL_CLASS.zero_indices and value != 0.0:
             raise ValueError(f"entry {start} is structurally zero in the admissible class")
-        orbit = {start: 1.0}
-        stack = [start]
-        while stack:
-            cur = stack.pop()
-            for rel in relations:
-                nxt = rel.apply(cur)
-                sign = orbit[cur] * rel.sign
-                if nxt in orbit:
-                    if orbit[nxt] != sign:
-                        raise ValueError(
-                            f"seed {start} lies on a sign-conflicted orbit; value must be 0"
-                        )
-                else:
-                    orbit[nxt] = sign
-                    stack.append(nxt)
-        for idx, sign in orbit.items():
-            val = sign * float(value)
+        members, dead = orbit_of[start]
+        if dead:
+            raise ValueError(f"seed {start} lies on a sign-conflicted orbit; value must be 0")
+        for idx, sign in members.items():
+            val = sign * members[start] * float(value)
             if idx in assigned and assigned[idx] != val:
                 raise ValueError(f"conflicting closure values at entry {idx}")
             assigned[idx] = val

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 DEFAULT_TOL_ABS = 1e-12
 DEFAULT_TOL_REL = 1e-12
@@ -50,6 +53,12 @@ class ConditionReport:
         raise KeyError(name)
 
 
+def tensor_scale(t) -> float:
+    """Magnitude that relative violations are measured against: the largest
+    absolute entry, or 1.0 for an all-zero tensor."""
+    return float(np.max(np.abs(t))) or 1.0
+
+
 def make_check(
     name: str,
     violation: float,
@@ -58,7 +67,12 @@ def make_check(
     tol_rel: float = DEFAULT_TOL_REL,
 ) -> ConditionCheck:
     """Build a check; passes when the violation is within the absolute
-    tolerance or within the relative tolerance of the tensor magnitude."""
+    tolerance or within the relative tolerance of the tensor magnitude.
+
+    Raises ValueError for an absolute tolerance that is negative or not
+    finite."""
+    if not (math.isfinite(tol_abs) and tol_abs >= 0.0):
+        raise ValueError(f"absolute tolerance must be a finite number >= 0, got {tol_abs}")
     violation = float(violation)
     rel = violation / scale if scale > 0 else violation
     tolerance = max(tol_abs, tol_rel * scale)

@@ -244,7 +244,8 @@ def _fd_partials(lag: Lagrangian, x0: np.ndarray, y0: np.ndarray, dy0: np.ndarra
         raise FloatingPointError("finite-difference step underflow")
 
     batch = z0 + plan.offsets * h
-    vals = lag.evaluate(batch[:, :3], batch[:, 3:3 + n], batch[:, 3 + n:].reshape(-1, n, 3))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        vals = lag.evaluate(batch[:, :3], batch[:, 3:3 + n], batch[:, 3 + n:].reshape(-1, n, 3))
     if not np.all(np.isfinite(vals)):
         raise FloatingPointError("non-finite density evaluation during differentiation")
 
@@ -311,7 +312,8 @@ def action_integral(lag: Lagrangian, y: PolyField, order: int) -> float:
             f"use order >= {required_order(degree)}"
         )
     pts, wts = cube_rule(order)
-    vals = lag.evaluate(pts, y.eval(pts), y.eval_grad(pts))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        vals = lag.evaluate(pts, y.eval(pts), y.eval_grad(pts))
     if not np.all(np.isfinite(vals)):
         raise FloatingPointError("non-finite density evaluation during quadrature")
     return float(vals @ wts)
@@ -394,10 +396,14 @@ def certify_null(
         raise ValueError("trials must be >= 1")
     if degree < 2:
         raise ValueError("degree must be >= 2 to exercise second derivatives")
+    if order < 1:
+        raise ValueError("order must be >= 1")
     sampler = sampler or FieldSampler(lag.n)
     method = "closed" if lag.closed_form else "fd"
     if residual_tol is None:
         residual_tol = CLOSED_FORM_RESIDUAL_TOL if lag.closed_form else FD_RESIDUAL_TOL
+    elif not (np.isfinite(residual_tol) and residual_tol >= 0.0):
+        raise ValueError(f"residual tolerance must be a finite number >= 0, got {residual_tol}")
 
     children = np.random.SeedSequence(seed).spawn(trials + boundary_pairs)
 

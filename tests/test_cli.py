@@ -208,3 +208,76 @@ def test_certify_rejects_coefficient_outside_double_range(tmp_path, capsys, coef
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "double range" in captured.err
+
+
+@pytest.mark.parametrize("coeff", ["1e200", "1e308"])
+def test_certify_non_finite_density_is_usage_error(tmp_path, capsys, coeff):
+    path = write(tmp_path, "gen.json", generator_with({"exponents": [1, 0, 0, 1], "coeff": coeff}))
+    assert main(["certify", path, "--trials", "1", "--degree", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "non-finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "GEN", "--trials", "1", "--tol-norm", "nan"],
+        ["certify", "GEN", "--trials", "1", "--tol-norm", "-1"],
+        ["certify", "GEN", "--trials", "1", "--tol-norm", "inf"],
+        ["certify", "GEN", "--trials", "1", "--order", "0"],
+        ["certify", "GEN", "--trials", "1", "--order", "-3"],
+        ["check", "ZERO", "--tol-abs", "nan"],
+        ["check", "ZERO", "--tol-abs", "-1"],
+        ["check", "ZERO", "--tol-abs", "inf"],
+        ["split", "ZERO", "--tol-abs", "nan"],
+    ],
+    ids=" ".join,
+)
+def test_invalid_numeric_option_is_usage_error(tmp_path, capsys, argv):
+    files = {
+        "GEN": write(tmp_path, "gen.json", minor_generator_json()),
+        "ZERO": write(tmp_path, "m.json", {"model": "micropolar", "A": Z81, "B": Z81, "D": Z81}),
+    }
+    assert main([files.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_split_tol_abs_is_applied(tmp_path, capsys):
+    path = write(
+        tmp_path, "isoB.json",
+        {"model": "micropolar", "A": Z81, "B": iso_b_flat(1.0, 0.0, 2.0), "D": Z81},
+    )
+    assert main(["split", path, "--tol-abs", "10"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["cauchy_analogue"]["passed"] is True
+
+
+def iso_params(tag, values):
+    names = ["lambda", "mu", "kappa", "beta1", "beta2", "beta3", "zeta", "nu", "rho"]
+    return dict(zip(names, values), model=tag)
+
+
+@pytest.mark.parametrize(
+    "model, check_exit, certify_exit",
+    [
+        ({"model": "micropolar", "A": Z81, "B": Z81, "D": Z81}, 0, 0),
+        (iso_params("micropolar_isotropic", [0.0, 0.0, 0.0, 1.0, 0.0, -1.0]), 0, 0),
+        (iso_params("micropolar_hemitropic", [1.0, 0.5, 0.25, 1.0, 0.5, 0.25, 1.0, 0.5, 0.25]), 1, 1),
+        ({"model": "quasicrystal", "C": Z81, "D": Z81, "E": Z81}, 0, 0),
+        (
+            {"model": "em_elast", "C": Z81, "P": [0.0] * 27, "Q": [0.0] * 27,
+             "Ediel": [0.0] * 9, "Bperm": [0.0] * 9, "Acpl": [1.0, 0, 0, 0, 1.0, 0, 0, 0, 1.0]},
+            1, 1,
+        ),
+    ],
+    ids=lambda v: v["model"] if isinstance(v, dict) else str(v),
+)
+def test_every_model_tag_checks_and_certifies(tmp_path, capsys, model, check_exit, certify_exit):
+    path = write(tmp_path, "model.json", model)
+    for argv, code in ((["check", path], check_exit), (["certify", path, "--trials", "2"], certify_exit)):
+        assert main(argv) == code
+        assert json.loads(capsys.readouterr().out)["model"] == model["model"]

@@ -179,22 +179,6 @@ def test_enthalpy_is_quadratic():
     assert np.max(np.abs(h1 - h2)) <= 1e-8
 
 
-def test_audit_variant_moves_q_coupling():
-    rng = np.random.default_rng(4)
-    m = random_moduli(rng)
-    eps = rng.uniform(-1, 1, (3, 3))
-    e = rng.uniform(-1, 1, 3)
-    h = rng.uniform(-1, 1, 3)
-    main = em.em_enthalpy(m, eps, e, h)
-    audit = em.em_enthalpy_audit_variant(m, eps, e, h)
-    q_eps = np.einsum("kij,ij->k", m.q, eps)
-    assert audit - main == pytest.approx(float(q_eps @ (h - e)), abs=1e-12)
-    # agree when the two field vectors coincide
-    assert em.em_enthalpy_audit_variant(m, eps, e, e) == pytest.approx(
-        em.em_enthalpy(m, eps, e, e), abs=1e-12
-    )
-
-
 def test_zero_model_lagrangian_identically_null():
     lag = em.lagrangian(em.EmModuli.zero())
     rng = np.random.default_rng(5)
