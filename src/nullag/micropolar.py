@@ -113,13 +113,16 @@ class MicropolarModuli:
 
 
 def _iso_tensor(c_tr: float, c_id: float, c_swap: float) -> np.ndarray:
-    """c_tr * d_ij d_kl + c_id * d_ik d_jl + c_swap * d_il d_jk."""
+    """c_tr * d_ij d_kl + c_id * d_ik d_jl + c_swap * d_il d_jk; constants
+    near the double limit give non-finite entries, which `as_tensor4`
+    rejects."""
     eye = np.eye(3)
-    return (
-        c_tr * np.einsum("ij,kl->ijkl", eye, eye)
-        + c_id * np.einsum("ik,jl->ijkl", eye, eye)
-        + c_swap * np.einsum("il,jk->ijkl", eye, eye)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (
+            c_tr * np.einsum("ij,kl->ijkl", eye, eye)
+            + c_id * np.einsum("ik,jl->ijkl", eye, eye)
+            + c_swap * np.einsum("il,jk->ijkl", eye, eye)
+        )
 
 
 @dataclass(frozen=True)
@@ -232,19 +235,21 @@ def check_null_sufficient(m: MicropolarModuli, tol_abs: float = DEFAULT_TOL_ABS)
     """
     lc = levi_civita()
     sa, sb, sd = tensor_scale(m.a), tensor_scale(m.b), tensor_scale(m.d)
-    checks = [
-        make_check("A swap24 antisym", tensors.check_symmetry(m.a, SWAP24_ANTI), sa, tol_abs),
-        make_check("B swap24 antisym", tensors.check_symmetry(m.b, SWAP24_ANTI), sb, tol_abs),
-        make_check("D swap24 antisym", tensors.check_symmetry(m.d, SWAP24_ANTI), sd, tol_abs),
-        make_check("D alternating balance", np.max(np.abs(_alternating_balance(m.d))), sd, tol_abs),
-        make_check(
-            "A alternating annihilation",
-            np.max(np.abs(np.einsum("mkl,ijkl->mij", lc, m.a))),
-            sa,
-            tol_abs,
-        ),
-        make_check("A zero", np.max(np.abs(m.a)), sa, tol_abs),
-    ]
+    # sums of entries near the double limit overflow; make_check rejects them
+    with np.errstate(over="ignore", invalid="ignore"):
+        checks = [
+            make_check("A swap24 antisym", tensors.check_symmetry(m.a, SWAP24_ANTI), sa, tol_abs),
+            make_check("B swap24 antisym", tensors.check_symmetry(m.b, SWAP24_ANTI), sb, tol_abs),
+            make_check("D swap24 antisym", tensors.check_symmetry(m.d, SWAP24_ANTI), sd, tol_abs),
+            make_check("D alternating balance", np.max(np.abs(_alternating_balance(m.d))), sd, tol_abs),
+            make_check(
+                "A alternating annihilation",
+                np.max(np.abs(np.einsum("mkl,ijkl->mij", lc, m.a))),
+                sa,
+                tol_abs,
+            ),
+            make_check("A zero", np.max(np.abs(m.a)), sa, tol_abs),
+        ]
     return make_report(checks)
 
 
@@ -364,9 +369,10 @@ def split_B(b: np.ndarray) -> BSplit:
     b_major = np.transpose(b, (2, 3, 0, 1))
     b_24 = np.transpose(b, (0, 3, 2, 1))
     b_13 = np.transpose(b, (2, 1, 0, 3))
-    hat = 0.25 * (b + b_major + b_24 + b_13)
-    tilde = 0.25 * (b + b_major - b_24 - b_13)
-    ring = 0.5 * (b - b_major)
+    with np.errstate(over="ignore", invalid="ignore"):  # as_tensor4 rejects non-finite parts
+        hat = 0.25 * (b + b_major + b_24 + b_13)
+        tilde = 0.25 * (b + b_major - b_24 - b_13)
+        ring = 0.5 * (b - b_major)
     return BSplit(as_tensor4(hat), as_tensor4(tilde), as_tensor4(ring))
 
 

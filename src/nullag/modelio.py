@@ -87,7 +87,7 @@ def load_model(obj: dict) -> LoadedModel:
     if not isinstance(obj, dict):
         raise ValueError("model file must contain a JSON object")
     kind = obj.get("model")
-    if kind not in _MODEL_TAGS:
+    if not isinstance(kind, str) or kind not in _MODEL_TAGS:
         raise ValueError(f"unknown model tag {kind!r}; expected one of {sorted(_MODEL_TAGS)}")
     family, fields, build = _MODEL_TAGS[kind]
     keys = {"model", *fields}

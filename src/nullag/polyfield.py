@@ -154,13 +154,12 @@ class _Table:
     factor) that differentiates a coefficient matrix.
     """
 
-    __slots__ = ("keys", "expos", "degrees", "index", "_derivative")
+    __slots__ = ("keys", "expos", "index", "_derivative")
 
     def __init__(self, keys: tuple):
         self.keys = keys
         self.expos = np.array(keys, dtype=np.int64).reshape(-1, 3)
-        self.degrees = self.expos.sum(axis=1)
-        self.expos.flags.writeable = self.degrees.flags.writeable = False
+        self.expos.flags.writeable = False
         self.index = {e: i for i, e in enumerate(keys)}
         self._derivative = None
 
@@ -270,9 +269,21 @@ class PolyField:
     def n(self) -> int:
         return len(self._components) if self._coeffs is None else self._coeffs.shape[0]
 
-    def degree(self) -> int:
+    def _used_expos(self) -> np.ndarray:
+        """Exponent rows of the monomials with a nonzero coefficient."""
         table, coeffs = self._matrix()
-        used = table.degrees[np.any(coeffs != 0.0, axis=0)]
+        return table.expos[np.any(coeffs != 0.0, axis=0)]
+
+    def degree(self) -> int:
+        """Largest total degree of a monomial in use; 0 for the zero field."""
+        used = self._used_expos()
+        return int(used.sum(axis=1).max()) if used.size else 0
+
+    def axis_degree(self) -> int:
+        """Largest exponent of any single coordinate in a monomial in use;
+        0 for the zero field.  A tensor-product Gauss rule is exact per
+        coordinate, so this, not `degree()`, sizes it."""
+        used = self._used_expos()
         return int(used.max()) if used.size else 0
 
     def __add__(self, other: "PolyField") -> "PolyField":
@@ -345,8 +356,10 @@ class PolyMatrixField:
         return max(self.entries[i][j].degree() for i in range(3) for j in range(3))
 
 
+@lru_cache(maxsize=1)
 def bubble() -> Poly3:
-    """The boundary-vanishing factor prod_a x_a (1 - x_a) on the unit cube."""
+    """The boundary-vanishing factor prod_a x_a (1 - x_a) on the unit cube;
+    built once (a `Poly3` is immutable)."""
     out = Poly3.constant(1.0)
     for a in range(3):
         x = Poly3.variable(a)

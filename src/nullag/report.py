@@ -70,10 +70,13 @@ def make_check(
     tolerance or within the relative tolerance of the tensor magnitude.
 
     Raises ValueError for an absolute tolerance that is negative or not
-    finite."""
+    finite, and for a violation that is not finite (moduli so close to the
+    double limit that the violation overflowed), naming the condition."""
     if not (math.isfinite(tol_abs) and tol_abs >= 0.0):
         raise ValueError(f"absolute tolerance must be a finite number >= 0, got {tol_abs}")
     violation = float(violation)
+    if not math.isfinite(violation):
+        raise ValueError(f"condition {name!r}: violation overflows the double range")
     rel = violation / scale if scale > 0 else violation
     tolerance = max(tol_abs, tol_rel * scale)
     return ConditionCheck(name, violation, rel, tolerance, violation <= tolerance)

@@ -228,10 +228,14 @@ class RundLagrangian(Lagrangian):
         return float(out + 0.5 * coeff.d0)
 
     def integrand_degree(self, field_degree: int) -> int:
-        d = max(int(field_degree), 0)
-        partial_deg = max(self.generators.degree() - 1, 0)
-        composed = partial_deg * max(d, 1)
-        return 2 * (composed + max(d - 1, 0))
+        # Per coordinate: a generator partial (total degree <= k in (x, y))
+        # composed with the field has degree <= k * max(p, 1); the factor
+        # dy/dx_b in J adds up to p, since differentiating along x_b leaves
+        # the degree in the other coordinates unchanged.  The density is
+        # quadratic in J.
+        p = max(int(field_degree), 0)
+        k = max(self.generators.degree() - 1, 0)
+        return 2 * (k * max(p, 1) + p)
 
 
 def build_null_lagrangian(g: GeneratorSet) -> RundLagrangian:

@@ -8,8 +8,10 @@ to project a tensor onto the subspace where every relation holds.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -166,25 +168,32 @@ def combine(name: str, *classes: SymmetryClass) -> SymmetryClass:
 
 
 def check_symmetry(t: np.ndarray, cls: SymmetryClass) -> float:
-    """Maximum violation of the class over all index tuples (0 = holds)."""
+    """Maximum violation of the class over all index tuples (0 = holds).
+
+    Entries near the double limit can make a difference overflow; the
+    violation is then inf, without a floating-point warning."""
     if t.ndim != cls.order:
         raise ValueError(f"tensor order {t.ndim} does not match class order {cls.order}")
     worst = 0.0
     for rel in cls.relations:
         permuted = np.transpose(t, rel.perm)
-        worst = max(worst, float(np.max(np.abs(permuted - rel.sign * t))))
+        with np.errstate(over="ignore"):
+            worst = max(worst, float(np.max(np.abs(permuted - rel.sign * t))))
     for idx in cls.zero_indices:
         worst = max(worst, abs(float(t[idx])))
     return worst
 
 
-def _orbits(cls: SymmetryClass):
-    """Decompose index space into relation orbits.
+@functools.lru_cache(maxsize=64)
+def _orbits(cls: SymmetryClass) -> tuple[tuple[MappingProxyType, bool], ...]:
+    """Decompose index space into relation orbits, once per class.
 
-    Yields (members, dead) where members maps index -> sign relative to the
-    orbit's canonical (lexicographically smallest) representative and dead
-    marks orbits forced to zero by sign conflicts or zero predicates.
+    Returns (members, dead) pairs where members maps index -> sign relative
+    to the orbit's canonical (lexicographically smallest) representative
+    and dead marks orbits forced to zero by sign conflicts or zero
+    predicates.  The result is cached, so members are read-only views.
     """
+    orbits = []
     visited: set[tuple[int, ...]] = set()
     for start in cls.all_indices():
         if start in visited:
@@ -210,7 +219,8 @@ def _orbits(cls: SymmetryClass):
         rep_sign = members[rep]
         members = {idx: s / rep_sign for idx, s in members.items()}
         visited |= set(members)
-        yield members, dead
+        orbits.append((MappingProxyType(members), dead))
+    return tuple(orbits)
 
 
 def project(t: np.ndarray, cls: SymmetryClass) -> np.ndarray:
@@ -234,7 +244,8 @@ def project(t: np.ndarray, cls: SymmetryClass) -> np.ndarray:
 
 
 def orbit_summary(cls: SymmetryClass) -> dict:
-    """Structural counts: entries forced to zero and free orbit count."""
+    """Structural counts: entries forced to zero and free orbit count (a
+    fresh dictionary on every call)."""
     forced = 0
     free = 0
     reps = []

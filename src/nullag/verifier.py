@@ -61,8 +61,12 @@ class Lagrangian:
         raise NotImplementedError
 
     def integrand_degree(self, field_degree: int) -> int | None:
-        """Upper bound on the polynomial degree of x -> L(x, y(x), Dy(x))
-        for a polynomial field of the given degree; None if unknown."""
+        """Upper bound on the degree in each single coordinate of
+        x -> L(x, y(x), Dy(x)), for a polynomial field y of degree
+        `field_degree` in each single coordinate (`PolyField.axis_degree`);
+        None if unknown.  A tensor-product Gauss rule of order n is exact
+        through degree 2n - 1 in each coordinate separately, so this bound,
+        not a total-degree one, sizes the action quadrature."""
         return None
 
 
@@ -101,6 +105,8 @@ class QuadraticLagrangian(Lagrangian):
         return out
 
     def integrand_degree(self, field_degree: int) -> int:
+        # y and Dy have degree <= p in each coordinate: a derivative does not
+        # raise it, and the density is a quadratic form in (y, Dy).
         return 2 * max(int(field_degree), 0)
 
     def closed_residual(self, y0: np.ndarray, dy0: np.ndarray, d2y0: np.ndarray) -> np.ndarray:
@@ -118,7 +124,12 @@ class QuadraticLagrangian(Lagrangian):
 
 
 class CallableLagrangian(Lagrangian):
-    """Wrap a plain function f(x, y, dy) -> value as a black-box density."""
+    """Wrap a plain function f(x, y, dy) -> value as a black-box density.
+
+    `degree_bound`, if given, maps the field's degree in each single
+    coordinate to a bound on the density's degree in each single coordinate
+    (see `Lagrangian.integrand_degree`); None means unknown.
+    """
 
     def __init__(self, func, n: int, batched: bool = False,
                  degree_bound=None, label: str = ""):
@@ -304,8 +315,11 @@ def euler_residual(lag: Lagrangian, y: PolyField, x, method: str = "auto") -> np
 
 
 def action_integral(lag: Lagrangian, y: PolyField, order: int) -> float:
-    """Exact tensor-product Gauss-Legendre action over the unit cube."""
-    degree = lag.integrand_degree(y.degree())
+    """Exact tensor-product Gauss-Legendre action over the unit cube.
+
+    Raises ValueError if the order is below what the density's
+    per-coordinate degree bound requires."""
+    degree = lag.integrand_degree(y.axis_degree())
     if degree is not None and 2 * order - 1 < degree:
         raise ValueError(
             f"quadrature order {order} is inexact for integrand degree {degree}; "
@@ -390,7 +404,9 @@ def certify_null(
 
     Deterministic for a fixed seed: each trial draws its field, then its
     points, from its own child of the seed sequence.  The states of all
-    trials are then reduced in one batched residual evaluation.
+    trials are then reduced in one batched residual evaluation.  `order` is
+    a minimum: each boundary action is raised to the order that the
+    density's per-coordinate degree bound needs.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -424,7 +440,7 @@ def certify_null(
         field = sampler.field(rng, degree)
         delta = sampler.boundary_delta(rng, degree)
         perturbed = field + delta
-        degree_bound = lag.integrand_degree(max(field.degree(), perturbed.degree()))
+        degree_bound = lag.integrand_degree(max(field.axis_degree(), perturbed.axis_degree()))
         use_order = order if degree_bound is None else max(order, required_order(degree_bound))
         base = action_integral(lag, field, use_order)
         shifted = action_integral(lag, perturbed, use_order)

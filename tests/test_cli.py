@@ -1,4 +1,5 @@
 import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -281,3 +282,51 @@ def test_every_model_tag_checks_and_certifies(tmp_path, capsys, model, check_exi
     for argv, code in ((["check", path], check_exit), (["certify", path, "--trials", "2"], certify_exit)):
         assert main(argv) == code
         assert json.loads(capsys.readouterr().out)["model"] == model["model"]
+
+
+def assert_one_error_line(main_argv, capsys):
+    assert main(main_argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
+@pytest.mark.parametrize("tag", [["x"], {"name": "micropolar"}], ids=["list-tag", "object-tag"])
+def test_non_string_model_tag_is_usage_error(tmp_path, capsys, tag):
+    path = write(tmp_path, "tag.json", {"model": tag, "A": Z81, "B": Z81, "D": Z81})
+    for argv in (["check", path], ["split", path], ["certify", path, "--trials", "1"]):
+        assert "unknown model tag" in assert_one_error_line(argv, capsys)
+
+
+def near_double_limit(entries):
+    """Flat 81-entry tensor, zero except the given {flat index: value}."""
+    t = list(Z81)
+    for idx, value in entries.items():
+        t[idx] = value
+    return t
+
+
+@pytest.mark.parametrize(
+    "command, model, needle",
+    [
+        # A_1111 - (-A_1111) overflows under swap24 antisymmetry
+        ("check", {"model": "micropolar", "A": near_double_limit({0: 1e308, 80: -1.5e308}), "B": Z81, "D": Z81},
+         "'A swap24 antisym'"),
+        ("check", {"model": "quasicrystal", "C": Z81, "D": Z81, "E": near_double_limit({0: 1e308, 80: -1.5e308})},
+         "'E swap13 antisym'"),
+        ("check", iso_params("micropolar_isotropic", [1e308] * 6), "must be finite"),
+        # B_1122 = B_2211 = -B_1221 = -B_2112: major symmetric, but the split sums overflow
+        ("split", {"model": "micropolar", "A": Z81, "D": Z81,
+                   "B": near_double_limit({4: 1.5e308, 36: 1.5e308, 12: -1.5e308, 28: -1.5e308})},
+         "must be finite"),
+    ],
+    ids=["micropolar-A", "quasicrystal-E", "isotropic", "split-B"],
+)
+def test_moduli_beyond_double_range_are_usage_errors(tmp_path, capsys, command, model, needle):
+    path = write(tmp_path, "big.json", model)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        err = assert_one_error_line([command, path], capsys)
+    assert needle in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

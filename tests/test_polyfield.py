@@ -34,6 +34,12 @@ def test_eval_matches_direct():
 def test_product_and_bubble():
     b = bubble()
     assert b.degree() == 6
+    assert bubble() is b  # built once
+    product = Poly3.constant(1.0)
+    for axis in range(3):
+        x = Poly3.variable(axis)
+        product = product * (x - x * x)
+    assert product.terms == b.terms
     assert b.eval(np.array([0.5, 0.5, 0.5])) == pytest.approx(0.25**3, abs=1e-16)
     # vanishes on all six faces (expanded monomial cancellation ~1e-19)
     rng = np.random.default_rng(0)

@@ -6,6 +6,7 @@ import pytest
 
 from nullag import verifier as vf
 from nullag.polyfield import PolyField, Poly3, random_polyfield
+from nullag.quadrature import cube_rule, required_order
 from nullag.rund import (
     GenPoly,
     GeneratorSet,
@@ -304,3 +305,40 @@ def test_partial_coefficient_outside_double_range_is_rejected():
     with pytest.raises(ValueError, match="double range"):
         tiny.second_partials(np.zeros(3), np.zeros(N))
 
+
+def _total_degree_order(lag, field):
+    """The order sized by the total-degree bound this per-coordinate one
+    replaced: a derivative lowers the total degree by one."""
+    d = field.degree()
+    k = max(lag.generators.degree() - 1, 0)
+    return required_order(2 * (k * max(d, 1) + max(d - 1, 0)))
+
+
+def test_generator_action_per_coordinate_order_matches_total_degree_order():
+    """The per-coordinate order (7 or 10 against 14 or 21 for these fields;
+    certify raises 7 to its floor of 8) gives the same perturbed-field
+    action, up to rounding of the sum."""
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        n, degree = (3, 6)[seed % 2], 2 + (seed // 2) % 2
+        lag = build_null_lagrangian(random_generator_set(rng, n, degree))
+        sampler = vf.FieldSampler(n)
+        field = sampler.field(rng, 2) + sampler.boundary_delta(rng, 2)
+        new = required_order(lag.integrand_degree(field.axis_degree()))
+        old = _total_degree_order(lag, field)
+        assert (new, old) == ((7, 14) if degree == 2 else (10, 21))
+        reference = vf.action_integral(lag, field, old)
+        # the action can cancel; rounding scales with the integral of |L|
+        pts, wts = cube_rule(old)
+        magnitude = float(np.abs(lag.evaluate(pts, field.eval(pts), field.eval_grad(pts))) @ wts)
+        assert abs(vf.action_integral(lag, field, new) - reference) <= 1e-13 * max(1.0, magnitude)
+
+
+@pytest.mark.parametrize("degree, order", [(2, 8), (3, 10)])
+def test_certify_generator_sizes_quadrature_per_coordinate(monkeypatch, degree, order):
+    orders = []
+    action = vf.action_integral
+    monkeypatch.setattr(vf, "action_integral", lambda lag, y, o: orders.append(o) or action(lag, y, o))
+    lag = build_null_lagrangian(random_generator_set(np.random.default_rng(degree), 3, degree))
+    assert vf.certify_null(lag, trials=1, degree=2, seed=1).passed
+    assert orders == [order] * 6

@@ -177,6 +177,20 @@ def test_orbit_summary_tilde_counts():
     assert summary["free_orbits"] == 9
 
 
+def test_orbit_cache_cannot_be_mutated_by_callers():
+    from nullag.micropolar import TILDE_CLASS
+
+    first = orbit_summary(TILDE_CLASS)
+    first["forced_zero_entries"] = -1
+    first["representatives"].clear()
+    again = orbit_summary(TILDE_CLASS)
+    assert again["forced_zero_entries"] == 45 and len(again["representatives"]) == 9
+    orbits = tensors._orbits(TILDE_CLASS)
+    assert orbits is tensors._orbits(TILDE_CLASS)
+    with pytest.raises(TypeError):
+        orbits[0][0][(0, 0, 0, 0)] = 2.0
+
+
 def test_nullspace_projector_properties():
     rng = np.random.default_rng(11)
     rows = rng.uniform(-1, 1, (5, 12))

@@ -6,7 +6,7 @@ from nullag import micropolar as mp
 from nullag import quasicrystal as qc
 from nullag import verifier as vf
 from nullag.polyfield import Poly3, PolyField, bubble, random_polyfield
-from nullag.quadrature import cube_rule
+from nullag.quadrature import cube_rule, required_order
 from nullag.tensors import project
 from nullag.verifier import (
     CallableLagrangian,
@@ -77,6 +77,48 @@ def test_action_integral_rejects_low_order():
     lag = dirichlet_density()
     y = random_polyfield(np.random.default_rng(2), 3, 5)
     with pytest.raises(ValueError, match="order >= 6"):
+        action_integral(lag, y, 3)
+
+
+def test_axis_degree():
+    rng = np.random.default_rng(5)
+    for d in range(5):
+        field = random_polyfield(rng, 3, d)
+        assert field.axis_degree() == field.degree() == d
+    damped = FieldSampler(3).boundary_delta(rng, 3)
+    assert (damped.axis_degree(), damped.degree()) == (3, 7)
+    assert PolyField.zero(4).axis_degree() == 0
+    mixed = PolyField([Poly3({(0, 4, 1): 1.0}), Poly3({(2, 2, 2): -1.0}), Poly3()])
+    assert (mixed.axis_degree(), mixed.degree()) == (4, 6)
+    assert (mixed + damped).axis_degree() == 4
+    assert (damped + random_polyfield(rng, 3, 1)).axis_degree() == 3
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_quadratic_action_order_is_tight_per_coordinate(p):
+    """y = x1^p e1 under L = y^2 / 2: the integrand x1^(2p) / 2 has degree 2p
+    in one coordinate, so required_order(2p) is exact and one order less,
+    which the guard rejects, is not."""
+    lag = QuadraticLagrangian(np.zeros((1, 3, 1, 3)), r=np.eye(1))
+    y = PolyField([Poly3({(p, 0, 0): 1.0})])
+    order = required_order(lag.integrand_degree(y.axis_degree()))
+    assert order == required_order(2 * p)
+    exact = 1.0 / (2.0 * (2 * p + 1))
+    assert abs(action_integral(lag, y, order) - exact) <= 1e-14
+    with pytest.raises(ValueError, match=f"order >= {order}"):
+        action_integral(lag, y, order - 1)
+    pts, wts = cube_rule(order - 1)
+    low = float(lag.evaluate(pts, y.eval(pts), y.eval_grad(pts)) @ wts)
+    assert abs(low - exact) > 1e-6
+
+
+def test_action_integral_guard_reads_axis_degree():
+    """A bubble-damped field has total degree 7 but degree 3 per coordinate:
+    order 4 is exact for the Dirichlet action and accepted."""
+    lag = dirichlet_density()
+    y = FieldSampler(3).boundary_delta(np.random.default_rng(6), 3)
+    assert action_integral(lag, y, 4) == pytest.approx(action_integral(lag, y, 8), rel=1e-14)
+    with pytest.raises(ValueError, match="order >= 4"):
         action_integral(lag, y, 3)
 
 
