@@ -16,7 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensors
-from .polyfield import PolyField, PolyMatrixField, bubble, gradient_field, random_polyfield, random_scalar_poly
+from .polyfield import (
+    PolyField,
+    PolyMatrixField,
+    bubble,
+    bubble_damped,
+    gradient_field,
+    random_polyfield,
+    random_scalar_poly,
+)
 from .quadrature import face_rules, required_order
 from .report import DEFAULT_TOL_ABS, ConditionReport, make_check, make_report, tensor_scale
 from .tensors import (
@@ -500,12 +508,11 @@ class CurlFreeRotationSampler(FieldSampler):
         return PolyField(u.components + phi.components)
 
     def boundary_delta(self, rng: np.random.Generator, degree: int) -> PolyField:
-        b = bubble()
-        w = random_polyfield(rng, 3, min(degree, 1))
-        du = [b * c for c in w.components]
+        du = bubble_damped(random_polyfield(rng, 3, min(degree, 1)))
         # gradient of bubble^2 * g has vanishing trace AND gradient factor b
         # on the boundary, so the rotation part stays curl-free and the
         # perturbation is zero on all six faces.
+        b = bubble()
         potential = b * b * random_scalar_poly(rng, 1)
         dphi = [potential.diff(axis) for axis in range(3)]
-        return PolyField(du + dphi)
+        return PolyField(du.components + tuple(dphi))

@@ -6,7 +6,9 @@ by integer exponents).  A `PolyField` keeps one coefficient matrix over a
 shared, sorted exponent table; the table carries integer maps to the tables
 of its partial derivatives, so a field's gradient and Hessian coefficients
 are built once, and each evaluation is one power table and one matrix
-product over a whole batch of points.
+product over a whole batch of points.  `field_states` stacks the fields
+that share a table, so a batch of fields at their own points costs one
+power table and one stacked product per table and derivative level.
 """
 
 from __future__ import annotations
@@ -26,11 +28,31 @@ __all__ = [
     "random_scalar_poly",
     "evaluate_monomials",
     "monomials_upto",
+    "stack_fields",
+    "field_states",
+    "bubble_damped",
 ]
 
 
 # Points per power table: bounds the working set of large quadrature batches.
 _BLOCK_ROWS = 2048
+
+
+def _monomials(points: np.ndarray, expos: np.ndarray) -> np.ndarray:
+    """Monomial matrix (m, len(expos)) at points (m, 3), from per-variable
+    power tables instead of float pow."""
+    mono = np.ones((points.shape[0], expos.shape[0]))
+    for v in range(expos.shape[1]):
+        col = expos[:, v]
+        max_e = int(col.max(initial=0))
+        if max_e == 0:
+            continue
+        powers = np.empty((points.shape[0], max_e + 1))
+        powers[:, 0] = 1.0
+        for e in range(1, max_e + 1):
+            powers[:, e] = powers[:, e - 1] * points[:, v]
+        mono *= powers[:, col]
+    return mono
 
 
 def evaluate_monomials(points: np.ndarray, expos: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -47,18 +69,7 @@ def evaluate_monomials(points: np.ndarray, expos: np.ndarray, coeffs: np.ndarray
                                for i in range(0, m, _BLOCK_ROWS)])
     if expos.shape[0] == 0:
         return np.zeros((m,) + coeffs.shape[1:])
-    mono = np.ones((m, expos.shape[0]))
-    for v in range(expos.shape[1]):
-        col = expos[:, v]
-        max_e = int(col.max())
-        if max_e == 0:
-            continue
-        powers = np.empty((m, max_e + 1))
-        powers[:, 0] = 1.0
-        for e in range(1, max_e + 1):
-            powers[:, e] = powers[:, e - 1] * points[:, v]
-        mono *= powers[:, col]
-    return mono @ coeffs
+    return _monomials(points, expos) @ coeffs
 
 
 def monomials_upto(nvars: int, degree: int) -> list[tuple[int, ...]]:
@@ -223,9 +234,24 @@ def _matrix_of(polys) -> tuple[_Table, np.ndarray]:
     return table, coeffs
 
 
+@lru_cache(maxsize=256)
+def _union(tables: tuple) -> tuple[_Table, tuple]:
+    """Sorted union of tables and, per table, the union column of each of
+    its monomials."""
+    union = _table(tuple(sorted(set().union(*(t.keys for t in tables)))))
+    return union, tuple(np.array([union.index[e] for e in t.keys], dtype=np.int64) for t in tables)
+
+
 # Hessian entry (a, b) -> row of its a <= b pair (0,0),(0,1),(0,2),(1,1),(1,2),(2,2).
 _PAIR = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 _UPPER = np.triu_indices(3)
+
+
+def _upper_second(table: _Table, grad: np.ndarray) -> tuple[_Table, np.ndarray]:
+    """Second partials of first-partial coefficients (..., 3, M1) over
+    `table`: child table and coefficients (..., 6, M2) of the a <= b pairs."""
+    child, second = table.differentiate(grad)
+    return child, second[..., _UPPER[0], _UPPER[1], :]
 
 
 class PolyField:
@@ -290,10 +316,10 @@ class PolyField:
         if other.n != self.n:
             raise ValueError("component count mismatch")
         (t1, c1), (t2, c2) = self._matrix(), other._matrix()
-        table = _table(tuple(sorted(set(t1.keys).union(t2.keys))))
+        table, columns = _union((t1, t2))
         coeffs = np.zeros((self.n, len(table)))
-        for t, c in ((t1, c1), (t2, c2)):
-            coeffs[:, [table.index[e] for e in t.keys]] += c
+        for cols, c in zip(columns, (c1, c2)):
+            coeffs[:, cols] += c
         return PolyField._from_matrix(table, coeffs)
 
     def scale(self, factor: float) -> "PolyField":
@@ -311,9 +337,8 @@ class PolyField:
         """Second-partial table and coefficients (N * 6, M2) of the a <= b
         pairs, each differentiated first along a, then along b."""
         if self._hess is None:
-            table, grad = self._gradient()
-            child, second = table.differentiate(grad)
-            self._hess = (child, second[:, _UPPER[0], _UPPER[1]].reshape(6 * self.n, len(child)))
+            child, second = _upper_second(*self._gradient())
+            self._hess = (child, second.reshape(6 * self.n, len(child)))
         return self._hess
 
     def eval(self, points: np.ndarray) -> np.ndarray:
@@ -334,6 +359,70 @@ class PolyField:
         table, hess = self._hessian()
         vals = evaluate_monomials(pts, table.expos, hess.T)
         return vals.reshape(pts.shape[0], self.n, 6)[:, :, _PAIR]
+
+
+def stack_fields(fields) -> tuple[_Table, np.ndarray]:
+    """Shared table and coefficients (F, N, M) of fields with N components
+    each: a restack when they share one table, else over the sorted union
+    of their tables."""
+    mats = [f._matrix() for f in fields]
+    if len({c.shape[0] for _, c in mats}) != 1:
+        raise ValueError("component count mismatch")
+    tables = tuple(dict.fromkeys(t for t, _ in mats))
+    if len(tables) == 1:
+        return tables[0], np.stack([c for _, c in mats])
+    union, columns = _union(tables)
+    where = dict(zip(tables, columns))
+    coeffs = np.zeros((len(mats), mats[0][1].shape[0], len(union)))
+    for out, (t, c) in zip(coeffs, mats):
+        out[:, where[t]] = c
+    return union, coeffs
+
+
+def _stacked_eval(points: np.ndarray, table: _Table, coeffs: np.ndarray) -> np.ndarray:
+    """Polynomials with coefficients (F, K, M) over `table` at points
+    (F, P, 3): (F, P, K), one power table and one stacked product."""
+    f, p = points.shape[:2]
+    mono = _monomials(points.reshape(f * p, 3), table.expos).reshape(f, p, len(table))
+    return mono @ np.swapaxes(coeffs, 1, 2)
+
+
+def _states(points: np.ndarray, table: _Table, coeffs: np.ndarray):
+    """Values, gradients and the six a <= b second partials of stacked
+    fields (F, N, M) over `table` at their own points (F, P, 3)."""
+    f, p = points.shape[:2]
+    n = coeffs.shape[1]
+    gtable, grad = table.differentiate(coeffs)
+    htable, hess = _upper_second(gtable, grad)
+    vals = _stacked_eval(points, table, coeffs)
+    grads = _stacked_eval(points, gtable, grad.reshape(f, 3 * n, len(gtable)))
+    hessians = _stacked_eval(points, htable, hess.reshape(f, 6 * n, len(htable)))
+    return vals, grads.reshape(f, p, n, 3), hessians.reshape(f, p, n, 6)
+
+
+def field_states(fields, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values (F, P, N), gradients (F, P, N, 3) and exactly symmetric
+    Hessians (F, P, N, 3, 3) of F fields, each at its own points (F, P, 3).
+
+    Fields are stacked per shared table, so each entry equals the field's
+    own `eval`, `eval_grad` and `eval_hess` at its points bit for bit (a
+    union table would reorder the sums).  Fields of one table, such as the
+    dense fields of one degree, cost one power table and one stacked
+    product per derivative level."""
+    pts = np.asarray(points, dtype=float)
+    if len({field.n for field in fields}) != 1:
+        raise ValueError("component count mismatch")
+    groups: dict[_Table, list[int]] = {}
+    for i, field in enumerate(fields):
+        groups.setdefault(field._matrix()[0], []).append(i)
+    shape = pts.shape[:2] + (fields[0].n,)
+    vals, grads, pairs = np.empty(shape), np.empty(shape + (3,)), np.empty(shape + (6,))
+    for idx in groups.values():
+        for whole, part in zip((vals, grads, pairs), _states(pts[idx], *stack_fields([fields[i] for i in idx]))):
+            whole[idx] = part
+    # Expanded last, as in `eval_hess`: the summation order of the residual
+    # contractions follows this memory layout.
+    return vals, grads, pairs[..., _PAIR]
 
 
 class PolyMatrixField:
@@ -365,6 +454,35 @@ def bubble() -> Poly3:
         x = Poly3.variable(a)
         out = out * (x - x * x)
     return out
+
+
+@lru_cache(maxsize=64)
+def _bubble_map(table: _Table):
+    """Product table of `bubble()` with the monomials of `table`, and per
+    bubble term, in `Poly3.__mul__` order, its coefficient and the product
+    column of each monomial."""
+    terms = list(bubble()._terms.items())
+    keys = [[(b[0] + e[0], b[1] + e[1], b[2] + e[2]) for e in table.keys] for b, _ in terms]
+    product = _table(tuple(sorted({k for row in keys for k in row})))
+    columns = np.array([[product.index[k] for k in row] for row in keys], dtype=np.int64)
+    return product, np.array([c for _, c in terms]), columns
+
+
+def bubble_damped(w: PolyField) -> PolyField:
+    """The field `bubble() * w`, vanishing on the cube boundary.
+
+    Sums the products in the order of `Poly3.__mul__`, so the result equals
+    `PolyField([bubble() * c for c in w.components])` term for term."""
+    table, coeffs = w._matrix()
+    product, factors, columns = _bubble_map(table)
+    out = np.zeros((w.n, len(product)))
+    for factor, cols in zip(factors, columns):
+        out[:, cols] += factor * coeffs
+    used = np.any(out != 0.0, axis=0)
+    if not used.all():
+        product = _table(tuple(e for e, u in zip(product.keys, used.tolist()) if u))
+        out = out[:, used]
+    return PolyField._from_matrix(product, out)
 
 
 def random_scalar_poly(rng: np.random.Generator, degree: int) -> Poly3:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .polyfield import PolyField, bubble, random_polyfield
+from .polyfield import PolyField, bubble_damped, evaluate_monomials, field_states, random_polyfield, stack_fields
 from .quadrature import cube_rule, required_order
 
 __all__ = [
@@ -89,10 +89,14 @@ class QuadraticLagrangian(Lagrangian):
         p = np.asarray(p, dtype=float)
         n = p.shape[0]
         self.n = n
-        self.p = 0.5 * (p + np.transpose(p, (2, 3, 0, 1)))
-        self.q = np.zeros((n, 3, n)) if q is None else np.asarray(q, dtype=float)
         r = np.zeros((n, n)) if r is None else np.asarray(r, dtype=float)
-        self.r = 0.5 * (r + r.T)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+            self.p = 0.5 * (p + np.transpose(p, (2, 3, 0, 1)))
+            self.r = 0.5 * (r + r.T)
+        self.q = np.zeros((n, 3, n)) if q is None else np.asarray(q, dtype=float)
+        for name in ("p", "q", "r"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"density block {name} must be finite after symmetrization")
         self.label = label
 
     def evaluate(self, x, y, dy):
@@ -148,13 +152,6 @@ class CallableLagrangian(Lagrangian):
         if self._degree_bound is None:
             return None
         return self._degree_bound(field_degree)
-
-
-def _field_state(y: PolyField, x: np.ndarray):
-    """Values (m, N), gradients (m, N, 3) and Hessians (m, N, 3, 3) of the
-    field at a batch of points."""
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    return y.eval(pts), y.eval_grad(pts), y.eval_hess(pts)
 
 
 # Step multipliers of the two Richardson levels.
@@ -301,9 +298,9 @@ def _residuals(lag: Lagrangian, x, y0, dy0, d2y0, method: str):
 
 
 def _residual_and_scale(lag: Lagrangian, y: PolyField, x, method: str):
-    x = np.asarray(x, dtype=float)
-    res, scale = _residuals(lag, x[None, :], *_field_state(y, x), method)
-    return res[0], float(scale[0])
+    x = np.asarray(x, dtype=float).reshape(1, 1, 3)
+    res, scale = _residuals(lag, x, *field_states([y], x), method)
+    return res[0, 0], float(scale[0, 0])
 
 
 def euler_residual(lag: Lagrangian, y: PolyField, x, method: str = "auto") -> np.ndarray:
@@ -314,31 +311,50 @@ def euler_residual(lag: Lagrangian, y: PolyField, x, method: str = "auto") -> np
     return res
 
 
+def _actions(lag: Lagrangian, fields, order: int) -> np.ndarray:
+    """Exact tensor-product Gauss-Legendre actions (F,) of F fields over the
+    unit cube: one rule, one power table per derivative level on the union
+    of the fields' tables, and one density evaluation over all F x Q rows.
+
+    Raises ValueError if the order is below what the density's
+    per-coordinate degree bound requires for any field, and
+    FloatingPointError if any field's density is not finite."""
+    for y in fields:
+        degree = lag.integrand_degree(y.axis_degree())
+        if degree is not None and 2 * order - 1 < degree:
+            raise ValueError(
+                f"quadrature order {order} is inexact for integrand degree {degree}; "
+                f"use order >= {required_order(degree)}"
+            )
+    pts, wts = cube_rule(order)
+    table, coeffs = stack_fields(fields)
+    f, n, m = coeffs.shape
+    q = pts.shape[0]
+    child, grad = table.differentiate(coeffs)
+    vals = evaluate_monomials(pts, table.expos, coeffs.reshape(f * n, m).T)
+    grads = evaluate_monomials(pts, child.expos, grad.reshape(f * n * 3, len(child)).T)
+    y = vals.reshape(q, f, n).transpose(1, 0, 2).reshape(f * q, n)
+    dy = grads.reshape(q, f, n, 3).transpose(1, 0, 2, 3).reshape(f * q, n, 3)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        density = lag.evaluate(np.tile(pts, (f, 1)), y, dy).reshape(f, q)
+    if not np.all(np.isfinite(density)):
+        raise FloatingPointError("non-finite density evaluation during quadrature")
+    return density @ wts
+
+
 def action_integral(lag: Lagrangian, y: PolyField, order: int) -> float:
     """Exact tensor-product Gauss-Legendre action over the unit cube.
 
     Raises ValueError if the order is below what the density's
     per-coordinate degree bound requires."""
-    degree = lag.integrand_degree(y.axis_degree())
-    if degree is not None and 2 * order - 1 < degree:
-        raise ValueError(
-            f"quadrature order {order} is inexact for integrand degree {degree}; "
-            f"use order >= {required_order(degree)}"
-        )
-    pts, wts = cube_rule(order)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        vals = lag.evaluate(pts, y.eval(pts), y.eval_grad(pts))
-    if not np.all(np.isfinite(vals)):
-        raise FloatingPointError("non-finite density evaluation during quadrature")
-    return float(vals @ wts)
+    return float(_actions(lag, [y], order)[0])
 
 
 def boundary_dependence_test(lag: Lagrangian, y: PolyField, w: PolyField, order: int) -> float:
     """|action(y + b*w) - action(y)| with the bubble b vanishing on the cube
     boundary; zero (to quadrature accuracy) for a null density."""
-    b = bubble()
-    delta = PolyField([b * c for c in w.components])
-    return abs(action_integral(lag, y + delta, order) - action_integral(lag, y, order))
+    shifted, base = _actions(lag, [y + bubble_damped(w), y], order)
+    return float(abs(shifted - base))
 
 
 class FieldSampler:
@@ -355,9 +371,7 @@ class FieldSampler:
         return random_polyfield(rng, self.n, degree)
 
     def boundary_delta(self, rng: np.random.Generator, degree: int) -> PolyField:
-        w = random_polyfield(rng, self.n, min(degree, 1))
-        b = bubble()
-        return PolyField([b * c for c in w.components])
+        return bubble_damped(random_polyfield(rng, self.n, min(degree, 1)))
 
 
 @dataclass(frozen=True)
@@ -404,9 +418,10 @@ def certify_null(
 
     Deterministic for a fixed seed: each trial draws its field, then its
     points, from its own child of the seed sequence.  The states of all
-    trials are then reduced in one batched residual evaluation.  `order` is
-    a minimum: each boundary action is raised to the order that the
-    density's per-coordinate degree bound needs.
+    trials are then evaluated in one batch and reduced in one residual
+    evaluation.  `order` is a minimum: each boundary action is raised to the
+    order that the density's per-coordinate degree bound needs, and all
+    actions of one order share one quadrature pass.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -423,27 +438,34 @@ def certify_null(
 
     children = np.random.SeedSequence(seed).spawn(trials + boundary_pairs)
 
-    points, states = [], []
+    fields, points = [], []
     for t in range(trials):
         rng = np.random.default_rng(children[t])
-        field = sampler.field(rng, degree)
-        pts = rng.uniform(0.0, 1.0, size=(points_per_trial, 3))
-        points.append(pts)
-        states.append(_field_state(field, pts))
-    y0, dy0, d2y0 = (np.stack(parts) for parts in zip(*states))
-    res, scale = _residuals(lag, np.stack(points), y0, dy0, d2y0, method)
-    max_resid = float(np.max(np.max(np.abs(res), axis=-1) / scale, initial=0.0))
+        fields.append(sampler.field(rng, degree))
+        points.append(rng.uniform(0.0, 1.0, size=(points_per_trial, 3)))
+    x = np.stack(points)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        res, scale = _residuals(lag, x, *field_states(fields, x), method)
+        normalized = np.max(np.abs(res), axis=-1) / scale
+    if not np.all(np.isfinite(normalized)):
+        raise FloatingPointError("non-finite Euler residual")
+    max_resid = float(np.max(normalized, initial=0.0))
 
-    deltas = []
+    # Every pair's base and perturbed fields join the group of its order;
+    # each group is integrated on one rule in one call.
+    pair_orders, groups = [], {}
     for b in range(boundary_pairs):
         rng = np.random.default_rng(children[trials + b])
         field = sampler.field(rng, degree)
-        delta = sampler.boundary_delta(rng, degree)
-        perturbed = field + delta
+        perturbed = field + sampler.boundary_delta(rng, degree)
         degree_bound = lag.integrand_degree(max(field.axis_degree(), perturbed.axis_degree()))
         use_order = order if degree_bound is None else max(order, required_order(degree_bound))
-        base = action_integral(lag, field, use_order)
-        shifted = action_integral(lag, perturbed, use_order)
+        pair_orders.append(use_order)
+        groups.setdefault(use_order, []).extend((field, perturbed))
+    actions = {o: iter(_actions(lag, group, o).tolist()) for o, group in groups.items()}
+    deltas = []
+    for use_order in pair_orders:
+        base, shifted = next(actions[use_order]), next(actions[use_order])
         deltas.append(abs(shifted - base) / max(1.0, abs(base)))
 
     passed = max_resid <= residual_tol and all(d <= action_tol_rel for d in deltas)

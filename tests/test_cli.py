@@ -320,8 +320,12 @@ def near_double_limit(entries):
         ("split", {"model": "micropolar", "A": Z81, "D": Z81,
                    "B": near_double_limit({4: 1.5e308, 36: 1.5e308, 12: -1.5e308, 28: -1.5e308})},
          "must be finite"),
+        # A_1112 = A_1211: major symmetric, but symmetrizing the density block overflows
+        ("certify", {"model": "micropolar", "A": near_double_limit({0: 1e308, 1: -1.5e308, 9: -1.5e308}),
+                     "B": Z81, "D": Z81},
+         "density block p must be finite"),
     ],
-    ids=["micropolar-A", "quasicrystal-E", "isotropic", "split-B"],
+    ids=["micropolar-A", "quasicrystal-E", "isotropic", "split-B", "certify-A"],
 )
 def test_moduli_beyond_double_range_are_usage_errors(tmp_path, capsys, command, model, needle):
     path = write(tmp_path, "big.json", model)

@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nullag.micropolar import CurlFreeRotationSampler
 from nullag.polyfield import (
     Poly3,
     PolyField,
     bubble,
+    bubble_damped,
     constant_field,
+    field_states,
     gradient_field,
     monomials_upto,
     random_polyfield,
     random_scalar_poly,
+    stack_fields,
 )
 from nullag.quadrature import cube_rule, face_rules, gauss_points_01, required_order
 
@@ -122,6 +128,88 @@ def test_field_state_matches_per_component_reference():
         h = got[2]
         assert np.array_equal(h, np.transpose(h, (0, 1, 3, 2)))
         assert field.degree() == max(c.degree() for c in field.components)
+
+
+def assert_states_match_per_field(fields, pts):
+    values, grads, hessians = field_states(fields, pts)
+    assert values.shape == pts.shape[:2] + (fields[0].n,)
+    for i, field in enumerate(fields):
+        assert np.array_equal(values[i], field.eval(pts[i]))
+        assert np.array_equal(grads[i], field.eval_grad(pts[i]))
+        assert np.array_equal(hessians[i], field.eval_hess(pts[i]))
+
+
+@pytest.mark.parametrize("degree", range(6))
+def test_field_states_equal_per_field_eval_dense(degree):
+    rng = np.random.default_rng(degree)
+    fields = [random_polyfield(rng, 3, degree) for _ in range(5)]
+    assert stack_fields(fields)[0] is stack_fields(fields[:1])[0]  # one shared table
+    assert_states_match_per_field(fields, rng.uniform(0, 1, (5, 3, 3)))
+
+
+def test_field_states_equal_per_field_eval_zero_and_single():
+    rng = np.random.default_rng(8)
+    assert_states_match_per_field([PolyField.zero(2)], rng.uniform(0, 1, (1, 4, 3)))
+    assert_states_match_per_field([random_polyfield(rng, 2, 3), PolyField.zero(2)], rng.uniform(0, 1, (2, 3, 3)))
+    assert_states_match_per_field([random_polyfield(rng, 4, 2)], rng.uniform(0, 1, (1, 1, 3)))
+
+
+def test_field_states_equal_per_field_eval_mixed_tables():
+    rng = np.random.default_rng(9)
+    sampler = CurlFreeRotationSampler()
+    fields = [sampler.field(rng, 3), sampler.field(rng, 2),
+              sampler.field(rng, 3) + sampler.boundary_delta(rng, 3), sampler.boundary_delta(rng, 2)]
+    assert len({f._matrix()[0] for f in fields}) > 1
+    assert_states_match_per_field(fields, rng.uniform(0, 1, (4, 3, 3)))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    points=st.integers(1, 4),
+    degrees=st.lists(st.integers(0, 5), min_size=1, max_size=5),
+    shared=st.booleans(),
+    damped=st.lists(st.booleans(), min_size=5, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_field_states_property(n, points, degrees, shared, damped, seed):
+    """Shared tables (one dense degree) and mixed tables (several degrees,
+    some fields bubble-perturbed) both equal per-field evaluation."""
+    rng = np.random.default_rng(seed)
+    fields = [random_polyfield(rng, n, degrees[0] if shared else d) for d in degrees]
+    if not shared:
+        fields = [f + bubble_damped(random_polyfield(rng, n, 1)) if bump else f
+                  for f, bump in zip(fields, damped)]
+    assert_states_match_per_field(fields, rng.uniform(0, 1, (len(fields), points, 3)))
+
+
+def test_stack_fields_union_table():
+    rng = np.random.default_rng(10)
+    fields = [random_polyfield(rng, 2, 1), random_polyfield(rng, 2, 3)]
+    table, coeffs = stack_fields(fields)
+    assert table.keys == tuple(sorted(monomials_upto(3, 3)))
+    pts = rng.uniform(0, 1, (6, 3))
+    for field, c in zip(fields, coeffs):
+        assert np.allclose(PolyField._from_matrix(table, c).eval(pts), field.eval(pts), rtol=0, atol=1e-15)
+    with pytest.raises(ValueError, match="component count"):
+        stack_fields([random_polyfield(rng, 2, 1), random_polyfield(rng, 3, 1)])
+
+
+def poly3_damped(w):
+    b = bubble()
+    return PolyField([b * c for c in w.components])
+
+
+@pytest.mark.parametrize("fields", [
+    *([random_polyfield(np.random.default_rng(seed), 6, d) for seed in range(4)] for d in range(3)),
+    [PolyField([random_scalar_poly(np.random.default_rng(11), 1), Poly3(), Poly3.variable(2)])],
+    [PolyField.zero(2)],
+], ids=["degree0", "degree1", "degree2", "zero-component", "zero"])
+def test_bubble_damped_equals_poly3_product(fields):
+    for w in fields:
+        (got_table, got), (ref_table, ref) = bubble_damped(w)._matrix(), poly3_damped(w)._matrix()
+        assert got_table.keys == ref_table.keys
+        assert np.array_equal(got, ref)
 
 
 def test_random_polyfield_draws_like_scalar_polys():

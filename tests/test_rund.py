@@ -337,8 +337,9 @@ def test_generator_action_per_coordinate_order_matches_total_degree_order():
 @pytest.mark.parametrize("degree, order", [(2, 8), (3, 10)])
 def test_certify_generator_sizes_quadrature_per_coordinate(monkeypatch, degree, order):
     orders = []
-    action = vf.action_integral
-    monkeypatch.setattr(vf, "action_integral", lambda lag, y, o: orders.append(o) or action(lag, y, o))
+    actions = vf._actions
+    monkeypatch.setattr(vf, "_actions",
+                        lambda lag, fields, o: orders.extend([o] * len(fields)) or actions(lag, fields, o))
     lag = build_null_lagrangian(random_generator_set(np.random.default_rng(degree), 3, degree))
     assert vf.certify_null(lag, trials=1, degree=2, seed=1).passed
     assert orders == [order] * 6

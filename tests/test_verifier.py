@@ -128,6 +128,72 @@ def test_action_integral_rejects_nonfinite():
         action_integral(lag, PolyField.zero(1), 2)
 
 
+def parent_action(lag, y, order):
+    """Single-field quadrature as one evaluation on the field's own table,
+    and the integral of |L| that bounds its rounding."""
+    pts, wts = cube_rule(order)
+    density = lag.evaluate(pts, y.eval(pts), y.eval_grad(pts))
+    return float(density @ wts), float(np.abs(density) @ wts)
+
+
+def test_batched_actions_match_per_field_actions():
+    rng = np.random.default_rng(12)
+    sampler = mp.CurlFreeRotationSampler()
+    lag = random_micropolar_density(rng)
+    fields = []
+    for degree in (2, 3):
+        y = sampler.field(rng, degree)
+        fields += [y, y + sampler.boundary_delta(rng, degree), random_polyfield(rng, 6, degree)]
+    got = vf._actions(lag, fields, 8)
+    assert got.shape == (len(fields),)
+    for value, y in zip(got, fields):
+        reference, magnitude = parent_action(lag, y, 8)
+        assert action_integral(lag, y, 8) == reference  # one field: the same sums
+        assert abs(value - reference) <= 1e-14 * max(1.0, magnitude)
+
+
+def test_batched_actions_guard_every_field():
+    lag = dirichlet_density(1)
+    low, high = (PolyField([Poly3({(p, 0, 0): 1.0})]) for p in (1, 5))
+    order = required_order(lag.integrand_degree(high.axis_degree()))
+    vf._actions(lag, [low, high], order)
+    for fields in ([low, high], [high, low]):
+        with pytest.raises(ValueError, match=f"order >= {order}"):
+            vf._actions(lag, fields, order - 1)
+
+
+def test_batched_actions_reject_one_nonfinite_field():
+    lag = CallableLagrangian(lambda x, y, dy: np.where(y[:, 0] > 5.0, np.inf, y[:, 0] ** 2), n=1,
+                             batched=True, degree_bound=lambda d: 2 * d)
+    fine, bad = PolyField.zero(1), PolyField([Poly3.constant(10.0)])
+    assert vf._actions(lag, [fine, fine], 2).tolist() == [0.0, 0.0]
+    for fields in ([bad, fine], [fine, bad]):
+        with pytest.raises(FloatingPointError):
+            vf._actions(lag, fields, 2)
+
+
+@pytest.mark.parametrize("sampler", [None, mp.CurlFreeRotationSampler()], ids=["dense", "curl-free"])
+def test_certify_residual_equals_per_trial_evaluation(sampler):
+    """The batched trial states reduce to the same bits as one `eval`,
+    `eval_grad` and `eval_hess` call per trial, stacked.  A null density's
+    residuals are pure rounding, so any change in summation order shows."""
+    lag = mp.iso_null_evaluator(1.3)
+    sampler_used = sampler or FieldSampler(lag.n)
+    trials, seed = 16, 5
+    children = np.random.SeedSequence(seed).spawn(trials + 3)
+    points, states = [], []
+    for t in range(trials):
+        rng = np.random.default_rng(children[t])
+        field = sampler_used.field(rng, 3)
+        pts = rng.uniform(0.0, 1.0, size=(3, 3))
+        points.append(pts)
+        states.append((field.eval(pts), field.eval_grad(pts), field.eval_hess(pts)))
+    res, scale = vf._residuals(lag, np.stack(points), *(np.stack(s) for s in zip(*states)), "closed")
+    expected = float(np.max(np.max(np.abs(res), axis=-1) / scale))
+    cert = certify_null(lag, trials=trials, seed=seed, sampler=sampler)
+    assert cert.max_normalized_residual == expected
+
+
 def test_boundary_dependence_null_density():
     rng = np.random.default_rng(3)
     b = mp.split_B(
