@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -71,27 +72,48 @@ class GenPoly:
         return GenPoly(self.nvars, out)
 
 
-def _to_float(value: Fraction, what: str) -> float:
-    """float(value); a ValueError if it overflows or a nonzero value underflows to 0."""
+def _to_float(num: int, den: int, what: str) -> float:
+    """num / den correctly rounded, which is float(Fraction(num, den)); a
+    ValueError if it overflows or a nonzero value underflows to 0."""
     try:
-        out = float(value)
+        out = num / den
     except OverflowError:
         out = math.inf
-    if not math.isfinite(out) or (out == 0.0 and value != 0):
-        power = round(math.log10(abs(value.numerator)) - math.log10(value.denominator))
+    if not math.isfinite(out) or (out == 0.0 and num != 0):
+        power = round(math.log10(abs(num)) - math.log10(den))
         raise ValueError(f"{what} of magnitude ~1e{power} is outside the double range")
     return out
 
 
-def _partial_matrix(partials: list[GenPoly], nvars: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted union of the exponents of exact partials (T, nvars) and their
-    float coefficients (T, len(partials)), each converted once."""
-    keys = sorted(set().union(*(p._terms for p in partials)))
-    index = {e: i for i, e in enumerate(keys)}
-    coeffs = np.zeros((len(keys), len(partials)))
-    for col, poly in enumerate(partials):
+def _partial_matrix(polys, nvars: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exponents (T, nvars) and float coefficients (T, len(polys) * P) of all P
+    partials of the given order of every polynomial: column p * P + i holds
+    the partial along the i-th sorted variable tuple of
+    `combinations_with_replacement(range(nvars), order)`.  The rows are the
+    sorted union of the partials' exponents.
+
+    A partial maps each term c * v^e to the single term c * e_v * v^(e - 1_v),
+    so each coefficient is one exact integer product and one correctly
+    rounded division, equal to float of the exact rational partial; only the
+    variables a term contains are visited."""
+    partials = {vs: i for i, vs in enumerate(combinations_with_replacement(range(nvars), order))}
+    columns = [{} for _ in range(len(polys) * len(partials))]
+    for p, poly in enumerate(polys):
         for expo, c in poly._terms.items():
-            coeffs[index[expo], col] = _to_float(c, "generator partial coefficient")
+            support = [v for v, e in enumerate(expo) if e]
+            for vs in combinations_with_replacement(support, order):
+                shifted, num = list(expo), c.numerator
+                for v in vs:
+                    num *= shifted[v]
+                    shifted[v] -= 1
+                if num:
+                    columns[p * len(partials) + partials[vs]][tuple(shifted)] = num, c.denominator
+    keys = sorted(set().union(*columns))
+    index = {e: i for i, e in enumerate(keys)}
+    coeffs = np.zeros((len(keys), len(columns)))
+    for col, column in enumerate(columns):
+        for expo, (num, den) in column.items():
+            coeffs[index[expo], col] = _to_float(num, den, "generator partial coefficient")
     return np.array(keys, dtype=np.int64).reshape(-1, nvars), coeffs
 
 
@@ -99,9 +121,9 @@ class GeneratorSet:
     """Three generator polynomials of (x, y).
 
     Their first and second partials are evaluated from float matrices built
-    once, on first use, from the exact rational partials: one exponent table
-    and one coefficient column per partial, so each evaluation is one power
-    table and one matrix product over the whole batch.
+    once, on first use, straight from the exact rational terms: one exponent
+    table and one coefficient column per partial, so each evaluation is one
+    power table and one matrix product over the whole batch.
     """
 
     def __init__(self, polys, n: int):
@@ -125,7 +147,7 @@ class GeneratorSet:
         """Exponents and coefficients (T1, 3 * (3+N)) of dS^a/dv, column a*(3+N) + v."""
         if self._grad is None:
             nvars = 3 + self.n
-            self._grad = _partial_matrix([p.diff(v) for p in self.polys for v in range(nvars)], nvars)
+            self._grad = _partial_matrix(self.polys, nvars, 1)
         return self._grad
 
     def _hessian(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -133,16 +155,12 @@ class GeneratorSet:
         column of every (a, v1, v2) in the full symmetric (3, 3+N, 3+N) array."""
         if self._hess is None:
             nvars = 3 + self.n
-            pairs = [(v1, v2) for v1 in range(nvars) for v2 in range(v1, nvars)]
-            partials = []
-            for poly in self.polys:
-                first = [poly.diff(v) for v in range(nvars)]
-                partials += [first[v1].diff(v2) for v1, v2 in pairs]
+            pairs = list(combinations_with_replacement(range(nvars), 2))
             index = np.empty((3, nvars, nvars), dtype=np.int64)
             for a in range(3):
                 for col, (v1, v2) in enumerate(pairs):
                     index[a, v1, v2] = index[a, v2, v1] = a * len(pairs) + col
-            self._hess = _partial_matrix(partials, nvars) + (index,)
+            self._hess = _partial_matrix(self.polys, nvars, 2) + (index,)
         return self._hess
 
     def _points(self, x, y) -> np.ndarray:
@@ -162,14 +180,17 @@ class GeneratorSet:
         return vals[:, :, :3], vals[:, :, 3:]
 
     def second_partials(self, x: np.ndarray, y: np.ndarray):
-        """Single-point second partials: (Sxx (3,3,3), Sxy (3,3,N), Syy (3,N,N)).
+        """Second partials (Sxx (3,3,3), Sxy (3,3,N), Syy (3,N,N)) at one point
+        x (3,), y (N,); batched points x (m,3), y (m,N) add a leading m axis.
 
         Sxx[a,b,c] = d2 S^a / dx_b dx_c, Sxy[a,b,j] = d2 S^a / dx_b dy_j,
         Syy[a,i,j] = d2 S^a / dy_i dy_j; exactly symmetric.
         """
         expos, coeffs, index = self._hessian()
-        full = evaluate_monomials(self._points(x, y), expos, coeffs)[0][index]
-        return full[:, :3, :3], full[:, :3, 3:], full[:, 3:, 3:]
+        full = evaluate_monomials(self._points(x, y), expos, coeffs)[:, index]
+        if np.ndim(x) == 1:
+            full = full[0]
+        return full[..., :3, :3], full[..., :3, 3:], full[..., 3:, 3:]
 
 
 @dataclass(frozen=True)
@@ -198,16 +219,26 @@ def rund_coefficients(g: GeneratorSet, x, y) -> RundCoefficients:
 
 class RundLagrangian(Lagrangian):
     """Evaluator of the generator-built density
-    d2.y'y'/2 + d1.y' + d0/2 with coefficients re-evaluated at each (x, y)."""
+    d2.y'y'/2 + d1.y' + d0/2 with coefficients re-evaluated at each (x, y).
 
-    closed_form = False
+    In terms of J = Sx + Sy.Dy the density is (tr(J)^2 - tr(J^2)) / 2, with
+    dL/dJ = C = tr(J) I - J^T, so its Euler residual has the closed form
+
+        E_k = D_g(Sy[a,k]) C[a,g] + Sy[a,k] D_g C[a,g] - C[a,b] dJ[a,b]/dy_k
+
+    with D_g the total derivative along x_g; it needs only the generators'
+    first and second partials and the field state.
+    """
+
+    closed_form = True
 
     def __init__(self, generators: GeneratorSet):
         self.generators = generators
         self.n = generators.n
         # For generator degree <= 3 the density is a polynomial of degree
         # <= 4 in every single argument, so the Richardson stencil has zero
-        # truncation error and a large step minimizes roundoff.
+        # truncation error and a large step minimizes roundoff on the
+        # finite-difference cross-validation path.
         if generators.degree() <= 3:
             self.fd_base_step = 1e-2
 
@@ -226,6 +257,35 @@ class RundLagrangian(Lagrangian):
         out = 0.5 * np.einsum("abij,ia,jb->", coeff.d2, dy, dy)
         out += np.einsum("ai,ia->", coeff.d1, dy)
         return float(out + 0.5 * coeff.d0)
+
+    def _euler_halves(self, x, y0, dy0, d2y0):
+        """The two halves of the Euler operator at m states, x (m,3), y0 (m,N),
+        dy0 (m,N,3), d2y0 (m,N,3,3): D_g(dL/dy'_kg) and dL/dy_k (m,N), the
+        divergence D_g C[a,g] (m,3), which vanishes (Piola identity), and
+        max|d2L/dy' dy'| (m,), the largest |d2[a,b,i,j]| of `RundCoefficients`."""
+        sx, sy = self.generators.first_partials(x, y0)
+        sxx, sxy, syy = self.generators.second_partials(x, y0)
+        j = sx + sy @ dy0
+        c = np.trace(j, axis1=1, axis2=2)[:, None, None] * np.eye(3) - np.swapaxes(j, 1, 2)
+        # dsy[a,b,k] = D_b Sy[a,k] = dJ[a,b]/dy_k: exact partials commute
+        dsy = sxy + np.einsum("maik,mib->mabk", syy, dy0)
+        # dj[a,b,c] = D_c J[a,b]
+        dj = (sxx + np.einsum("mabj,mjc->mabc", sxy, dy0) + np.einsum("maci,mib->mabc", dsy, dy0)
+              + np.einsum("mai,mibc->mabc", sy, d2y0))
+        div_c = np.einsum("mbba->ma", dj) - np.einsum("mgag->ma", dj)
+        # D_g(Sy[a,k]) C[a,g] and C[a,b] dJ[a,b]/dy_k are the same sum
+        d_y = np.einsum("mab,mabk->mk", c, dsy)
+        d_dyp = d_y + np.einsum("mak,ma->mk", sy, div_c)
+        outer = np.einsum("mai,mbj->mabij", sy, sy)
+        scale = np.max(np.abs(outer - np.swapaxes(outer, 1, 2)), axis=(1, 2, 3, 4))
+        return d_dyp, d_y, div_c, scale
+
+    def closed_residual(self, x, y0, dy0, d2y0):
+        n = self.n
+        lead = y0.shape[:-1]
+        d_dyp, d_y, _, scale = self._euler_halves(
+            x.reshape(-1, 3), y0.reshape(-1, n), dy0.reshape(-1, n, 3), d2y0.reshape(-1, n, 3, 3))
+        return (d_dyp - d_y).reshape(lead + (n,)), scale.reshape(lead)
 
     def integrand_degree(self, field_degree: int) -> int:
         # Per coordinate: a generator partial (total degree <= k in (x, y))
@@ -349,7 +409,7 @@ def _parse_term(term) -> tuple[tuple[int, ...], Fraction]:
         coeff = Fraction(str(term["coeff"]))
     except ZeroDivisionError:
         raise ValueError(f"generator coefficient {term['coeff']!r} has a zero denominator") from None
-    _to_float(coeff, "generator coefficient")
+    _to_float(coeff.numerator, coeff.denominator, "generator coefficient")
     return tuple(expo), coeff
 
 

@@ -8,10 +8,11 @@ expanded by the chain rule into second partials of L contracted with the
 exact field derivatives.  With this sign convention the residual of the
 Dirichlet density |grad u|^2 / 2 is the (positive) Laplacian.
 
-Quadratic densities with constant coefficients carry their second-derivative
-blocks explicitly and use an exact closed-form residual; any other evaluator
-is treated as a black box and differentiated by central finite differences
-with two-level Richardson extrapolation.
+Densities with `closed_form` set (quadratic densities with constant
+coefficients, and the generator-built densities of `nullag.rund`) give their
+residual exactly through `Lagrangian.closed_residual`; any other evaluator is
+treated as a black box and differentiated by central finite differences with
+two-level Richardson extrapolation.
 """
 
 from __future__ import annotations
@@ -58,6 +59,13 @@ class Lagrangian:
     fd_base_step = _FD_BASE_STEP
 
     def evaluate(self, x: np.ndarray, y: np.ndarray, dy: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def closed_residual(self, x: np.ndarray, y0: np.ndarray, dy0: np.ndarray, d2y0: np.ndarray):
+        """Exact Euler residual of a `closed_form` density at points x (..., 3)
+        with field values (..., N), gradients (..., N, 3) and Hessians
+        (..., N, 3, 3), for any leading batch axes: E_k (..., N) and the scale
+        max|d2L/dDy dDy|, a number or one per point (...)."""
         raise NotImplementedError
 
     def integrand_degree(self, field_degree: int) -> int | None:
@@ -113,15 +121,14 @@ class QuadraticLagrangian(Lagrangian):
         # raise it, and the density is a quadratic form in (y, Dy).
         return 2 * max(int(field_degree), 0)
 
-    def closed_residual(self, y0: np.ndarray, dy0: np.ndarray, d2y0: np.ndarray) -> np.ndarray:
-        """E_k at states: values (..., N), gradients (..., N, 3) and
-        Hessians (..., N, 3, 3) of the field, with any leading batch axes;
-        returns (..., N)."""
+    def closed_residual(self, x, y0, dy0, d2y0):
+        # The einsums sum in an order that follows the layout of d2y0, so it
+        # is used as given.
         res = np.einsum("kcj,...jc->...k", self.q, dy0)
         res -= np.einsum("jbk,...jb->...k", self.q, dy0)
         res += np.einsum("kcjb,...jbc->...k", self.p, d2y0)
         res -= np.einsum("kj,...j->...k", self.r, y0)
-        return res
+        return res, self.second_derivative_scale()
 
     def second_derivative_scale(self) -> float:
         return float(np.max(np.abs(self.p))) if self.p.size else 0.0
@@ -278,10 +285,9 @@ def _residuals(lag: Lagrangian, x, y0, dy0, d2y0, method: str):
     (y0, dy0, d2y0) of points x (..., 3), for any leading batch axes."""
     hess_mag = np.max(np.abs(d2y0), axis=(-3, -2, -1))
     if method == "closed":
-        if not isinstance(lag, QuadraticLagrangian):
-            raise TypeError("closed-form residual requires a quadratic density")
-        res = lag.closed_residual(y0, dy0, d2y0)
-        coeff = lag.second_derivative_scale()
+        if not lag.closed_form:
+            raise TypeError("closed-form residual requires a density with a closed form")
+        res, coeff = lag.closed_residual(x, y0, dy0, d2y0)
     elif method == "fd":
         res = np.empty(y0.shape)
         coeff = np.empty(hess_mag.shape)

@@ -125,7 +125,8 @@ def test_certify_generator_file_passes(tmp_path, capsys):
     assert main(["certify", path, "--trials", "4"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["certificate"]["passed"] is True
-    assert payload["certificate"]["path"] == "finite-difference"
+    assert payload["certificate"]["path"] == "closed-form"
+    assert payload["certificate"]["residual_tolerance"] == 1e-10
 
 
 def test_certify_em_coupling_fails(tmp_path, capsys):
@@ -324,8 +325,10 @@ def near_double_limit(entries):
         ("certify", {"model": "micropolar", "A": near_double_limit({0: 1e308, 1: -1.5e308, 9: -1.5e308}),
                      "B": Z81, "D": Z81},
          "density block p must be finite"),
+        # 5e307 * x1^3 loads, but its second partial 6 * 5e307 * x1 does not fit a double
+        ("certify", generator_with({"exponents": [3, 0, 0, 0], "coeff": "5e307"}), "double range"),
     ],
-    ids=["micropolar-A", "quasicrystal-E", "isotropic", "split-B", "certify-A"],
+    ids=["micropolar-A", "quasicrystal-E", "isotropic", "split-B", "certify-A", "certify-generator-partial"],
 )
 def test_moduli_beyond_double_range_are_usage_errors(tmp_path, capsys, command, model, needle):
     path = write(tmp_path, "big.json", model)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nullag import verifier as vf
-from nullag.polyfield import PolyField, Poly3, random_polyfield
+from nullag.polyfield import PolyField, Poly3, field_states, random_polyfield
 from nullag.quadrature import cube_rule, required_order
 from nullag.rund import (
     GenPoly,
@@ -195,7 +195,36 @@ def test_certify_random_generator_sets():
         g = random_generator_set(np.random.default_rng(30 + s), N, 2)
         cert = vf.certify_null(build_null_lagrangian(g), trials=3, seed=s)
         assert cert.passed, (s, cert.max_normalized_residual, cert.boundary_action_deltas)
-        assert cert.path == "finite-difference"
+        assert cert.path == "closed-form"
+        assert cert.residual_tolerance == 1e-10
+
+
+def test_closed_residual_halves_match_finite_differences():
+    """The density is null, so a closed residual near zero proves nothing by
+    itself.  Each half of the Euler operator, D_g(dL/dy'_kg) and dL/dy_k, is
+    O(1) and must match its finite-difference counterpart on its own, on
+    every generator set of acceptance 07; the Piola divergence D_g C[a,g]
+    must vanish, and the closed and finite-difference residuals and scales
+    agree."""
+    for s in range(100):
+        lag = build_null_lagrangian(random_generator_set(np.random.default_rng(20_000 + s), N, 2))
+        rng = np.random.default_rng(40_000 + s)
+        x = rng.uniform(0.0, 1.0, (1, 2, 3))
+        states = field_states([random_polyfield(rng, N, 3)], x)
+        y0, dy0, d2y0 = (a[0] for a in states)
+        d_dyp, d_y, div_c, _ = lag._euler_halves(x[0], y0, dy0, d2y0)
+        closed, scale = vf._residuals(lag, x, *states, "closed")
+        fd, fd_scale = vf._residuals(lag, x, *states, "fd")
+        assert np.max(np.abs(closed - fd) / scale[..., None]) <= 1e-6
+        assert np.max(np.abs(scale - fd_scale) / fd_scale) <= 1e-6
+        assert np.max(np.abs(div_c)) / np.min(scale) <= 1e-12
+        for p in range(2):
+            fd_y, fd_x_dyp, fd_y_dyp, fd_dyp_dyp = vf._fd_partials(lag, x[0, p], y0[p], dy0[p])
+            fd_half = (np.einsum("gkg->k", fd_x_dyp) + np.einsum("jkg,jg->k", fd_y_dyp, dy0[p])
+                       + np.einsum("jbkg,jbg->k", fd_dyp_dyp, d2y0[p]))
+            assert np.max(np.abs(d_y[p])) >= 1e-3 * scale[0, p]
+            assert np.max(np.abs(d_dyp[p] - fd_half)) / scale[0, p] <= 1e-6
+            assert np.max(np.abs(d_y[p] - fd_y)) / scale[0, p] <= 1e-6
 
 
 def test_generator_json_round_trip():
@@ -255,21 +284,25 @@ def test_partials_match_exact_per_partial_evaluation(g):
     x, y = rng.uniform(0, 1, (4, 3)), rng.uniform(-1, 1, (4, g.n))
     sx, sy = g.first_partials(x, y)
     got1 = np.concatenate([sx, sy], axis=2)
+    batched = g.second_partials(x, y)
     for m in range(4):
         pt = np.concatenate([x[m], y[m]])
-        sxx, sxy, syy = g.second_partials(x[m], y[m])
-        assert np.array_equal(sxx, np.transpose(sxx, (0, 2, 1)))
-        assert np.array_equal(syy, np.transpose(syy, (0, 2, 1)))
-        got2 = np.zeros((3, nvars, nvars))
-        got2[:, :3, :3], got2[:, :3, 3:], got2[:, 3:, 3:] = sxx, sxy, syy
-        got2[:, 3:, :3] = np.transpose(sxy, (0, 2, 1))
-        for a, poly in enumerate(g.polys):
-            for v1 in range(nvars):
-                ref, size = _exact_value(poly.diff(v1), pt)
-                assert abs(got1[m, a, v1] - ref) <= 1e-15 * size
-                for v2 in range(nvars):
-                    ref, size = _exact_value(poly.diff(v1).diff(v2), pt)
-                    assert abs(got2[a, v1, v2] - ref) <= 1e-15 * size
+        # one point keeps the unbatched shapes; a batch's rows need not
+        # match it bit for bit, because BLAS sums depend on the row count
+        single = g.second_partials(x[m], y[m])
+        for sxx, sxy, syy in (single, (part[m] for part in batched)):
+            assert np.array_equal(sxx, np.transpose(sxx, (0, 2, 1)))
+            assert np.array_equal(syy, np.transpose(syy, (0, 2, 1)))
+            got2 = np.zeros((3, nvars, nvars))
+            got2[:, :3, :3], got2[:, :3, 3:], got2[:, 3:, 3:] = sxx, sxy, syy
+            got2[:, 3:, :3] = np.transpose(sxy, (0, 2, 1))
+            for a, poly in enumerate(g.polys):
+                for v1 in range(nvars):
+                    ref, size = _exact_value(poly.diff(v1), pt)
+                    assert abs(got1[m, a, v1] - ref) <= 1e-15 * size
+                    for v2 in range(nvars):
+                        ref, size = _exact_value(poly.diff(v1).diff(v2), pt)
+                        assert abs(got2[a, v1, v2] - ref) <= 1e-15 * size
 
 
 @pytest.mark.parametrize("g", _reference_sets(), ids=lambda g: f"n{g.n}d{g.degree()}")
