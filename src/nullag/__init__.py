@@ -13,7 +13,7 @@ from .micropolar import (
     split_B,
     surface_potential,
 )
-from .polyfield import Poly3, PolyField, gradient_field, random_polyfield
+from .polyfield import PolyField, random_polyfield
 from .quasicrystal import QcModuli, admissible_phason_modulus, check_qc_null
 from .em import EmModuli, check_em_null
 from .report import ConditionCheck, ConditionReport
@@ -46,9 +46,7 @@ __all__ = [
     "null_lagrangian_iso",
     "split_B",
     "surface_potential",
-    "Poly3",
     "PolyField",
-    "gradient_field",
     "random_polyfield",
     "QcModuli",
     "admissible_phason_modulus",

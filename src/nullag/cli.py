@@ -129,7 +129,9 @@ def main(argv=None) -> int:
     handlers = {"check": _cmd_check, "split": _cmd_split, "certify": _cmd_certify}
     try:
         return handlers[args.command](args)
-    except (ValueError, OSError, FloatingPointError) as exc:
+    # ArithmeticError: FloatingPointError from a density that overflows, and
+    # OverflowError from a file number that no double or int64 holds.
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

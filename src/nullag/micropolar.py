@@ -16,15 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensors
-from .polyfield import (
-    PolyField,
-    PolyMatrixField,
-    bubble,
-    bubble_damped,
-    gradient_field,
-    random_polyfield,
-    random_scalar_poly,
-)
+from .polyfield import PolyField, bubble, bubble_damped, join, random_polyfield
 from .quadrature import face_rules, required_order
 from .report import DEFAULT_TOL_ABS, ConditionReport, make_check, make_report, tensor_scale
 from .tensors import (
@@ -190,23 +182,12 @@ class BSplit:
     b_ring: np.ndarray
 
 
-def strain_wryness(u: PolyField, phi: PolyField) -> tuple[PolyMatrixField, PolyMatrixField]:
+def strain_wryness(u: PolyField, phi: PolyField) -> tuple[PolyField, PolyField]:
     """Stretch eps_ij = u_{i,j} + e_kij phi_k and wryness kap_ij = phi_{i,j}
-    as exact polynomial matrix fields."""
+    as exact 9-component fields, component 3i + j holding entry (i, j)."""
     if u.n != 3 or phi.n != 3:
         raise ValueError("displacement and rotation fields must have 3 components")
-    lc = levi_civita()
-    eps = [[None] * 3 for _ in range(3)]
-    kap = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            entry = u.components[i].diff(j)
-            for k in range(3):
-                if lc[k, i, j] != 0.0:
-                    entry = entry + phi.components[k].scale(lc[k, i, j])
-            eps[i][j] = entry
-            kap[i][j] = phi.components[i].diff(j)
-    return PolyMatrixField(eps), PolyMatrixField(kap)
+    return u.diff() + phi.map(levi_civita().reshape(3, 9).T), phi.diff()
 
 
 def energy_density(m: MicropolarModuli, eps, kap) -> float:
@@ -503,9 +484,8 @@ class CurlFreeRotationSampler(FieldSampler):
 
     def field(self, rng: np.random.Generator, degree: int) -> PolyField:
         u = random_polyfield(rng, 3, degree)
-        potential = random_scalar_poly(rng, degree + 1)
-        phi = gradient_field(potential)
-        return PolyField(u.components + phi.components)
+        potential = random_polyfield(rng, 1, degree + 1)
+        return join(u, potential.diff())
 
     def boundary_delta(self, rng: np.random.Generator, degree: int) -> PolyField:
         du = bubble_damped(random_polyfield(rng, 3, min(degree, 1)))
@@ -513,6 +493,5 @@ class CurlFreeRotationSampler(FieldSampler):
         # on the boundary, so the rotation part stays curl-free and the
         # perturbation is zero on all six faces.
         b = bubble()
-        potential = b * b * random_scalar_poly(rng, 1)
-        dphi = [potential.diff(axis) for axis in range(3)]
-        return PolyField(du.components + tuple(dphi))
+        potential = b * b * random_polyfield(rng, 1, 1)
+        return join(du, potential.diff())

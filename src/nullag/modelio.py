@@ -68,18 +68,27 @@ class LoadedModel:
         return _FAMILIES[self.family][0].lagrangian(self.moduli)
 
 
+def _floats(key: str, value) -> np.ndarray:
+    """JSON numbers as floats; an integer beyond the double range is a ValueError."""
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError:
+        raise ValueError(f"field {key!r} holds a number outside the double range") from None
+
+
 def _array(obj: dict, key: str, length: int) -> np.ndarray:
     value = obj[key]
-    if not isinstance(value, list) or len(value) != length:
+    # Exact types: JSON gives bool for true/false, which must not read as 1/0.
+    if not isinstance(value, list) or len(value) != length or not all(type(v) in (int, float) for v in value):
         raise ValueError(f"field {key!r} must be a flat list of {length} numbers")
-    return np.asarray(value, dtype=float).reshape(_SHAPES[length])
+    return _floats(key, value).reshape(_SHAPES[length])
 
 
 def _scalar(obj: dict, key: str) -> float:
     value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if type(value) not in (int, float):
         raise ValueError(f"field {key!r} must be a number")
-    return float(value)
+    return float(_floats(key, value))
 
 
 def load_model(obj: dict) -> LoadedModel:

@@ -1,36 +1,35 @@
-"""Exact multivariate polynomials on R^3 and vector fields built from them.
+"""Exact multivariate polynomial fields on R^3.
 
-A scalar `Poly3` keeps its coefficients in a sparse exponent->coefficient
-map, so differentiation is exact (degree drops by one, coefficients scale
-by integer exponents).  A `PolyField` keeps one coefficient matrix over a
-shared, sorted exponent table; the table carries integer maps to the tables
-of its partial derivatives, so a field's gradient and Hessian coefficients
-are built once, and each evaluation is one power table and one matrix
-product over a whole batch of points.  `field_states` stacks the fields
-that share a table, so a batch of fields at their own points costs one
-power table and one stacked product per table and derivative level.
+A `PolyField` is a map R^3 -> R^N with polynomial components; a scalar
+polynomial is a one-component field.  It holds one coefficient matrix over
+a shared, sorted exponent table.  The table carries integer maps to the
+tables of its partial derivatives, so derivatives are exact (degree drops by
+one, coefficients scale by integer exponents), a field's gradient and
+Hessian coefficients are built once, and each evaluation is one power table
+and one matrix product over a whole batch of points.  `field_states` stacks
+the fields that share a table, so a batch of fields at their own points
+costs one power table and one stacked product per table and derivative
+level.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
 __all__ = [
-    "Poly3",
     "PolyField",
-    "PolyMatrixField",
     "bubble",
-    "random_polyfield",
-    "gradient_field",
-    "random_scalar_poly",
-    "evaluate_monomials",
-    "monomials_upto",
-    "stack_fields",
-    "field_states",
     "bubble_damped",
+    "constant_field",
+    "evaluate_monomials",
+    "field_states",
+    "join",
+    "monomials_upto",
+    "random_polyfield",
+    "stack_fields",
 ]
 
 
@@ -82,79 +81,6 @@ def monomials_upto(nvars: int, degree: int) -> list[tuple[int, ...]]:
             expo[slot] += 1
         expos.append(tuple(expo[:nvars]))
     return sorted(expos, key=lambda e: (sum(e), e))
-
-
-class Poly3:
-    """Scalar polynomial in (x1, x2, x3), immutable after construction."""
-
-    __slots__ = ("_terms", "_cache")
-
-    def __init__(self, terms: dict[tuple[int, int, int], float] | None = None):
-        clean = {}
-        for expo, coeff in (terms or {}).items():
-            coeff = float(coeff)
-            if coeff != 0.0:
-                clean[tuple(int(e) for e in expo)] = coeff
-        self._terms = clean
-        self._cache = None
-
-    @classmethod
-    def constant(cls, value: float) -> "Poly3":
-        return cls({(0, 0, 0): value})
-
-    @classmethod
-    def variable(cls, axis: int) -> "Poly3":
-        expo = [0, 0, 0]
-        expo[axis] = 1
-        return cls({tuple(expo): 1.0})
-
-    @property
-    def terms(self) -> dict:
-        return dict(self._terms)
-
-    def degree(self) -> int:
-        if not self._terms:
-            return 0
-        return max(sum(e) for e in self._terms)
-
-    def diff(self, axis: int) -> "Poly3":
-        out = {}
-        for expo, coeff in self._terms.items():
-            if expo[axis] == 0:
-                continue
-            new = list(expo)
-            new[axis] -= 1
-            out[tuple(new)] = out.get(tuple(new), 0.0) + coeff * expo[axis]
-        return Poly3(out)
-
-    def __add__(self, other: "Poly3") -> "Poly3":
-        out = dict(self._terms)
-        for expo, coeff in other._terms.items():
-            out[expo] = out.get(expo, 0.0) + coeff
-        return Poly3(out)
-
-    def __sub__(self, other: "Poly3") -> "Poly3":
-        return self + other.scale(-1.0)
-
-    def scale(self, factor: float) -> "Poly3":
-        return Poly3({e: c * factor for e, c in self._terms.items()})
-
-    def __mul__(self, other: "Poly3") -> "Poly3":
-        out: dict[tuple[int, int, int], float] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                key = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                out[key] = out.get(key, 0.0) + c1 * c2
-        return Poly3(out)
-
-    def eval(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate on points of shape (n, 3); returns shape (n,)."""
-        points = np.asarray(points, dtype=float)
-        if self._cache is None:
-            self._cache = _matrix_of([self])
-        table, coeffs = self._cache
-        vals = evaluate_monomials(points.reshape(-1, 3), table.expos, coeffs[0])
-        return vals[0] if points.ndim == 1 else vals
 
 
 class _Table:
@@ -213,25 +139,16 @@ def _table(keys: tuple) -> _Table:
 
 @lru_cache(maxsize=None)
 def _dense(degree: int):
-    """Table of all monomials of degree <= degree, and the table column of
-    each monomial in the graded draw order of `monomials_upto`."""
+    """Table of all monomials of degree <= degree, and for each table column
+    the position of its monomial in the graded draw order of `monomials_upto`."""
     graded = monomials_upto(3, degree)
     table = _table(tuple(sorted(graded)))
-    return table, np.array([table.index[e] for e in graded], dtype=np.int64)
+    position = {e: i for i, e in enumerate(graded)}
+    return table, np.array([position[e] for e in table.keys], dtype=np.int64)
 
 
 def _points(points) -> np.ndarray:
     return np.atleast_2d(np.asarray(points, dtype=float))
-
-
-def _matrix_of(polys) -> tuple[_Table, np.ndarray]:
-    """Shared table and coefficient matrix (len(polys), M) of scalar polys."""
-    table = _table(tuple(sorted(set().union(*(p._terms for p in polys)))))
-    coeffs = np.zeros((len(polys), len(table)))
-    for i, p in enumerate(polys):
-        for expo, c in p._terms.items():
-            coeffs[i, table.index[expo]] = c
-    return table, coeffs
 
 
 @lru_cache(maxsize=256)
@@ -257,48 +174,53 @@ def _upper_second(table: _Table, grad: np.ndarray) -> tuple[_Table, np.ndarray]:
 class PolyField:
     """Vector-valued polynomial map R^3 -> R^N with exact derivatives.
 
-    Holds one exponent table and an (N, M) coefficient matrix; the scalar
-    `components` are built from it on demand (and vice versa).  Gradient
-    and Hessian coefficient matrices are built once, on first use.
+    Holds one sorted exponent table and an (N, M) coefficient matrix.
+    Gradient and Hessian coefficient matrices are built once, on first use.
     """
 
-    __slots__ = ("_components", "_table", "_coeffs", "_grad", "_hess")
+    __slots__ = ("_table", "_coeffs", "_grad", "_hess")
 
     def __init__(self, components):
-        self._components = tuple(components)
-        self._table = self._coeffs = self._grad = self._hess = None
+        """One {(e1, e2, e3): coeff} dict per component; the table holds the
+        monomials with a nonzero coefficient in some component."""
+        clean = []
+        for terms in components:
+            clean.append({})
+            for expo, coeff in terms.items():
+                if (coeff := float(coeff)) != 0.0:
+                    clean[-1][tuple(int(e) for e in expo)] = coeff
+        table = _table(tuple(sorted(set().union(*clean))))
+        coeffs = np.zeros((len(clean), len(table)))
+        for row, terms in zip(coeffs, clean):
+            for expo, coeff in terms.items():
+                row[table.index[expo]] = coeff
+        self._table, self._coeffs = table, coeffs
+        self._grad = self._hess = None
 
     @classmethod
     def _from_matrix(cls, table: _Table, coeffs: np.ndarray) -> "PolyField":
         field = cls.__new__(cls)
-        field._components = field._grad = field._hess = None
         field._table, field._coeffs = table, coeffs
+        field._grad = field._hess = None
         return field
 
     @classmethod
     def zero(cls, n: int) -> "PolyField":
-        return cls([Poly3() for _ in range(n)])
-
-    @property
-    def components(self) -> tuple:
-        if self._components is None:
-            keys = self._table.keys
-            self._components = tuple(Poly3(dict(zip(keys, row.tolist()))) for row in self._coeffs)
-        return self._components
-
-    def _matrix(self) -> tuple[_Table, np.ndarray]:
-        if self._table is None:
-            self._table, self._coeffs = _matrix_of(self._components)
-        return self._table, self._coeffs
+        return cls([{}] * n)
 
     @property
     def n(self) -> int:
-        return len(self._components) if self._coeffs is None else self._coeffs.shape[0]
+        return self._coeffs.shape[0]
+
+    @property
+    def terms(self) -> list[dict]:
+        """One {(e1, e2, e3): coeff} dict per component, of its nonzero terms."""
+        keys = self._table.keys
+        return [{e: c for e, c in zip(keys, row.tolist()) if c != 0.0} for row in self._coeffs]
 
     def _used_expos(self) -> np.ndarray:
         """Exponent rows of the monomials with a nonzero coefficient."""
-        table, coeffs = self._matrix()
-        return table.expos[np.any(coeffs != 0.0, axis=0)]
+        return self._table.expos[np.any(self._coeffs != 0.0, axis=0)]
 
     def degree(self) -> int:
         """Largest total degree of a monomial in use; 0 for the zero field."""
@@ -315,22 +237,43 @@ class PolyField:
     def __add__(self, other: "PolyField") -> "PolyField":
         if other.n != self.n:
             raise ValueError("component count mismatch")
-        (t1, c1), (t2, c2) = self._matrix(), other._matrix()
-        table, columns = _union((t1, t2))
+        table, columns = _union((self._table, other._table))
         coeffs = np.zeros((self.n, len(table)))
-        for cols, c in zip(columns, (c1, c2)):
+        for cols, c in zip(columns, (self._coeffs, other._coeffs)):
             coeffs[:, cols] += c
         return PolyField._from_matrix(table, coeffs)
 
-    def scale(self, factor: float) -> "PolyField":
-        table, coeffs = self._matrix()
-        return PolyField._from_matrix(table, coeffs * factor)
+    def __mul__(self, other: "PolyField") -> "PolyField":
+        """Product of this one-component field with every component of
+        `other`, over the monomials with a nonzero product coefficient.  The
+        terms of this factor are summed in their sorted table order."""
+        if self.n != 1:
+            raise ValueError("the left factor of a product must have one component")
+        table, columns = _product(self._table, other._table)
+        coeffs = np.zeros((other.n, len(table)))
+        for factor, cols in zip(self._coeffs[0], columns):
+            coeffs[:, cols] += factor * other._coeffs
+        used = np.any(coeffs != 0.0, axis=0)
+        if not used.all():
+            table = _table(tuple(e for e, u in zip(table.keys, used.tolist()) if u))
+            coeffs = coeffs[:, used]
+        return PolyField._from_matrix(table, coeffs)
+
+    def map(self, matrix) -> "PolyField":
+        """The field matrix @ y of a constant (K, N) matrix: component k is
+        sum_i matrix[k, i] * y_i."""
+        return PolyField._from_matrix(self._table, np.asarray(matrix, dtype=float) @ self._coeffs)
+
+    def diff(self) -> "PolyField":
+        """First partials as a 3N-component field: component 3i + a is
+        dy_i / dx_a."""
+        table, grad = self._gradient()
+        return PolyField._from_matrix(table, grad.reshape(3 * self.n, len(table)))
 
     def _gradient(self) -> tuple[_Table, np.ndarray]:
         """First-partial table and coefficients (N, 3, M1)."""
         if self._grad is None:
-            table, coeffs = self._matrix()
-            self._grad = table.differentiate(coeffs)
+            self._grad = self._table.differentiate(self._coeffs)
         return self._grad
 
     def _hessian(self) -> tuple[_Table, np.ndarray]:
@@ -343,8 +286,7 @@ class PolyField:
 
     def eval(self, points: np.ndarray) -> np.ndarray:
         """Values, shape (n_points, N)."""
-        table, coeffs = self._matrix()
-        return evaluate_monomials(_points(points), table.expos, coeffs.T)
+        return evaluate_monomials(_points(points), self._table.expos, self._coeffs.T)
 
     def eval_grad(self, points: np.ndarray) -> np.ndarray:
         """First derivatives, shape (n_points, N, 3)."""
@@ -361,21 +303,45 @@ class PolyField:
         return vals.reshape(pts.shape[0], self.n, 6)[:, :, _PAIR]
 
 
+# The benchmark's tracer counts polynomial differentiation under this name.
+Poly3 = PolyField
+
+
+@lru_cache(maxsize=256)
+def _product(left: _Table, right: _Table) -> tuple[_Table, np.ndarray]:
+    """Sorted table of the products of the monomials of two tables, and per
+    left monomial the product column of each right monomial."""
+    keys = [[(a[0] + b[0], a[1] + b[1], a[2] + b[2]) for b in right.keys] for a in left.keys]
+    table = _table(tuple(sorted({k for row in keys for k in row})))
+    columns = np.array([[table.index[k] for k in row] for row in keys], dtype=np.int64)
+    return table, columns.reshape(len(left), len(right))
+
+
+def join(*fields: PolyField) -> PolyField:
+    """The components of the fields, in order, over the union of their tables."""
+    table, columns = _union(tuple(f._table for f in fields))
+    coeffs = np.zeros((sum(f.n for f in fields), len(table)))
+    row = 0
+    for f, cols in zip(fields, columns):
+        coeffs[row:row + f.n, cols] = f._coeffs
+        row += f.n
+    return PolyField._from_matrix(table, coeffs)
+
+
 def stack_fields(fields) -> tuple[_Table, np.ndarray]:
     """Shared table and coefficients (F, N, M) of fields with N components
     each: a restack when they share one table, else over the sorted union
     of their tables."""
-    mats = [f._matrix() for f in fields]
-    if len({c.shape[0] for _, c in mats}) != 1:
+    if len({f.n for f in fields}) != 1:
         raise ValueError("component count mismatch")
-    tables = tuple(dict.fromkeys(t for t, _ in mats))
+    tables = tuple(dict.fromkeys(f._table for f in fields))
     if len(tables) == 1:
-        return tables[0], np.stack([c for _, c in mats])
+        return tables[0], np.stack([f._coeffs for f in fields])
     union, columns = _union(tables)
     where = dict(zip(tables, columns))
-    coeffs = np.zeros((len(mats), mats[0][1].shape[0], len(union)))
-    for out, (t, c) in zip(coeffs, mats):
-        out[:, where[t]] = c
+    coeffs = np.zeros((len(fields), fields[0].n, len(union)))
+    for out, f in zip(coeffs, fields):
+        out[:, where[f._table]] = f._coeffs
     return union, coeffs
 
 
@@ -414,7 +380,7 @@ def field_states(fields, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError("component count mismatch")
     groups: dict[_Table, list[int]] = {}
     for i, field in enumerate(fields):
-        groups.setdefault(field._matrix()[0], []).append(i)
+        groups.setdefault(field._table, []).append(i)
     shape = pts.shape[:2] + (fields[0].n,)
     vals, grads, pairs = np.empty(shape), np.empty(shape + (3,)), np.empty(shape + (6,))
     for idx in groups.values():
@@ -425,87 +391,27 @@ def field_states(fields, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return vals, grads, pairs[..., _PAIR]
 
 
-class PolyMatrixField:
-    """3x3 matrix of scalar polynomials (e.g. a strain field)."""
-
-    __slots__ = ("entries", "_matrix")
-
-    def __init__(self, entries):
-        self.entries = tuple(tuple(row) for row in entries)
-        self._matrix = None
-
-    def eval(self, points: np.ndarray) -> np.ndarray:
-        pts = _points(points)
-        if self._matrix is None:
-            self._matrix = _matrix_of([e for row in self.entries for e in row])
-        table, coeffs = self._matrix
-        return evaluate_monomials(pts, table.expos, coeffs.T).reshape(pts.shape[0], 3, 3)
-
-    def degree(self) -> int:
-        return max(self.entries[i][j].degree() for i in range(3) for j in range(3))
-
-
 @lru_cache(maxsize=1)
-def bubble() -> Poly3:
-    """The boundary-vanishing factor prod_a x_a (1 - x_a) on the unit cube;
-    built once (a `Poly3` is immutable)."""
-    out = Poly3.constant(1.0)
-    for a in range(3):
-        x = Poly3.variable(a)
-        out = out * (x - x * x)
-    return out
-
-
-@lru_cache(maxsize=64)
-def _bubble_map(table: _Table):
-    """Product table of `bubble()` with the monomials of `table`, and per
-    bubble term, in `Poly3.__mul__` order, its coefficient and the product
-    column of each monomial."""
-    terms = list(bubble()._terms.items())
-    keys = [[(b[0] + e[0], b[1] + e[1], b[2] + e[2]) for e in table.keys] for b, _ in terms]
-    product = _table(tuple(sorted({k for row in keys for k in row})))
-    columns = np.array([[product.index[k] for k in row] for row in keys], dtype=np.int64)
-    return product, np.array([c for _, c in terms]), columns
+def bubble() -> PolyField:
+    """The boundary-vanishing factor prod_a x_a (1 - x_a) on the unit cube,
+    as a one-component field; built once."""
+    return PolyField([{e: (-1.0) ** (sum(e) - 3) for e in product((1, 2), repeat=3)}])
 
 
 def bubble_damped(w: PolyField) -> PolyField:
-    """The field `bubble() * w`, vanishing on the cube boundary.
-
-    Sums the products in the order of `Poly3.__mul__`, so the result equals
-    `PolyField([bubble() * c for c in w.components])` term for term."""
-    table, coeffs = w._matrix()
-    product, factors, columns = _bubble_map(table)
-    out = np.zeros((w.n, len(product)))
-    for factor, cols in zip(factors, columns):
-        out[:, cols] += factor * coeffs
-    used = np.any(out != 0.0, axis=0)
-    if not used.all():
-        product = _table(tuple(e for e, u in zip(product.keys, used.tolist()) if u))
-        out = out[:, used]
-    return PolyField._from_matrix(product, out)
-
-
-def random_scalar_poly(rng: np.random.Generator, degree: int) -> Poly3:
-    """Dense random polynomial with coefficients uniform in [-1, 1]."""
-    return Poly3({expo: rng.uniform(-1.0, 1.0) for expo in monomials_upto(3, degree)})
+    """The field `bubble() * w`, vanishing on the cube boundary."""
+    return bubble() * w
 
 
 def random_polyfield(rng: np.random.Generator, n: int, degree: int) -> PolyField:
-    """Dense random field; draws the same coefficients, in the same order,
-    as `n` successive `random_scalar_poly` calls."""
-    table, columns = _dense(degree)
-    coeffs = np.zeros((n, len(table)))
-    coeffs[:, columns] = rng.uniform(-1.0, 1.0, size=(n, len(columns)))
-    return PolyField._from_matrix(table, coeffs)
-
-
-def gradient_field(potential: Poly3) -> PolyField:
-    """Curl-free vector field: the exact gradient of a scalar polynomial."""
-    return PolyField([potential.diff(a) for a in range(3)])
+    """Dense random field with coefficients uniform in [-1, 1], drawn
+    component by component in the graded order of `monomials_upto`."""
+    table, position = _dense(degree)
+    draws = rng.uniform(-1.0, 1.0, size=(n, len(position)))
+    # `take` keeps the row-major layout that `draws[:, position]` would turn
+    # column-major; the BLAS product of an evaluation rounds by layout.
+    return PolyField._from_matrix(table, np.take(draws, position, axis=1))
 
 
 def constant_field(values) -> PolyField:
-    return PolyField([Poly3.constant(float(v)) for v in values])
-
-
-__all__.append("constant_field")
+    return PolyField([{(0, 0, 0): v} for v in values])

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensors
-from .polyfield import PolyField, PolyMatrixField
+from .polyfield import PolyField
 from .report import DEFAULT_TOL_ABS, ConditionReport, make_check, make_report, tensor_scale
 from .tensors import (
     MAJOR,
@@ -81,16 +81,14 @@ class QcState:
 
     u_p: PolyField
     u_s: PolyField
-    gamma: PolyMatrixField
-    kappa: PolyMatrixField
+    gamma: PolyField  # 9 components, 3i + j holding d(u_p)_i / dx_j
+    kappa: PolyField  # 9 components, 3i + j holding d(u_s)_i / dx_j
 
     @classmethod
     def from_fields(cls, u_p: PolyField, u_s: PolyField) -> "QcState":
         if u_p.n != 3 or u_s.n != 3:
             raise ValueError("phonon and phason fields must have 3 components")
-        gamma = PolyMatrixField([[u_p.components[i].diff(j) for j in range(3)] for i in range(3)])
-        kappa = PolyMatrixField([[u_s.components[i].diff(j) for j in range(3)] for i in range(3)])
-        return cls(u_p, u_s, gamma, kappa)
+        return cls(u_p, u_s, u_p.diff(), u_s.diff())
 
 
 def qc_energy(m: QcModuli, gamma, kappa) -> float:

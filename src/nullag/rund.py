@@ -41,17 +41,19 @@ class GenPoly:
 
     __slots__ = ("nvars", "_terms")
 
-    def __init__(self, nvars: int, terms: dict[tuple[int, ...], Fraction] | None = None):
+    def __init__(self, nvars: int, terms=None):
+        """`terms` maps exponent tuples to coefficients, or is an iterable of
+        (exponents, coeff) pairs; the coefficients of a repeated exponent
+        tuple are summed exactly, and zero sums dropped."""
         self.nvars = int(nvars)
-        clean: dict[tuple[int, ...], Fraction] = {}
-        for expo, coeff in (terms or {}).items():
+        merged: dict[tuple[int, ...], Fraction] = {}
+        for expo, coeff in terms.items() if isinstance(terms, dict) else terms or ():
             expo = tuple(int(e) for e in expo)
             if len(expo) != self.nvars:
                 raise ValueError(f"exponent tuple length {len(expo)} != {self.nvars} variables")
             coeff = Fraction(coeff)
-            if coeff != 0:
-                clean[expo] = clean.get(expo, Fraction(0)) + coeff
-        self._terms = {e: c for e, c in clean.items() if c != 0}
+            merged[expo] = merged[expo] + coeff if expo in merged else coeff
+        self._terms = {e: c for e, c in merged.items() if c != 0}
 
     @property
     def terms(self) -> dict:
@@ -428,7 +430,7 @@ def generator_set_from_json(obj, n: int | None = None) -> GeneratorSet:
     for poly_terms in obj:
         if not isinstance(poly_terms, list):
             raise ValueError("each generator polynomial must be a list of terms")
-        terms = {}
+        terms = []
         for term in poly_terms:
             expo, coeff = _parse_term(term)
             if nvars is None:
@@ -437,7 +439,7 @@ def generator_set_from_json(obj, n: int | None = None) -> GeneratorSet:
                     raise ValueError("exponent tuples need at least four entries (3 for x)")
             elif len(expo) != nvars:
                 raise ValueError("inconsistent exponent tuple lengths")
-            terms[expo] = terms.get(expo, Fraction(0)) + coeff
+            terms.append((expo, coeff))
         polys.append(terms)
     if nvars is None:
         raise ValueError("generator file has no terms; field dimension is undetermined")

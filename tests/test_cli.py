@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from nullag import micropolar as mp
 from nullag.cli import main
@@ -337,3 +341,113 @@ def test_moduli_beyond_double_range_are_usage_errors(tmp_path, capsys, command, 
         err = assert_one_error_line([command, path], capsys)
     assert needle in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize(
+    "model, needle",
+    [
+        ({"model": "micropolar", "A": [10**400] + Z81[1:], "B": Z81, "D": Z81}, "outside the double range"),
+        (iso_params("micropolar_isotropic", [-(10**400), 0, 0, 0, 0, 0]), "outside the double range"),
+        ({"model": "micropolar", "A": [True] + Z81[1:], "B": Z81, "D": Z81}, "flat list of 81 numbers"),
+        ({"model": "micropolar", "A": Z81, "B": [{}] + Z81[1:], "D": Z81}, "flat list of 81 numbers"),
+        ({"model": "micropolar", "A": Z81, "B": Z81, "D": ["1.5"] + Z81[1:]}, "flat list of 81 numbers"),
+        (generator_with({"exponents": [2**63, 0, 0, 1], "coeff": "1"}), "too large"),
+    ],
+    ids=["huge-int-entry", "huge-int-scalar", "bool-entry", "object-entry", "string-entry", "huge-exponent"],
+)
+def test_numbers_json_cannot_give_as_doubles_are_usage_errors(tmp_path, capsys, model, needle):
+    path = write(tmp_path, "model.json", model)
+    assert needle in assert_one_error_line(["certify", path, "--trials", "1", "--degree", "2"], capsys)
+
+
+def cli_bases():
+    """One small valid file per model tag, and a generator file."""
+    return [
+        {"model": "micropolar", "A": Z81, "B": Z81, "D": Z81},
+        iso_params("micropolar_isotropic", [0.0, 0.0, 0.0, 1.0, 0.0, -1.0]),
+        iso_params("micropolar_hemitropic", [1.0, 0.5, 0.25, 1.0, 0.5, 0.25, 1.0, 0.5, 0.25]),
+        {"model": "quasicrystal", "C": Z81, "D": Z81, "E": Z81},
+        {"model": "em_elast", "C": Z81, "P": [0.0] * 27, "Q": [0.0] * 27,
+         "Ediel": [0.0] * 9, "Bperm": [0.0] * 9, "Acpl": [1.0, 0, 0, 0, 1.0, 0, 0, 0, 1.0]},
+        generator_with({"exponents": [1, 0, 0, 1], "coeff": "3/2"}),
+    ]
+
+
+def json_slots(node):
+    """Every (container, key) pair in a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    out = []
+    for key, value in items:
+        out.append((node, key))
+        out.extend(json_slots(value))
+    return out
+
+
+# Leaves cover every JSON kind and the magnitudes that no double or int64
+# holds.  Sizes that only make the work long (large trial counts, degrees,
+# orders or exponents) are left out, as they would be from any test.
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 6), st.sampled_from([2**63, 10**400, -(10**400)]),
+    st.floats(), st.text(max_size=4), st.sampled_from(["1/0", "-3/4", "1e400", "1e-400", "nan", "model"]),
+)
+JSON_VALUES = st.recursive(JSON_LEAVES, lambda inner: st.lists(inner, max_size=3)
+                           | st.dictionaries(st.text(max_size=3), inner, max_size=2), max_leaves=5)
+
+OPTIONS = {
+    "check": {"--tol-abs": st.floats()},
+    "split": {"--tol-abs": st.floats()},
+    "certify": {"--trials": st.integers(-1, 3), "--degree": st.integers(-1, 4), "--seed": st.integers(-2, 2**70),
+                "--order": st.integers(-1, 6), "--tol-norm": st.floats()},
+}
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_cli_exit_contract_under_mutated_inputs(tmp_path_factory, data):
+    """Any file and any option value: exit 0, 1 or 2, exactly one `error:`
+    line and no other output on 2, and never an uncaught exception."""
+    doc = data.draw(st.sampled_from(cli_bases()))
+    doc = json.loads(json.dumps(doc))
+    for _ in range(data.draw(st.integers(0, 2))):
+        slots = json_slots(doc)
+        if not slots:
+            break
+        node, key = data.draw(st.sampled_from(slots))
+        action = data.draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "replace":
+            node[key] = data.draw(JSON_VALUES)
+        elif action == "delete":
+            del node[key]
+        elif isinstance(node, dict):
+            node[data.draw(st.sampled_from(["model", "A", "extra", "lambda"]))] = data.draw(JSON_VALUES)
+        else:
+            node.insert(key, data.draw(JSON_VALUES))
+    text = json.dumps(doc)
+    if data.draw(st.integers(0, 3)) == 0:
+        text = text[:data.draw(st.integers(0, len(text)))]
+    path = tmp_path_factory.mktemp("cli") / "input.json"
+    path.write_text(text)
+
+    command = data.draw(st.sampled_from(sorted(OPTIONS)))
+    argv = [command, str(path)]
+    for option, values in OPTIONS[command].items():
+        if data.draw(st.booleans()):
+            argv += [option, str(data.draw(values))]
+    argv += data.draw(st.sampled_from([[], ["--format", "text"]]))
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code, usage = main(argv), False
+        except SystemExit as exc:
+            code, usage = exc.code, True
+    event(f"exit {code}" + (" (usage)" if usage else ""))
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert out.getvalue() == ""
+        # argparse prints its usage lines before its one error line
+        assert [line for line in lines if "error:" in line] == lines[-1:]
+        assert usage or (lines[0].startswith("error: ") and len(lines) == 1)
+    else:
+        assert not usage and out.getvalue() and err.getvalue() == ""

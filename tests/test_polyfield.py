@@ -1,59 +1,79 @@
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nullag.micropolar import CurlFreeRotationSampler
 from nullag.polyfield import (
-    Poly3,
     PolyField,
     bubble,
     bubble_damped,
     constant_field,
     field_states,
-    gradient_field,
+    join,
     monomials_upto,
     random_polyfield,
-    random_scalar_poly,
     stack_fields,
 )
 from nullag.quadrature import cube_rule, face_rules, gauss_points_01, required_order
 
+X = sp.symbols("x1:4")
+
+
+def sympy_components(field):
+    """The field's components as exact sympy polynomials."""
+    return [sp.Poly.from_dict({e: sp.Rational(c) for e, c in terms.items()}, X) for terms in field.terms]
+
+
+def sympy_terms(polys):
+    """Float term dicts of sympy polynomials, as `PolyField.terms` gives them."""
+    return [{e: float(c) for e, c in p.as_dict().items()} for p in polys]
+
+
+def dyadic_field(rng, n, degree, density=1.0):
+    """Coefficients k / 8 with |k| <= 8 on a random subset of the monomials:
+    products with the bubble and sums of a few such terms are exact floats."""
+    return PolyField([{e: int(rng.integers(-8, 9)) / 8 for e in monomials_upto(3, degree) if rng.uniform() < density}
+                      for _ in range(n)])
+
 
 def test_diff_is_exact():
-    p = Poly3({(3, 1, 0): 2.0, (0, 0, 2): -1.0})
-    dx = p.diff(0)
-    assert dx.terms == {(2, 1, 0): 6.0}
-    assert p.diff(2).terms == {(0, 0, 1): -2.0}
+    p = PolyField([{(3, 1, 0): 2.0, (0, 0, 2): -1.0}])
+    d = p.diff()
+    assert d.terms == [{(2, 1, 0): 6.0}, {(3, 0, 0): 2.0}, {(0, 0, 1): -2.0}]
     assert p.degree() == 4
-    assert dx.degree() == 3
+    assert d.degree() == 3
 
 
 def test_eval_matches_direct():
-    p = Poly3({(2, 0, 0): 1.5, (0, 1, 1): -0.5, (0, 0, 0): 2.0})
+    p = PolyField([{(2, 0, 0): 1.5, (0, 1, 1): -0.5, (0, 0, 0): 2.0}])
     pts = np.array([[0.1, 0.2, 0.3], [1.0, -1.0, 2.0]])
     direct = 1.5 * pts[:, 0] ** 2 - 0.5 * pts[:, 1] * pts[:, 2] + 2.0
-    assert np.allclose(p.eval(pts), direct, rtol=0, atol=1e-15)
-    assert p.eval(pts[0]) == pytest.approx(direct[0], abs=1e-15)
+    assert np.allclose(p.eval(pts)[:, 0], direct, rtol=0, atol=1e-15)
+    assert p.eval(pts[0])[0, 0] == pytest.approx(direct[0], abs=1e-15)
 
 
 def test_product_and_bubble():
     b = bubble()
-    assert b.degree() == 6
+    assert b.n == 1 and b.degree() == 6
     assert bubble() is b  # built once
-    product = Poly3.constant(1.0)
+    product = constant_field([1.0])
     for axis in range(3):
-        x = Poly3.variable(axis)
-        product = product * (x - x * x)
+        x = [0, 0, 0]
+        x[axis] = 1
+        x2 = [0, 0, 0]
+        x2[axis] = 2
+        product = product * PolyField([{tuple(x): 1.0, tuple(x2): -1.0}])
     assert product.terms == b.terms
-    assert b.eval(np.array([0.5, 0.5, 0.5])) == pytest.approx(0.25**3, abs=1e-16)
+    assert b.eval(np.array([0.5, 0.5, 0.5]))[0, 0] == pytest.approx(0.25**3, abs=1e-16)
     # vanishes on all six faces (expanded monomial cancellation ~1e-19)
     rng = np.random.default_rng(0)
     for axis in range(3):
         for value in (0.0, 1.0):
             pt = rng.uniform(0, 1, 3)
             pt[axis] = value
-            assert abs(b.eval(pt)) <= 1e-16
+            assert abs(b.eval(pt)[0, 0]) <= 1e-16
 
 
 def test_hessian_exactly_symmetric():
@@ -66,8 +86,8 @@ def test_hessian_exactly_symmetric():
 
 def test_gradient_field_is_curl_free():
     rng = np.random.default_rng(2)
-    chi = random_scalar_poly(rng, 4)
-    phi = gradient_field(chi)
+    chi = random_polyfield(rng, 1, 4)
+    phi = chi.diff()
     pts = rng.uniform(0, 1, (7, 3))
     grad = phi.eval_grad(pts)  # grad[m, i, j] = d phi_i / dx_j = chi_{,ij}
     assert np.max(np.abs(grad - np.transpose(grad, (0, 2, 1)))) <= 1e-12
@@ -75,10 +95,33 @@ def test_gradient_field_is_curl_free():
 
 def test_field_arithmetic():
     f = constant_field([1.0, 2.0])
-    g = PolyField([Poly3.variable(0), Poly3.variable(1)])
-    s = f + g.scale(2.0)
+    g = PolyField([{(1, 0, 0): 1.0}, {(0, 1, 0): 1.0}])
+    s = f + g.map(2.0 * np.eye(2))
     vals = s.eval(np.array([[0.5, 0.25, 0.0]]))
     assert np.allclose(vals, [[2.0, 2.5]], rtol=0, atol=1e-15)
+    with pytest.raises(ValueError, match="one component"):
+        g * f
+
+
+def test_diff_product_and_join_match_sympy_on_mixed_tables():
+    """Sparse dyadic fields over different tables: every float operation is
+    exact, so `diff`, `*` and `join` must equal sympy's terms exactly."""
+    rng = np.random.default_rng(12)
+    a = dyadic_field(rng, 1, 3, density=0.5)
+    b = dyadic_field(rng, 2, 2, density=0.6)
+    c = PolyField([{(0, 4, 1): 0.5}, {}, {(2, 0, 0): -0.25, (0, 0, 0): 1.0}])
+    pa, pb, pc = sympy_components(a), sympy_components(b), sympy_components(c)
+    assert len({a._table, b._table, c._table}) == 3
+
+    joined = join(a, b, c)
+    assert joined.terms == a.terms + b.terms + c.terms
+    assert joined._table.keys == tuple(sorted(set().union(*(f._table.keys for f in (a, b, c)))))
+
+    for left, right, pl, pr in ((a, b, pa, pb), (a, joined, pa, pa + pb + pc)):
+        assert (left * right).terms == sympy_terms([pl[0] * p for p in pr])
+
+    for field, polys in ((b, pb), (joined, pa + pb + pc), (a * c, [pa[0] * p for p in pc])):
+        assert field.diff().terms == sympy_terms([p.diff(x) for p in polys for x in X])
 
 
 def cross_check_fields():
@@ -86,40 +129,46 @@ def cross_check_fields():
     rng = np.random.default_rng(3)
     fields = [random_polyfield(rng, 3, d) for d in range(6)]
     fields.append(PolyField.zero(4))
-    fields.append(PolyField([random_scalar_poly(rng, d) for d in (0, 2, 5)] + [Poly3()]))
-    fields.append(gradient_field(random_scalar_poly(rng, 4)))
-    b = bubble()
-    fields.append(PolyField([b * c for c in random_polyfield(rng, 3, 1).components]))
-    fields.append(fields[3] + fields[-1].scale(-0.5))
+    fields.append(join(*(random_polyfield(rng, 1, d) for d in (0, 2, 5)), PolyField.zero(1)))
+    fields.append(random_polyfield(rng, 1, 4).diff())
+    fields.append(bubble() * random_polyfield(rng, 3, 1))
+    fields.append(fields[3] + fields[-1].map(-0.5 * np.eye(3)))
     return fields
 
 
-def reference_state(field, pts):
-    """Values, gradients and Hessians component by component via Poly3.diff,
-    and the sum of absolute term values that bounds their roundoff."""
-    def absolute(p):
-        return Poly3({e: abs(c) for e, c in p.terms.items()})
+def evaluate_terms(poly, pts, transform):
+    """Sum of transform(coeff) * x ** e over the terms of a sympy
+    polynomial, by direct powers."""
+    out = np.zeros(len(pts))
+    for expo, coeff in poly.terms():
+        out += transform(float(coeff)) * np.prod(pts ** np.array(expo), axis=1)
+    return out
 
-    partials = lambda c: (c, [c.diff(a) for a in range(3)],
-                          [[c.diff(a).diff(b) for b in range(3)] for a in range(3)])
+
+def reference_state(field, pts):
+    """Values, gradients and Hessians component by component from sympy's
+    exact derivatives, and the sum of absolute term values that bounds their
+    roundoff."""
+    comps = sympy_components(field)
+    grads = [[p.diff(a) for a in X] for p in comps]
+    hessians = [[[d.diff(b) for b in X] for d in row] for row in grads]
     states = []
-    for transform in (lambda p: p, absolute):
-        v, g, h = zip(*(partials(c) for c in field.components))
-        ev = lambda p: transform(p).eval(pts)
+    for transform in (lambda c: c, abs):
+        ev = lambda p: evaluate_terms(p, pts, transform)
         states.append((
-            np.stack([ev(c) for c in v], axis=1),
-            np.stack([np.stack([ev(d) for d in row], axis=1) for row in g], axis=1),
+            np.stack([ev(p) for p in comps], axis=1),
+            np.stack([np.stack([ev(d) for d in row], axis=1) for row in grads], axis=1),
             np.stack([np.stack([np.stack([ev(d) for d in r], axis=1) for r in m], axis=1)
-                      for m in h], axis=1),
+                      for m in hessians], axis=1),
         ))
-    return states
+    return states, max(p.total_degree() for p in comps)
 
 
 def test_field_state_matches_per_component_reference():
     pts = np.random.default_rng(4).uniform(0, 1, (40, 3))
     for field in cross_check_fields():
         got = (field.eval(pts), field.eval_grad(pts), field.eval_hess(pts))
-        (ref, size) = reference_state(field, pts)
+        (ref, size), degree = reference_state(field, pts)
         for g, r, s in zip(got, ref, size):
             assert g.shape == r.shape
             # 1e-15 per unit of term magnitude: summation order is free,
@@ -127,7 +176,7 @@ def test_field_state_matches_per_component_reference():
             assert np.all(np.abs(g - r) <= 1e-15 * (1.0 + s))
         h = got[2]
         assert np.array_equal(h, np.transpose(h, (0, 1, 3, 2)))
-        assert field.degree() == max(c.degree() for c in field.components)
+        assert field.degree() == degree
 
 
 def assert_states_match_per_field(fields, pts):
@@ -159,7 +208,7 @@ def test_field_states_equal_per_field_eval_mixed_tables():
     sampler = CurlFreeRotationSampler()
     fields = [sampler.field(rng, 3), sampler.field(rng, 2),
               sampler.field(rng, 3) + sampler.boundary_delta(rng, 3), sampler.boundary_delta(rng, 2)]
-    assert len({f._matrix()[0] for f in fields}) > 1
+    assert len({f._table for f in fields}) > 1
     assert_states_match_per_field(fields, rng.uniform(0, 1, (4, 3, 3)))
 
 
@@ -195,30 +244,33 @@ def test_stack_fields_union_table():
         stack_fields([random_polyfield(rng, 2, 1), random_polyfield(rng, 3, 1)])
 
 
-def poly3_damped(w):
-    b = bubble()
-    return PolyField([b * c for c in w.components])
-
-
 @pytest.mark.parametrize("fields", [
-    *([random_polyfield(np.random.default_rng(seed), 6, d) for seed in range(4)] for d in range(3)),
-    [PolyField([random_scalar_poly(np.random.default_rng(11), 1), Poly3(), Poly3.variable(2)])],
+    *([dyadic_field(np.random.default_rng(seed), 6, d, density=0.7) for seed in range(4)] for d in range(3)),
+    [PolyField([{e: k / 4 for k, e in enumerate(monomials_upto(3, 1), 1)}, {}, {(0, 0, 1): 1.0}])],
     [PolyField.zero(2)],
 ], ids=["degree0", "degree1", "degree2", "zero-component", "zero"])
 def test_bubble_damped_equals_poly3_product(fields):
+    """The bubble times each component, against sympy's expansion; dyadic
+    coefficients make every float product and sum exact."""
+    bub = sympy_components(bubble())[0]
     for w in fields:
-        (got_table, got), (ref_table, ref) = bubble_damped(w)._matrix(), poly3_damped(w)._matrix()
-        assert got_table.keys == ref_table.keys
-        assert np.array_equal(got, ref)
+        expected = sympy_terms([bub * p for p in sympy_components(w)])
+        for damped in (bubble() * w, bubble_damped(w)):
+            assert damped.terms == expected
+            assert damped._table.keys == tuple(sorted(set().union(*expected)))
 
 
 def test_random_polyfield_draws_like_scalar_polys():
+    """Component by component, in the graded order of `monomials_upto`, one
+    `rng.uniform` draw per monomial."""
     for degree in range(5):
         field = random_polyfield(np.random.default_rng(degree), 4, degree)
         rng = np.random.default_rng(degree)
-        scalar = [random_scalar_poly(rng, degree) for _ in range(4)]
-        assert [c.terms for c in field.components] == [c.terms for c in scalar]
+        expected = [{e: rng.uniform(-1.0, 1.0) for e in monomials_upto(3, degree)} for _ in range(4)]
+        assert field.terms == expected
         assert field.degree() == degree
+        # Row-major, as every other coefficient matrix: evaluation rounds by layout.
+        assert field._coeffs.flags.c_contiguous
 
 
 def test_monomials_upto_graded_order():

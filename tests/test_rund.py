@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nullag import verifier as vf
-from nullag.polyfield import PolyField, Poly3, field_states, random_polyfield
+from nullag.polyfield import field_states, random_polyfield
 from nullag.quadrature import cube_rule, required_order
 from nullag.rund import (
     GenPoly,

@@ -14,7 +14,7 @@ from sympy.calculus.euler import euler_equations
 
 from nullag import micropolar as mp
 from nullag import verifier as vf
-from nullag.polyfield import Poly3, PolyField, field_states
+from nullag.polyfield import PolyField, field_states, join
 from nullag.rund import GenPoly, GeneratorSet, build_null_lagrangian
 
 X = sp.symbols("x1:4")
@@ -76,7 +76,7 @@ def test_closed_halves_match_sympy_at_a_rational_point():
     gens = GeneratorSet([GenPoly(3 + N, terms) for terms in GENERATOR_TERMS], N)
     lag = build_null_lagrangian(gens)
     x = np.array([[[float(c) for c in POINT]]])
-    states = field_states([PolyField([Poly3(terms) for terms in FIELD_TERMS])], x)
+    states = field_states([PolyField(FIELD_TERMS)], x)
     got_dyp, got_y, _, _ = lag._euler_halves(x[0], *(s[0] for s in states))
     for exact, got in ((d_y, got_y[0]), (d_dyp, got_dyp[0])):
         exact = np.array([float(v) for v in exact])
@@ -125,9 +125,7 @@ def test_05b_counterexample_residual_survives_curl_free_rotations():
     # the package's closed residual of the same model carries it too
     field_u = [{(0, 1, 1): 0.5, (2, 0, 0): -1.0}, {(1, 0, 1): 0.75}, {(0, 2, 0): 1.5, (1, 0, 0): 0.25}]
     potential = {(1, 1, 0): 1.0, (0, 0, 2): -0.5, (1, 0, 0): 0.75}
-    psi_poly = Poly3(potential)
-    phi_polys = [psi_poly.diff(axis) for axis in range(3)]
-    y = PolyField([Poly3(t) for t in field_u] + phi_polys)
+    y = join(PolyField(field_u), PolyField([potential]).diff())
     x = np.array([0.3, 0.6, 0.2])
     u_sym = [sum(c * _monomial(X, e) for e, c in t.items()) for t in field_u]
     psi_sym = sum(c * _monomial(X, e) for e, c in potential.items())
