@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import micropolar
@@ -17,8 +18,18 @@ from .tensors import orbit_summary, tensor_to_json
 from .verifier import certify_null
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads every negative number as an option value, -1e+16 and -inf too;
+    argparse's own pattern knows only plain decimals and takes the rest for
+    an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nullag",
         description="Check, split and certify null Lagrangians of generalized elastic media.",
     )

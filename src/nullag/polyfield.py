@@ -5,11 +5,13 @@ polynomial is a one-component field.  It holds one coefficient matrix over
 a shared, sorted exponent table.  The table carries integer maps to the
 tables of its partial derivatives, so derivatives are exact (degree drops by
 one, coefficients scale by integer exponents), a field's gradient and
-Hessian coefficients are built once, and each evaluation is one power table
-and one matrix product over a whole batch of points.  `field_states` stacks
-the fields that share a table, so a batch of fields at their own points
-costs one power table and one stacked product per table and derivative
-level.
+Hessian coefficients are built once, and each evaluation is one matrix
+product over a whole batch of points.  Each table also keeps a monomial
+plan, built once: which variables each term uses, with the terms grouped by
+that count, so a monomial costs the products of only its own factors.
+`field_states` stacks the fields that share a table, so a batch of fields at
+their own points costs one monomial matrix and one stacked product per table
+and derivative level.
 """
 
 from __future__ import annotations
@@ -27,48 +29,70 @@ __all__ = [
     "evaluate_monomials",
     "field_states",
     "join",
+    "monomial_plan",
     "monomials_upto",
     "random_polyfield",
     "stack_fields",
 ]
 
 
-# Points per power table: bounds the working set of large quadrature batches.
+# Points per monomial matrix: bounds the working set of large quadrature
+# batches.  The BLAS product rounds by its row count, so results depend on it.
 _BLOCK_ROWS = 2048
 
 
-def _monomials(points: np.ndarray, expos: np.ndarray) -> np.ndarray:
-    """Monomial matrix (m, len(expos)) at points (m, 3), from per-variable
-    power tables instead of float pow."""
-    mono = np.ones((points.shape[0], expos.shape[0]))
-    for v in range(expos.shape[1]):
-        col = expos[:, v]
-        max_e = int(col.max(initial=0))
-        if max_e == 0:
-            continue
-        powers = np.empty((points.shape[0], max_e + 1))
-        powers[:, 0] = 1.0
-        for e in range(1, max_e + 1):
-            powers[:, e] = powers[:, e - 1] * points[:, v]
-        mono *= powers[:, col]
-    return mono
+def monomial_plan(expos: np.ndarray):
+    """Evaluation plan of an exponent table (T, V): the number of terms, each
+    variable's highest power, and per count k of variables a term uses, those
+    terms and the power rows (k, T_k) of their factors in variable order."""
+    expos = np.asarray(expos, dtype=np.int64)
+    top = expos.max(axis=0, initial=0)
+    row = expos + (np.cumsum(top) - top - 1)
+    used = expos > 0
+    count = used.sum(axis=1)
+    groups = []
+    for k in sorted(set(count.tolist())):
+        terms = np.flatnonzero(count == k)
+        groups.append((terms, row[terms][used[terms]].reshape(len(terms), k).T.copy()))
+    return len(expos), top.tolist(), groups
 
 
-def evaluate_monomials(points: np.ndarray, expos: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Sum of coeffs * prod_v points[:, v] ** expos[:, v] over terms.
+def _monomials(points: np.ndarray, plan) -> np.ndarray:
+    """C-contiguous monomial matrix (m, T) at points (m, V).  Each variable's
+    powers are built once, and each term is the product of only its own
+    factors in variable order, so it has the bits of a product over every
+    variable: the unit factors skipped are exact.  Terms are products along
+    rows of points, transposed into the layout `mono @ coeffs` sums in."""
+    nterms, top, groups = plan
+    powers = np.empty((sum(top), points.shape[0]))
+    row = 0
+    for v, e in enumerate(top):
+        for j in range(row, row + e):
+            powers[j] = points[:, v] if j == row else powers[j - 1] * points[:, v]
+        row += e
+    mono = np.empty((nterms, points.shape[0]))
+    for terms, factors in groups:
+        out = powers[factors[0]] if len(factors) else 1.0
+        for rows in factors[1:]:
+            out *= powers[rows]
+        mono[terms] = out
+    return mono.T.copy()
+
+
+def evaluate_monomials(points: np.ndarray, plan, coeffs: np.ndarray) -> np.ndarray:
+    """Sum of coeffs * prod_v points[:, v] ** expos[:, v] over the terms of
+    the exponent table with `monomial_plan` plan.
 
     `coeffs` has one row per term and may carry trailing columns, one per
-    polynomial sharing the exponents.  Uses per-variable power tables
-    instead of float pow, which dominates the cost of batched polynomial
+    polynomial sharing the exponents.  Products of the terms' own factors
+    replace float pow, which dominates the cost of batched polynomial
     evaluation.
     """
     m = points.shape[0]
     if m > _BLOCK_ROWS:
-        return np.concatenate([evaluate_monomials(points[i:i + _BLOCK_ROWS], expos, coeffs)
+        return np.concatenate([evaluate_monomials(points[i:i + _BLOCK_ROWS], plan, coeffs)
                                for i in range(0, m, _BLOCK_ROWS)])
-    if expos.shape[0] == 0:
-        return np.zeros((m,) + coeffs.shape[1:])
-    return _monomials(points, expos) @ coeffs
+    return _monomials(points, plan) @ coeffs
 
 
 def monomials_upto(nvars: int, degree: int) -> list[tuple[int, ...]]:
@@ -91,12 +115,13 @@ class _Table:
     factor) that differentiates a coefficient matrix.
     """
 
-    __slots__ = ("keys", "expos", "index", "_derivative")
+    __slots__ = ("keys", "expos", "plan", "index", "_derivative")
 
     def __init__(self, keys: tuple):
         self.keys = keys
         self.expos = np.array(keys, dtype=np.int64).reshape(-1, 3)
         self.expos.flags.writeable = False
+        self.plan = monomial_plan(self.expos)
         self.index = {e: i for i, e in enumerate(keys)}
         self._derivative = None
 
@@ -286,20 +311,20 @@ class PolyField:
 
     def eval(self, points: np.ndarray) -> np.ndarray:
         """Values, shape (n_points, N)."""
-        return evaluate_monomials(_points(points), self._table.expos, self._coeffs.T)
+        return evaluate_monomials(_points(points), self._table.plan, self._coeffs.T)
 
     def eval_grad(self, points: np.ndarray) -> np.ndarray:
         """First derivatives, shape (n_points, N, 3)."""
         pts = _points(points)
         table, grad = self._gradient()
-        vals = evaluate_monomials(pts, table.expos, grad.reshape(3 * self.n, len(table)).T)
+        vals = evaluate_monomials(pts, table.plan, grad.reshape(3 * self.n, len(table)).T)
         return vals.reshape(pts.shape[0], self.n, 3)
 
     def eval_hess(self, points: np.ndarray) -> np.ndarray:
         """Second derivatives, shape (n_points, N, 3, 3), exactly symmetric."""
         pts = _points(points)
         table, hess = self._hessian()
-        vals = evaluate_monomials(pts, table.expos, hess.T)
+        vals = evaluate_monomials(pts, table.plan, hess.T)
         return vals.reshape(pts.shape[0], self.n, 6)[:, :, _PAIR]
 
 
@@ -347,9 +372,9 @@ def stack_fields(fields) -> tuple[_Table, np.ndarray]:
 
 def _stacked_eval(points: np.ndarray, table: _Table, coeffs: np.ndarray) -> np.ndarray:
     """Polynomials with coefficients (F, K, M) over `table` at points
-    (F, P, 3): (F, P, K), one power table and one stacked product."""
+    (F, P, 3): (F, P, K), one monomial matrix and one stacked product."""
     f, p = points.shape[:2]
-    mono = _monomials(points.reshape(f * p, 3), table.expos).reshape(f, p, len(table))
+    mono = _monomials(points.reshape(f * p, 3), table.plan).reshape(f, p, len(table))
     return mono @ np.swapaxes(coeffs, 1, 2)
 
 
@@ -373,7 +398,7 @@ def field_states(fields, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Fields are stacked per shared table, so each entry equals the field's
     own `eval`, `eval_grad` and `eval_hess` at its points bit for bit (a
     union table would reorder the sums).  Fields of one table, such as the
-    dense fields of one degree, cost one power table and one stacked
+    dense fields of one degree, cost one monomial matrix and one stacked
     product per derivative level."""
     pts = np.asarray(points, dtype=float)
     if len({field.n for field in fields}) != 1:

@@ -17,7 +17,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .polyfield import evaluate_monomials, monomials_upto
+from .polyfield import evaluate_monomials, monomial_plan, monomials_upto
 from .verifier import Lagrangian
 
 __all__ = [
@@ -87,10 +87,10 @@ def _to_float(num: int, den: int, what: str) -> float:
     return out
 
 
-def _partial_matrix(polys, nvars: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exponents (T, nvars) and float coefficients (T, len(polys) * P) of all P
-    partials of the given order of every polynomial: column p * P + i holds
-    the partial along the i-th sorted variable tuple of
+def _partial_matrix(polys, nvars: int, order: int) -> tuple:
+    """Exponents (T, nvars), float coefficients (T, len(polys) * P) and plan
+    of all P partials of the given order of every polynomial: column p * P + i
+    holds the partial along the i-th sorted variable tuple of
     `combinations_with_replacement(range(nvars), order)`.  The rows are the
     sorted union of the partials' exponents.
 
@@ -116,7 +116,8 @@ def _partial_matrix(polys, nvars: int, order: int) -> tuple[np.ndarray, np.ndarr
     for col, column in enumerate(columns):
         for expo, (num, den) in column.items():
             coeffs[index[expo], col] = _to_float(num, den, "generator partial coefficient")
-    return np.array(keys, dtype=np.int64).reshape(-1, nvars), coeffs
+    expos = np.array(keys, dtype=np.int64).reshape(-1, nvars)
+    return expos, coeffs, monomial_plan(expos)
 
 
 class GeneratorSet:
@@ -124,8 +125,8 @@ class GeneratorSet:
 
     Their first and second partials are evaluated from float matrices built
     once, on first use, straight from the exact rational terms: one exponent
-    table and one coefficient column per partial, so each evaluation is one
-    power table and one matrix product over the whole batch.
+    table with its monomial plan and one coefficient column per partial, so
+    each evaluation is one monomial matrix and one product over the batch.
     """
 
     def __init__(self, polys, n: int):
@@ -140,20 +141,21 @@ class GeneratorSet:
             if poly.nvars != nvars:
                 raise ValueError(f"generator polynomials must use {nvars} variables")
         self.polys = polys
+        self._degree = max(p.degree() for p in polys)
         self._grad = self._hess = None
 
     def degree(self) -> int:
-        return max(p.degree() for p in self.polys)
+        return self._degree
 
-    def _gradient(self) -> tuple[np.ndarray, np.ndarray]:
-        """Exponents and coefficients (T1, 3 * (3+N)) of dS^a/dv, column a*(3+N) + v."""
+    def _gradient(self) -> tuple:
+        """Exponents, coefficients (T1, 3 * (3+N)) and plan of dS^a/dv, column a*(3+N) + v."""
         if self._grad is None:
             nvars = 3 + self.n
             self._grad = _partial_matrix(self.polys, nvars, 1)
         return self._grad
 
-    def _hessian(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Exponents and coefficients of d2S^a/dv1 dv2 for v1 <= v2, and the
+    def _hessian(self) -> tuple:
+        """Exponents, coefficients and plan of d2S^a/dv1 dv2 for v1 <= v2, and the
         column of every (a, v1, v2) in the full symmetric (3, 3+N, 3+N) array."""
         if self._hess is None:
             nvars = 3 + self.n
@@ -177,8 +179,8 @@ class GeneratorSet:
     def first_partials(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Batched (Sx, Sy): x-partials (m,3,3) and y-partials (m,3,N)."""
         pts = self._points(x, y)
-        expos, coeffs = self._gradient()
-        vals = evaluate_monomials(pts, expos, coeffs).reshape(pts.shape[0], 3, 3 + self.n)
+        _, coeffs, plan = self._gradient()
+        vals = evaluate_monomials(pts, plan, coeffs).reshape(pts.shape[0], 3, 3 + self.n)
         return vals[:, :, :3], vals[:, :, 3:]
 
     def second_partials(self, x: np.ndarray, y: np.ndarray):
@@ -188,8 +190,8 @@ class GeneratorSet:
         Sxx[a,b,c] = d2 S^a / dx_b dx_c, Sxy[a,b,j] = d2 S^a / dx_b dy_j,
         Syy[a,i,j] = d2 S^a / dy_i dy_j; exactly symmetric.
         """
-        expos, coeffs, index = self._hessian()
-        full = evaluate_monomials(self._points(x, y), expos, coeffs)[:, index]
+        _, coeffs, plan, index = self._hessian()
+        full = evaluate_monomials(self._points(x, y), plan, coeffs)[:, index]
         if np.ndim(x) == 1:
             full = full[0]
         return full[..., :3, :3], full[..., :3, 3:], full[..., 3:, 3:]

@@ -5,13 +5,16 @@ They guard the summation order of field sampling, state evaluation and the
 boundary actions: a refactor that reorders a sum changes a digit here.
 """
 
+import hashlib
+
 import numpy as np
 
 from nullag import micropolar as mp
 from nullag import quasicrystal as qc
 from nullag import rund
+from nullag.polyfield import bubble_damped, field_states, random_polyfield
 from nullag.tensors import MINOR_LEFT, project
-from nullag.verifier import certify_null
+from nullag.verifier import action_integral, boundary_dependence_test, certify_null
 
 
 def isotropic_null():
@@ -68,3 +71,33 @@ def test_generator_file_certificate_is_pinned():
         True, 7.68540956647454e-16,
         [1.544453366918214e-16, 2.2208557614002883e-16, 4.284067211271351e-16], 8, 9,
     )
+
+
+def digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def test_evaluation_digests_are_pinned():
+    """Bits of the evaluations behind the certificates, beyond the three
+    above: generator partials at 6,000 rows (three 2048-row blocks), stacked
+    field states over two tables, and order-12 actions of dense degree-4
+    fields, captured with the per-variable power-table kernel."""
+    rng = np.random.default_rng(2024)
+    g = rund.random_generator_set(rng, 6, 3)
+    x, y = rng.uniform(0, 1, (6000, 3)), rng.uniform(-1, 1, (6000, 6))
+    assert digest(*g.first_partials(x, y)) == "49620896acccae7b2a49a0463202fd009a5a86e0541f49c6b6333a47c8f89b3e"
+    assert digest(*g.second_partials(x, y)) == "c022b8c5c52311dd557d77fade835d689dda181f87acd0b73c28c34d7fc80156"
+
+    rng = np.random.default_rng(2025)
+    fields = ([random_polyfield(rng, 6, 3) for _ in range(6)]
+              + [bubble_damped(random_polyfield(rng, 6, 2)) for _ in range(2)])
+    states = field_states(fields, rng.uniform(0, 1, (len(fields), 40, 3)))
+    assert digest(*states) == "29b5ffa7442f5a7dd5b5d560c21873206b44deec7976dc5db53cd1d56b4715a1"
+
+    rng = np.random.default_rng(2026)
+    y, w = random_polyfield(rng, 6, 4), random_polyfield(rng, 6, 4)
+    assert repr(action_integral(isotropic_null(), y, 12)) == "-5.8132339109173135"
+    assert repr(boundary_dependence_test(isotropic_null(), y, w, 12)) == "3.552713678800501e-15"

@@ -1,0 +1,25 @@
+"""numpy is the only runtime dependency: importing every module of the
+package loads no test or symbolic library."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import nullag
+
+TEST_ONLY = ("hypothesis", "pytest", "scipy", "sympy")
+
+
+def test_runtime_imports_load_only_numpy():
+    code = (
+        "import importlib, pkgutil, sys, nullag\n"
+        "for module in pkgutil.iter_modules(nullag.__path__):\n"
+        "    importlib.import_module(f'nullag.{module.name}')\n"
+        "print(' '.join(sorted({name.split('.')[0] for name in sys.modules})))\n"
+    )
+    src = str(Path(nullag.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout.split()
+    assert "numpy" in out
+    assert sorted(set(out) & set(TEST_ONLY)) == []

@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 from nullag.micropolar import CurlFreeRotationSampler
 from nullag.polyfield import (
     PolyField,
+    _monomials,
     bubble,
     bubble_damped,
     constant_field,
+    evaluate_monomials,
     field_states,
     join,
+    monomial_plan,
     monomials_upto,
     random_polyfield,
     stack_fields,
@@ -230,6 +233,52 @@ def test_field_states_property(n, points, degrees, shared, damped, seed):
         fields = [f + bubble_damped(random_polyfield(rng, n, 1)) if bump else f
                   for f, bump in zip(fields, damped)]
     assert_states_match_per_field(fields, rng.uniform(0, 1, (len(fields), points, 3)))
+
+
+def reference_monomials(points, expos):
+    """The per-variable power tables that the monomial plans replaced: every
+    term takes a power of every variable in use, 1.0 for exponent 0."""
+    mono = np.ones((points.shape[0], expos.shape[0]))
+    for v in range(expos.shape[1]):
+        col = expos[:, v]
+        max_e = int(col.max(initial=0))
+        if max_e == 0:
+            continue
+        powers = np.empty((points.shape[0], max_e + 1))
+        powers[:, 0] = 1.0
+        for e in range(1, max_e + 1):
+            powers[:, e] = powers[:, e - 1] * points[:, v]
+        mono *= powers[:, col]
+    return mono
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+EXPONENT_TABLES = st.integers(1, 9).flatmap(
+    lambda nvars: st.lists(st.lists(st.integers(0, 12), min_size=nvars, max_size=nvars), max_size=12)
+    .map(lambda rows: np.array(rows, dtype=np.int64).reshape(-1, nvars)))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(expos=EXPONENT_TABLES, m=st.sampled_from([0, 1, 2048, 2049]), seed=st.integers(0, 2**32 - 1))
+def test_monomial_plan_matches_per_variable_powers(expos, m, seed):
+    """Products of only each term's own factors equal the per-variable power
+    table bit for bit, signed zeros and underflow included, as a C-contiguous
+    (m, T) matrix; `evaluate_monomials` keeps its 2048-row blocks."""
+    rng = np.random.default_rng(seed)
+    shape = (m, expos.shape[1])
+    special = rng.choice([0.0, -0.0, 1.0, -1.0, 1e-30, -1e-30], shape)
+    points = np.where(rng.uniform(size=shape) < 0.3, special, rng.uniform(-2.0, 2.0, shape))
+    plan = monomial_plan(expos)
+    mono = _monomials(points, plan)
+    assert mono.flags.c_contiguous
+    assert_same_bits(mono, reference_monomials(points, expos))
+    coeffs = rng.uniform(-1.0, 1.0, (len(expos), 3))
+    blocks = [reference_monomials(points[i:i + 2048], expos) @ coeffs for i in range(0, m, 2048)]
+    assert_same_bits(evaluate_monomials(points, plan, coeffs), np.concatenate(blocks or [np.zeros((0, 3))]))
 
 
 def test_stack_fields_union_table():

@@ -308,7 +308,7 @@ def test_partials_match_exact_per_partial_evaluation(g):
 @pytest.mark.parametrize("g", _reference_sets(), ids=lambda g: f"n{g.n}d{g.degree()}")
 def test_partial_matrices_hold_float_of_exact_coefficients(g):
     nvars = 3 + g.n
-    expos, coeffs = g._gradient()
+    expos, coeffs, _ = g._gradient()
     rows = {tuple(e): i for i, e in enumerate(expos.tolist())}
     expected = np.zeros_like(coeffs)
     for a, poly in enumerate(g.polys):
@@ -317,7 +317,7 @@ def test_partial_matrices_hold_float_of_exact_coefficients(g):
                 expected[rows[e], a * nvars + v] = float(c)
     assert np.array_equal(coeffs, expected)
 
-    expos, coeffs, index = g._hessian()
+    expos, coeffs, _, index = g._hessian()
     rows = {tuple(e): i for i, e in enumerate(expos.tolist())}
     expected = np.zeros_like(coeffs)
     for a, poly in enumerate(g.polys):
