@@ -1,11 +1,14 @@
 """Command-line surface: check / split / certify on model or generator files.
 
 Exit codes: 0 verdict passed, 1 verdict failed, 2 input or usage error.
+`main(argv)` may be called repeatedly in one process: the parser is built
+once, on first use, and holds no state between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -28,6 +31,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="nullag",

@@ -435,6 +435,8 @@ def certify_null(
         raise ValueError("degree must be >= 2 to exercise second derivatives")
     if order < 1:
         raise ValueError("order must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed}")
     sampler = sampler or FieldSampler(lag.n)
     method = "closed" if lag.closed_form else "fd"
     if residual_tol is None:

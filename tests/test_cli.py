@@ -10,7 +10,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from nullag import micropolar as mp
-from nullag.cli import main
+from nullag.cli import _build_parser, main
 from nullag.rund import GenPoly, GeneratorSet, generator_set_to_json
 
 Z81 = [0.0] * 81
@@ -236,6 +236,7 @@ def test_certify_non_finite_density_is_usage_error(tmp_path, capsys, coeff):
         ["certify", "GEN", "--trials", "1", "--tol-norm", "-inf"],
         ["certify", "GEN", "--trials", "1", "--order", "0"],
         ["certify", "GEN", "--trials", "1", "--order", "-3"],
+        ["certify", "GEN", "--trials", "1", "--seed", "-2"],
         ["check", "ZERO", "--tol-abs", "nan"],
         ["check", "ZERO", "--tol-abs", "-1"],
         ["check", "ZERO", "--tol-abs", "inf"],
@@ -253,6 +254,12 @@ def test_invalid_numeric_option_is_usage_error(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_negative_seed_error_names_option_and_value(tmp_path, capsys):
+    err = assert_one_error_line(["certify", write(tmp_path, "gen.json", minor_generator_json()),
+                                 "--trials", "1", "--seed", "-2"], capsys)
+    assert "seed" in err and "-2" in err
 
 
 def test_split_tol_abs_is_applied(tmp_path, capsys):
@@ -455,3 +462,65 @@ def test_cli_exit_contract_under_mutated_inputs(tmp_path_factory, data):
         assert lines[0].startswith("error: ") and len(lines) == 1
     else:
         assert out.getvalue() and err.getvalue() == ""
+
+
+def run_main(argv):
+    """Exit code, stdout and stderr of one `main` call; a usage error's
+    SystemExit gives its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def test_defaults_do_not_carry_over_between_calls(tmp_path):
+    path = write(tmp_path, "gen.json", minor_generator_json())
+    code, out, _ = run_main(["certify", path, "--trials", "2", "--seed", "3", "--tol-norm", "1e-3",
+                             "--format", "text"])
+    assert code == 0 and not out.startswith("{")
+    code, out, _ = run_main(["certify", path])
+    cert = json.loads(out)["certificate"]
+    assert code == 0 and cert["trials"] == 64 and cert["residual_tolerance"] == 1e-10
+
+    model = write(tmp_path, "m.json", {"model": "micropolar", "A": Z81, "B": Z81, "D": Z81})
+    assert run_main(["check", model, "--tol-abs", "1e-2", "--format", "text"])[0] == 0
+    fresh = run_main(["check", model])
+    assert json.loads(fresh[1])["command"] == "check"
+    _build_parser.cache_clear()
+    assert run_main(["check", model]) == fresh
+
+
+@pytest.mark.parametrize("bad", [["--bogus"], ["--trials", "x"]], ids=" ".join)
+def test_usage_error_leaves_no_state(tmp_path, bad):
+    path = write(tmp_path, "m.json", {"model": "micropolar", "A": Z81, "B": Z81, "D": Z81})
+    expected = run_main(["certify", path, "--trials", "2"])
+    code, out, err = run_main(["certify", path, *bad])
+    assert code == 2 and out == "" and "error:" in err
+    assert run_main(["certify", path, "--trials", "2"]) == expected
+
+
+def test_shared_parser_matches_a_fresh_parser_per_call(tmp_path):
+    model = write(tmp_path, "m.json", iso_params("micropolar_isotropic", [0.0, 0.0, 0.0, 1.0, 0.0, -1.0]))
+    gen = write(tmp_path, "gen.json", minor_generator_json())
+    broken = tmp_path / "broken.json"
+    broken.write_text("{not json")
+    corpus = [
+        ["check", model], ["split", model, "--tol-abs", "1e-3"], ["certify", model, "--trials", "2"],
+        ["certify", gen, "--trials", "2", "--seed", "5"], ["check", model, "--format", "text"],
+        ["split", model, "--format", "text"], ["check", str(broken)], ["certify", gen, "--trials", "0"],
+        ["check"], ["certify", gen, "--seed", "-2"],
+    ]
+    shared = [run_main(argv) for argv in corpus]
+    fresh = []
+    for argv in corpus:
+        _build_parser.cache_clear()
+        fresh.append(run_main(argv))
+    assert shared == fresh
+    assert {code for code, _, _ in shared} == {0, 1, 2}

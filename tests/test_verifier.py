@@ -248,6 +248,8 @@ def test_certify_validates_arguments():
         certify_null(lag, trials=0)
     with pytest.raises(ValueError, match="degree"):
         certify_null(lag, trials=1, degree=1)
+    with pytest.raises(ValueError, match="seed must be an integer >= 0, got -1"):
+        certify_null(lag, trials=1, seed=-1)
 
 
 def test_closed_vs_fd_cross_validation():
