@@ -391,9 +391,8 @@ def surface_potential(b_tilde: np.ndarray, phi: PolyField, surface_quadrature_or
             f"integrand degree {degree}; use order >= {required_order(degree)}"
         )
     total = 0.0
-    for pts, wts, normal in face_rules(surface_quadrature_order):
-        grad = phi.eval_grad(pts)
-        vals = phi.eval(pts)
+    for face, (_, wts, normal) in enumerate(face_rules(surface_quadrature_order)):
+        vals, grad = phi.eval_on_rule(surface_quadrature_order, face)
         contracted = np.einsum("ijkl,mij,mk,l->m", b_tilde, grad, vals, normal)
         total += float(contracted @ wts)
     return 0.5 * total

@@ -11,7 +11,9 @@ plan, built once: which variables each term uses, with the terms grouped by
 that count, so a monomial costs the products of only its own factors.
 `field_states` stacks the fields that share a table, so a batch of fields at
 their own points costs one monomial matrix and one stacked product per table
-and derivative level.
+and derivative level.  `evaluate_on_rule` keeps the monomial matrix of a
+table at a fixed Gauss rule, evicting the least recently used first to stay
+within `_RULE_BYTES`, so repeated actions and surface integrals skip it.
 """
 
 from __future__ import annotations
@@ -21,12 +23,15 @@ from itertools import combinations_with_replacement, product
 
 import numpy as np
 
+from .quadrature import cube_rule, face_rules
+
 __all__ = [
     "PolyField",
     "bubble",
     "bubble_damped",
     "constant_field",
     "evaluate_monomials",
+    "evaluate_on_rule",
     "field_states",
     "join",
     "monomial_plan",
@@ -93,6 +98,35 @@ def evaluate_monomials(points: np.ndarray, plan, coeffs: np.ndarray) -> np.ndarr
         return np.concatenate([evaluate_monomials(points[i:i + _BLOCK_ROWS], plan, coeffs)
                                for i in range(0, m, _BLOCK_ROWS)])
     return _monomials(points, plan) @ coeffs
+
+
+# Bytes of monomial matrices that `evaluate_on_rule` keeps.
+_RULE_BYTES = 32 << 20
+# (table, order, face) -> read-only monomial blocks, least recently used first.
+_rule_blocks: dict = {}
+
+
+def evaluate_on_rule(table: _Table, coeffs: np.ndarray, order: int, face: int | None = None) -> np.ndarray:
+    """`evaluate_monomials` at the points of the cube rule of `order`, or of
+    its face `face` (an index into `face_rules`), from the blocks it builds
+    there, kept per table and rule while they fit `_RULE_BYTES`."""
+    points = cube_rule(order)[0] if face is None else face_rules(order)[face][0]
+    key = (table, order, face)
+    blocks = _rule_blocks.pop(key, None)
+    if blocks is None:
+        size = points.shape[0] * len(table) * 8
+        if size > _RULE_BYTES:
+            return evaluate_monomials(points, table.plan, coeffs)
+        blocks = tuple(_monomials(points[i:i + _BLOCK_ROWS], table.plan)
+                       for i in range(0, points.shape[0], _BLOCK_ROWS))
+        for block in blocks:
+            block.flags.writeable = False
+        while _rule_blocks and size + sum(b.nbytes for bs in _rule_blocks.values() for b in bs) > _RULE_BYTES:
+            del _rule_blocks[next(iter(_rule_blocks))]
+    _rule_blocks[key] = blocks
+    if len(blocks) == 1:
+        return blocks[0] @ coeffs
+    return np.concatenate([block @ coeffs for block in blocks])
 
 
 def monomials_upto(nvars: int, degree: int) -> list[tuple[int, ...]]:
@@ -319,6 +353,14 @@ class PolyField:
         table, grad = self._gradient()
         vals = evaluate_monomials(pts, table.plan, grad.reshape(3 * self.n, len(table)).T)
         return vals.reshape(pts.shape[0], self.n, 3)
+
+    def eval_on_rule(self, order: int, face: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """`eval` and `eval_grad` at the Q points of the rule that
+        `evaluate_on_rule` selects: shapes (Q, N) and (Q, N, 3)."""
+        table, grad = self._gradient()
+        vals = evaluate_on_rule(self._table, self._coeffs.T, order, face)
+        grads = evaluate_on_rule(table, grad.reshape(3 * self.n, len(table)).T, order, face)
+        return vals, grads.reshape(vals.shape[0], self.n, 3)
 
     def eval_hess(self, points: np.ndarray) -> np.ndarray:
         """Second derivatives, shape (n_points, N, 3, 3), exactly symmetric."""

@@ -1,4 +1,6 @@
-"""Tensor-product Gauss-Legendre quadrature on the unit cube and its faces."""
+"""Tensor-product Gauss-Legendre quadrature on the unit cube and its faces.
+
+Rules are built once per order and shared, so their arrays are read-only."""
 
 from __future__ import annotations
 
@@ -10,6 +12,12 @@ import numpy as np
 __all__ = ["gauss_points_01", "cube_rule", "face_rules", "required_order"]
 
 
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 @functools.lru_cache(maxsize=None)
 def gauss_points_01(order: int) -> tuple[np.ndarray, np.ndarray]:
     """1D Gauss-Legendre nodes/weights mapped to [0, 1]; exact through
@@ -17,7 +25,7 @@ def gauss_points_01(order: int) -> tuple[np.ndarray, np.ndarray]:
     if order < 1:
         raise ValueError("quadrature order must be >= 1")
     nodes, weights = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
+    return _frozen(0.5 * (nodes + 1.0), 0.5 * weights)
 
 
 @functools.lru_cache(maxsize=None)
@@ -26,7 +34,7 @@ def cube_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = gauss_points_01(order)
     pts = np.array(list(itertools.product(x, x, x)))
     wts = np.array([w1 * w2 * w3 for w1, w2, w3 in itertools.product(w, w, w)])
-    return pts, wts
+    return _frozen(pts, wts)
 
 
 @functools.lru_cache(maxsize=None)
@@ -48,7 +56,7 @@ def face_rules(order: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], .
             pts[:, others[1]] = grid[:, 1]
             normal = np.zeros(3)
             normal[axis] = orientation
-            faces.append((pts, wts, normal))
+            faces.append(_frozen(pts, wts, normal))
     return tuple(faces)
 
 

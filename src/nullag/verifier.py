@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .polyfield import PolyField, bubble_damped, evaluate_monomials, field_states, random_polyfield, stack_fields
+from .polyfield import PolyField, bubble_damped, evaluate_on_rule, field_states, random_polyfield, stack_fields
 from .quadrature import cube_rule, required_order
 
 __all__ = [
@@ -319,8 +319,8 @@ def euler_residual(lag: Lagrangian, y: PolyField, x, method: str = "auto") -> np
 
 def _actions(lag: Lagrangian, fields, order: int) -> np.ndarray:
     """Exact tensor-product Gauss-Legendre actions (F,) of F fields over the
-    unit cube: one rule, one monomial matrix per derivative level on the union
-    of the fields' tables, and one density evaluation over all F x Q rows.
+    unit cube: one rule, one kept monomial matrix per derivative level on the
+    union of the fields' tables, and one density evaluation over all F x Q rows.
 
     Raises ValueError if the order is below what the density's
     per-coordinate degree bound requires for any field, and
@@ -337,8 +337,8 @@ def _actions(lag: Lagrangian, fields, order: int) -> np.ndarray:
     f, n, m = coeffs.shape
     q = pts.shape[0]
     child, grad = table.differentiate(coeffs)
-    vals = evaluate_monomials(pts, table.plan, coeffs.reshape(f * n, m).T)
-    grads = evaluate_monomials(pts, child.plan, grad.reshape(f * n * 3, len(child)).T)
+    vals = evaluate_on_rule(table, coeffs.reshape(f * n, m).T, order)
+    grads = evaluate_on_rule(child, grad.reshape(f * n * 3, len(child)).T, order)
     y = vals.reshape(q, f, n).transpose(1, 0, 2).reshape(f * q, n)
     dy = grads.reshape(q, f, n, 3).transpose(1, 0, 2, 3).reshape(f * q, n, 3)
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below

@@ -4,6 +4,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nullag import polyfield
 from nullag.micropolar import CurlFreeRotationSampler
 from nullag.polyfield import (
     PolyField,
@@ -12,6 +13,7 @@ from nullag.polyfield import (
     bubble_damped,
     constant_field,
     evaluate_monomials,
+    evaluate_on_rule,
     field_states,
     join,
     monomial_plan,
@@ -360,6 +362,100 @@ def test_face_rules_measure_and_normals():
         axis = int(np.argmax(np.abs(normal)))
         assert np.all((pts[:, axis] == 0.0) | (pts[:, axis] == 1.0))
     assert np.array_equal(normal_sum, np.zeros(3))
+
+
+def test_quadrature_rules_are_read_only():
+    """Rules are cached per order and shared by every caller, including the
+    monomial blocks kept at their points: no caller may write to them."""
+    x, w = gauss_points_01(3)
+    pts, wts = cube_rule(3)
+    arrays = [x, w, pts, wts] + [a for face in face_rules(3) for a in face]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 5.0
+    assert cube_rule(3)[0][0, 0] == gauss_points_01(3)[0][0]
+
+
+def rule_bytes():
+    return sum(block.nbytes for blocks in polyfield._rule_blocks.values() for block in blocks)
+
+
+@pytest.fixture
+def cold_rules():
+    """An empty rule cache before and after the test."""
+    polyfield._rule_blocks.clear()
+    yield polyfield._rule_blocks
+    polyfield._rule_blocks.clear()
+
+
+def rule_tables():
+    """A dense table, its gradient table and a bubble-damped table."""
+    rng = np.random.default_rng(21)
+    y = random_polyfield(rng, 2, 3)
+    damped = bubble_damped(random_polyfield(rng, 2, 1))
+    return [(y._table, y._coeffs.T), (y._gradient()[0], y._gradient()[1].reshape(6, -1).T),
+            (damped._table, damped._coeffs.T)]
+
+
+@pytest.mark.parametrize("face", [None, 0, 1, 2, 3, 4, 5])
+@pytest.mark.parametrize("order", [8, 12, 13, 14])
+def test_rule_evaluation_equals_evaluate_monomials(order, face, cold_rules):
+    """Cold and warm, the kept blocks give the bits of `evaluate_monomials`
+    at the rule's points; cube orders 13 and 14 span two 2048-row blocks."""
+    pts = cube_rule(order)[0] if face is None else face_rules(order)[face][0]
+    for table, coeffs in rule_tables():
+        want = evaluate_monomials(pts, table.plan, coeffs)
+        for _ in range(2):
+            assert_same_bits(evaluate_on_rule(table, coeffs, order, face), want)
+        blocks = cold_rules[(table, order, face)]
+        rows = polyfield._BLOCK_ROWS
+        assert [len(b) for b in blocks] == [len(pts[i:i + rows]) for i in range(0, len(pts), rows)]
+    field = random_polyfield(np.random.default_rng(order), 3, 3)
+    vals, grads = field.eval_on_rule(order, face)
+    assert_same_bits(vals, field.eval(pts))
+    assert_same_bits(grads, field.eval_grad(pts))
+
+
+def test_rule_blocks_are_read_only(cold_rules):
+    for table, coeffs in rule_tables():
+        evaluate_on_rule(table, coeffs, 13)
+        evaluate_on_rule(table, coeffs, 4, 2)
+    assert len(cold_rules) == 6
+    for blocks in cold_rules.values():
+        for block in blocks:
+            with pytest.raises(ValueError, match="read-only"):
+                block[0, 0] = 5.0
+
+
+def test_rule_cache_stays_within_byte_budget(cold_rules):
+    """Many orders and tables overflow the budget; the least recently used
+    entries go first, and the total never exceeds it."""
+    tables = [polyfield._dense(d)[0] for d in range(6)]
+    for order in range(1, 21):
+        for table in tables:
+            evaluate_on_rule(table, np.ones((len(table), 1)), order)
+            assert rule_bytes() <= polyfield._RULE_BYTES
+    assert (tables[0], 1, None) not in cold_rules
+    assert (tables[-1], 20, None) in cold_rules
+    assert rule_bytes() > polyfield._RULE_BYTES // 2
+
+
+def test_rule_cache_evicts_least_recently_used(cold_rules, monkeypatch):
+    table = polyfield._dense(3)[0]
+    coeffs = np.ones((len(table), 1))
+    monkeypatch.setattr(polyfield, "_RULE_BYTES", 2 * 64 * len(table) * 8)
+    for face in (0, 1, 0, 2):  # 64 points per face at order 8
+        evaluate_on_rule(table, coeffs, 8, face)
+    assert list(cold_rules) == [(table, 8, 0), (table, 8, 2)]
+
+
+def test_rule_larger_than_budget_is_evaluated_but_not_kept(cold_rules):
+    table = polyfield._dense(6)[0]
+    pts = cube_rule(40)[0]
+    assert len(pts) * len(table) * 8 > polyfield._RULE_BYTES
+    coeffs = np.random.default_rng(4).uniform(-1.0, 1.0, (len(table), 2))
+    assert_same_bits(evaluate_on_rule(table, coeffs, 40), evaluate_monomials(pts, table.plan, coeffs))
+    assert len(cold_rules) == 0
 
 
 def test_required_order():

@@ -4,10 +4,11 @@ import sympy as sp
 
 from nullag import em
 from nullag import micropolar as mp
+from nullag import polyfield
 from nullag import quasicrystal as qc
 from nullag import verifier as vf
-from nullag.polyfield import PolyField, bubble, random_polyfield
-from nullag.quadrature import cube_rule, required_order
+from nullag.polyfield import PolyField, bubble, bubble_damped, evaluate_monomials, random_polyfield, stack_fields
+from nullag.quadrature import cube_rule, face_rules, required_order
 from nullag.tensors import project
 from nullag.verifier import (
     CallableLagrangian,
@@ -171,6 +172,53 @@ def test_batched_actions_reject_one_nonfinite_field():
     for fields in ([bad, fine], [fine, bad]):
         with pytest.raises(FloatingPointError):
             vf._actions(lag, fields, 2)
+
+
+def monomial_actions(lag, fields, order):
+    """`vf._actions` with each monomial matrix built from the rule points by
+    `evaluate_monomials` on every call."""
+    pts, wts = cube_rule(order)
+    table, coeffs = stack_fields(fields)
+    f, n, m = coeffs.shape
+    child, grad = table.differentiate(coeffs)
+    vals = evaluate_monomials(pts, table.plan, coeffs.reshape(f * n, m).T)
+    grads = evaluate_monomials(pts, child.plan, grad.reshape(f * n * 3, len(child)).T)
+    q = len(pts)
+    y = vals.reshape(q, f, n).transpose(1, 0, 2).reshape(f * q, n)
+    dy = grads.reshape(q, f, n, 3).transpose(1, 0, 2, 3).reshape(f * q, n, 3)
+    return lag.evaluate(np.tile(pts, (f, 1)), y, dy).reshape(f, q) @ wts
+
+
+def monomial_surface_potential(tilde, phi, order):
+    """`mp.surface_potential` with `eval` and `eval_grad` at each face's points."""
+    total = 0.0
+    for pts, wts, normal in face_rules(order):
+        total += float(np.einsum("ijkl,mij,mk,l->m", tilde, phi.eval_grad(pts), phi.eval(pts), normal) @ wts)
+    return 0.5 * total
+
+
+@pytest.mark.parametrize("order", [8, 13])
+def test_actions_same_bits_on_cold_and_warm_rule_cache(order):
+    """Kept monomial blocks change no bit of an action, a boundary delta, a
+    surface potential or a certificate; order 13 spans two 2048-row blocks."""
+    rng = np.random.default_rng(31)
+    lag = random_micropolar_density(rng)
+    y, w, phi = random_polyfield(rng, 6, 3), random_polyfield(rng, 6, 1), random_polyfield(rng, 3, 3)
+    b = rng.uniform(-1, 1, (3, 3, 3, 3))
+    tilde = mp.split_B(0.5 * (b + np.transpose(b, (2, 3, 0, 1)))).b_tilde
+
+    def run():
+        return (action_integral(lag, y, order), boundary_dependence_test(lag, y, w, order),
+                mp.surface_potential(tilde, phi, order), certify_null(lag, trials=4, seed=9))
+
+    polyfield._rule_blocks.clear()
+    cold = run()
+    assert polyfield._rule_blocks
+    assert run() == cold
+    assert cold[0] == float(monomial_actions(lag, [y], order)[0])
+    shifted, base = monomial_actions(lag, [y + bubble_damped(w), y], order)
+    assert cold[1] == float(abs(shifted - base))
+    assert cold[2] == monomial_surface_potential(tilde, phi, order)
 
 
 @pytest.mark.parametrize("sampler", [None, mp.CurlFreeRotationSampler()], ids=["dense", "curl-free"])
