@@ -119,7 +119,10 @@ def load_model(obj: dict) -> LoadedModel:
 def load_input_file(path: str | Path) -> LoadedModel | GeneratorSet:
     """Load either a model file (JSON object) or a generator file (JSON list)."""
     with open(path, "r", encoding="utf-8") as handle:
-        obj = json.load(handle)
+        try:
+            obj = json.load(handle)
+        except RecursionError:
+            raise ValueError("input file nests JSON arrays or objects too deeply to load") from None
     if isinstance(obj, list):
         return generator_set_from_json(obj)
     return load_model(obj)

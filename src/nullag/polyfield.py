@@ -42,7 +42,8 @@ __all__ = [
 
 
 # Points per monomial matrix: bounds the working set of large quadrature
-# batches.  The BLAS product rounds by its row count, so results depend on it.
+# batches.  The bits of a BLAS product row depend on the size of the product
+# (not on the thread count), so results depend on it.
 _BLOCK_ROWS = 2048
 
 
@@ -94,10 +95,21 @@ def evaluate_monomials(points: np.ndarray, plan, coeffs: np.ndarray) -> np.ndarr
     evaluation.
     """
     m = points.shape[0]
-    if m > _BLOCK_ROWS:
-        return np.concatenate([evaluate_monomials(points[i:i + _BLOCK_ROWS], plan, coeffs)
-                               for i in range(0, m, _BLOCK_ROWS)])
-    return _monomials(points, plan) @ coeffs
+    if m <= _BLOCK_ROWS:
+        # Allocated after the monomial matrix, the result does not pin the
+        # heap below it, so freeing the matrix leaves pages for the next call.
+        return _monomials(points, plan) @ coeffs
+    starts = range(0, m, _BLOCK_ROWS)
+    return _products((_monomials(points[i:i + _BLOCK_ROWS], plan) for i in starts), coeffs, m)
+
+
+def _products(blocks, coeffs: np.ndarray, m: int) -> np.ndarray:
+    """`block @ coeffs` of consecutive `_BLOCK_ROWS`-row monomial blocks,
+    written into one (m, ...) result."""
+    out = np.empty((m,) + coeffs.shape[1:])
+    for i, block in zip(range(0, m, _BLOCK_ROWS), blocks):
+        np.matmul(block, coeffs, out=out[i:i + _BLOCK_ROWS])
+    return out
 
 
 # Bytes of monomial matrices that `evaluate_on_rule` keeps.
@@ -124,9 +136,7 @@ def evaluate_on_rule(table: _Table, coeffs: np.ndarray, order: int, face: int | 
         while _rule_blocks and size + sum(b.nbytes for bs in _rule_blocks.values() for b in bs) > _RULE_BYTES:
             del _rule_blocks[next(iter(_rule_blocks))]
     _rule_blocks[key] = blocks
-    if len(blocks) == 1:
-        return blocks[0] @ coeffs
-    return np.concatenate([block @ coeffs for block in blocks])
+    return _products(blocks, coeffs, points.shape[0])
 
 
 def monomials_upto(nvars: int, degree: int) -> list[tuple[int, ...]]:

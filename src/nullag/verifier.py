@@ -320,7 +320,8 @@ def euler_residual(lag: Lagrangian, y: PolyField, x, method: str = "auto") -> np
 def _actions(lag: Lagrangian, fields, order: int) -> np.ndarray:
     """Exact tensor-product Gauss-Legendre actions (F,) of F fields over the
     unit cube: one rule, one kept monomial matrix per derivative level on the
-    union of the fields' tables, and one density evaluation over all F x Q rows.
+    union of the fields' tables, and one density evaluation per field over
+    its Q rows, so no temporary grows with F.
 
     Raises ValueError if the order is below what the density's
     per-coordinate degree bound requires for any field, and
@@ -334,15 +335,14 @@ def _actions(lag: Lagrangian, fields, order: int) -> np.ndarray:
             )
     pts, wts = cube_rule(order)
     table, coeffs = stack_fields(fields)
-    f, n, m = coeffs.shape
-    q = pts.shape[0]
+    f, n, _ = coeffs.shape
     child, grad = table.differentiate(coeffs)
-    vals = evaluate_on_rule(table, coeffs.reshape(f * n, m).T, order)
-    grads = evaluate_on_rule(child, grad.reshape(f * n * 3, len(child)).T, order)
-    y = vals.reshape(q, f, n).transpose(1, 0, 2).reshape(f * q, n)
-    dy = grads.reshape(q, f, n, 3).transpose(1, 0, 2, 3).reshape(f * q, n, 3)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        density = lag.evaluate(np.tile(pts, (f, 1)), y, dy).reshape(f, q)
+    density = np.empty((f, pts.shape[0]))
+    for i in range(f):
+        y = evaluate_on_rule(table, coeffs[i].T, order)
+        dy = evaluate_on_rule(child, grad[i].reshape(3 * n, len(child)).T, order).reshape(-1, n, 3)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+            density[i] = lag.evaluate(pts, y, dy)
     if not np.all(np.isfinite(density)):
         raise FloatingPointError("non-finite density evaluation during quadrature")
     return density @ wts

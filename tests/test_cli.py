@@ -314,6 +314,18 @@ def test_non_string_model_tag_is_usage_error(tmp_path, capsys, tag):
         assert "unknown model tag" in assert_one_error_line(argv, capsys)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 100000 + "]" * 100000, '{"model": "micropolar", "A": ' + "[" * 5000 + "]" * 5000 + "}"],
+    ids=["nested-list", "nested-model-entry"],
+)
+def test_deeply_nested_json_is_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    for argv in (["check", str(path)], ["split", str(path)], ["certify", str(path), "--trials", "1"]):
+        assert "too deeply" in assert_one_error_line(argv, capsys)
+
+
 def near_double_limit(entries):
     """Flat 81-entry tensor, zero except the given {flat index: value}."""
     t = list(Z81)

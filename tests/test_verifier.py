@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -176,17 +178,16 @@ def test_batched_actions_reject_one_nonfinite_field():
 
 def monomial_actions(lag, fields, order):
     """`vf._actions` with each monomial matrix built from the rule points by
-    `evaluate_monomials` on every call."""
+    `evaluate_monomials` on every call: row i of the density is `lag.evaluate`
+    of field i alone, its values and gradients over the fields' union table."""
     pts, wts = cube_rule(order)
     table, coeffs = stack_fields(fields)
-    f, n, m = coeffs.shape
     child, grad = table.differentiate(coeffs)
-    vals = evaluate_monomials(pts, table.plan, coeffs.reshape(f * n, m).T)
-    grads = evaluate_monomials(pts, child.plan, grad.reshape(f * n * 3, len(child)).T)
-    q = len(pts)
-    y = vals.reshape(q, f, n).transpose(1, 0, 2).reshape(f * q, n)
-    dy = grads.reshape(q, f, n, 3).transpose(1, 0, 2, 3).reshape(f * q, n, 3)
-    return lag.evaluate(np.tile(pts, (f, 1)), y, dy).reshape(f, q) @ wts
+    n = coeffs.shape[1]
+    density = [lag.evaluate(pts, evaluate_monomials(pts, table.plan, c.T),
+                            evaluate_monomials(pts, child.plan, g.reshape(3 * n, -1).T).reshape(-1, n, 3))
+               for c, g in zip(coeffs, grad)]
+    return np.array(density) @ wts
 
 
 def monomial_surface_potential(tilde, phi, order):
@@ -219,6 +220,32 @@ def test_actions_same_bits_on_cold_and_warm_rule_cache(order):
     shifted, base = monomial_actions(lag, [y + bubble_damped(w), y], order)
     assert cold[1] == float(abs(shifted - base))
     assert cold[2] == monomial_surface_potential(tilde, phi, order)
+
+
+def test_actions_evaluate_each_field_alone():
+    """3456 density rows over both fields round differently in the BLAS
+    product than 1728 rows per field; the actions keep the per-field bits."""
+    rng = np.random.default_rng(17)
+    lag = random_micropolar_density(rng)
+    fields = [random_polyfield(rng, 6, 3), random_polyfield(rng, 6, 2)]
+    assert vf._actions(lag, fields, 12).tolist() == monomial_actions(lag, fields, 12).tolist()
+
+
+def test_actions_memory_does_not_grow_with_fields():
+    rng = np.random.default_rng(7)
+    lag = random_micropolar_density(rng)
+    fields = [random_polyfield(rng, 6, 3) for _ in range(6)]
+
+    def peak(group):
+        vf._actions(lag, group, 12)  # keep the rule's monomial blocks first
+        tracemalloc.start()
+        try:
+            vf._actions(lag, group, 12)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(fields) <= 1.5 * peak(fields[:1])
 
 
 @pytest.mark.parametrize("sampler", [None, mp.CurlFreeRotationSampler()], ids=["dense", "curl-free"])
