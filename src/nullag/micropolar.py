@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensors
 from .polyfield import PolyField, bubble, bubble_damped, join, random_polyfield
-from .quadrature import face_rules, required_order
+from .quadrature import boundary_rule, required_order
 from .report import DEFAULT_TOL_ABS, ConditionReport, make_check, make_report, tensor_scale
 from .tensors import (
     MAJOR,
@@ -380,7 +380,9 @@ def cauchy_analogue(b_tilde: np.ndarray, tol_abs: float = DEFAULT_TOL_ABS) -> Co
 
 def surface_potential(b_tilde: np.ndarray, phi: PolyField, surface_quadrature_order: int) -> float:
     """Boundary moment potential over the unit cube:
-    (1/2) * integral over the six faces of B~_ijkl phi_{i,j} phi_k n_l."""
+    (1/2) * integral over the six faces of B~_ijkl phi_{i,j} phi_k n_l,
+    one contraction of B~ with the moment sum_m phi_{i,j} phi_k (w n_l) over
+    the points m of the stacked boundary rule."""
     b_tilde = as_tensor4(b_tilde)
     if phi.n != 3:
         raise ValueError("rotation field must have 3 components")
@@ -390,12 +392,10 @@ def surface_potential(b_tilde: np.ndarray, phi: PolyField, surface_quadrature_or
             f"surface quadrature order {surface_quadrature_order} is inexact for "
             f"integrand degree {degree}; use order >= {required_order(degree)}"
         )
-    total = 0.0
-    for face, (_, wts, normal) in enumerate(face_rules(surface_quadrature_order)):
-        vals, grad = phi.eval_on_rule(surface_quadrature_order, face)
-        contracted = np.einsum("ijkl,mij,mk,l->m", b_tilde, grad, vals, normal)
-        total += float(contracted @ wts)
-    return 0.5 * total
+    vals, grad = phi.eval_on_rule(surface_quadrature_order, boundary=True)
+    flux = vals[:, :, None] * boundary_rule(surface_quadrature_order)[1][:, None, :]
+    moment = grad.reshape(-1, 9).T @ flux.reshape(-1, 9)
+    return 0.5 * float(np.sum(b_tilde.reshape(9, 9) * moment))
 
 
 def positive_definite(p: IsotropicParams | HemitropicParams) -> bool:

@@ -12,8 +12,9 @@ that count, so a monomial costs the products of only its own factors.
 `field_states` stacks the fields that share a table, so a batch of fields at
 their own points costs one monomial matrix and one stacked product per table
 and derivative level.  `evaluate_on_rule` keeps the monomial matrix of a
-table at a fixed Gauss rule, evicting the least recently used first to stay
-within `_RULE_BYTES`, so repeated actions and surface integrals skip it.
+table at a fixed Gauss rule (the cube rule or the stacked boundary rule of
+one order), evicting the least recently used first to stay within
+`_RULE_BYTES`, so repeated actions and surface integrals skip it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from itertools import combinations_with_replacement, product
 
 import numpy as np
 
-from .quadrature import cube_rule, face_rules
+from .quadrature import boundary_rule, cube_rule
 
 __all__ = [
     "PolyField",
@@ -114,16 +115,16 @@ def _products(blocks, coeffs: np.ndarray, m: int) -> np.ndarray:
 
 # Bytes of monomial matrices that `evaluate_on_rule` keeps.
 _RULE_BYTES = 32 << 20
-# (table, order, face) -> read-only monomial blocks, least recently used first.
+# (table, order, boundary) -> read-only monomial blocks, least recently used first.
 _rule_blocks: dict = {}
 
 
-def evaluate_on_rule(table: _Table, coeffs: np.ndarray, order: int, face: int | None = None) -> np.ndarray:
+def evaluate_on_rule(table: _Table, coeffs: np.ndarray, order: int, boundary: bool = False) -> np.ndarray:
     """`evaluate_monomials` at the points of the cube rule of `order`, or of
-    its face `face` (an index into `face_rules`), from the blocks it builds
-    there, kept per table and rule while they fit `_RULE_BYTES`."""
-    points = cube_rule(order)[0] if face is None else face_rules(order)[face][0]
-    key = (table, order, face)
+    its `boundary_rule`, from the blocks it builds there, kept per table and
+    rule while they fit `_RULE_BYTES`."""
+    points = (boundary_rule if boundary else cube_rule)(order)[0]
+    key = (table, order, boundary)
     blocks = _rule_blocks.pop(key, None)
     if blocks is None:
         size = points.shape[0] * len(table) * 8
@@ -314,14 +315,15 @@ class PolyField:
 
     def __mul__(self, other: "PolyField") -> "PolyField":
         """Product of this one-component field with every component of
-        `other`, over the monomials with a nonzero product coefficient.  The
-        terms of this factor are summed in their sorted table order."""
+        `other`, over the monomials with a nonzero product coefficient.  All
+        term products are formed at once and scattered in one unbuffered sum,
+        which adds the terms of this factor in their sorted table order."""
         if self.n != 1:
             raise ValueError("the left factor of a product must have one component")
         table, columns = _product(self._table, other._table)
         coeffs = np.zeros((other.n, len(table)))
-        for factor, cols in zip(self._coeffs[0], columns):
-            coeffs[:, cols] += factor * other._coeffs
+        terms = other._coeffs[:, None, :] * self._coeffs[0][:, None]
+        np.add.at(coeffs, (slice(None), columns.reshape(-1)), terms.reshape(other.n, columns.size))
         used = np.any(coeffs != 0.0, axis=0)
         if not used.all():
             table = _table(tuple(e for e, u in zip(table.keys, used.tolist()) if u))
@@ -364,12 +366,12 @@ class PolyField:
         vals = evaluate_monomials(pts, table.plan, grad.reshape(3 * self.n, len(table)).T)
         return vals.reshape(pts.shape[0], self.n, 3)
 
-    def eval_on_rule(self, order: int, face: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def eval_on_rule(self, order: int, boundary: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """`eval` and `eval_grad` at the Q points of the rule that
         `evaluate_on_rule` selects: shapes (Q, N) and (Q, N, 3)."""
         table, grad = self._gradient()
-        vals = evaluate_on_rule(self._table, self._coeffs.T, order, face)
-        grads = evaluate_on_rule(table, grad.reshape(3 * self.n, len(table)).T, order, face)
+        vals = evaluate_on_rule(self._table, self._coeffs.T, order, boundary)
+        grads = evaluate_on_rule(table, grad.reshape(3 * self.n, len(table)).T, order, boundary)
         return vals, grads.reshape(vals.shape[0], self.n, 3)
 
     def eval_hess(self, points: np.ndarray) -> np.ndarray:

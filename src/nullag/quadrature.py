@@ -1,4 +1,4 @@
-"""Tensor-product Gauss-Legendre quadrature on the unit cube and its faces.
+"""Tensor-product Gauss-Legendre quadrature on the unit cube and its boundary.
 
 Rules are built once per order and shared, so their arrays are read-only."""
 
@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 
-__all__ = ["gauss_points_01", "cube_rule", "face_rules", "required_order"]
+__all__ = ["gauss_points_01", "cube_rule", "face_rules", "boundary_rule", "required_order"]
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -58,6 +58,15 @@ def face_rules(order: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], .
             normal[axis] = orientation
             faces.append(_frozen(pts, wts, normal))
     return tuple(faces)
+
+
+@functools.lru_cache(maxsize=None)
+def boundary_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The six face rules stacked in `face_rules` order: points (6n, 3) and
+    each point's weight times its face's outward normal (6n, 3)."""
+    faces = face_rules(order)
+    return _frozen(np.concatenate([pts for pts, _, _ in faces]),
+                   np.concatenate([np.outer(wts, normal) for _, wts, normal in faces]))
 
 
 def required_order(degree: int) -> int:

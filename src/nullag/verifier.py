@@ -82,7 +82,9 @@ class QuadraticLagrangian(Lagrangian):
     """L = p[z,z]/2 + q[z,y] + r[y,y]/2 with z = Dy and constant blocks.
 
     `p` has shape (N,3,N,3) and is symmetrized under pair swap, `q` has
-    shape (N,3,N), `r` shape (N,N) symmetrized.
+    shape (N,3,N), `r` shape (N,N) symmetrized.  The blocks are read-only,
+    and the terms of an identically zero `q` or `r` are skipped, which
+    leaves every value as it is.
 
     Third derivatives vanish identically, so central differences carry no
     truncation error at any step; a large step minimizes roundoff on the
@@ -101,10 +103,12 @@ class QuadraticLagrangian(Lagrangian):
         with np.errstate(over="ignore", invalid="ignore"):  # reported just below
             self.p = 0.5 * (p + np.transpose(p, (2, 3, 0, 1)))
             self.r = 0.5 * (r + r.T)
-        self.q = np.zeros((n, 3, n)) if q is None else np.asarray(q, dtype=float)
+        self.q = np.zeros((n, 3, n)) if q is None else np.array(q, dtype=float)
         for name in ("p", "q", "r"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"density block {name} must be finite after symmetrization")
+            getattr(self, name).flags.writeable = False
+        self._uses_q, self._uses_r = bool(np.any(self.q)), bool(np.any(self.r))
         self.label = label
 
     def evaluate(self, x, y, dy):
@@ -112,8 +116,10 @@ class QuadraticLagrangian(Lagrangian):
         dy = np.asarray(dy, dtype=float)
         f = dy.reshape(dy.shape[0], 3 * self.n)
         out = 0.5 * np.einsum("mi,mi->m", f @ self.p.reshape(3 * self.n, 3 * self.n), f)
-        out += np.einsum("mi,mi->m", f @ self.q.reshape(3 * self.n, self.n), y)
-        out += 0.5 * np.einsum("mi,mi->m", y @ self.r, y)
+        if self._uses_q:
+            out += np.einsum("mi,mi->m", f @ self.q.reshape(3 * self.n, self.n), y)
+        if self._uses_r:
+            out += 0.5 * np.einsum("mi,mi->m", y @ self.r, y)
         return out
 
     def integrand_degree(self, field_degree: int) -> int:
@@ -123,11 +129,13 @@ class QuadraticLagrangian(Lagrangian):
 
     def closed_residual(self, x, y0, dy0, d2y0):
         # The einsums sum in an order that follows the layout of d2y0, so it
-        # is used as given.
-        res = np.einsum("kcj,...jc->...k", self.q, dy0)
-        res -= np.einsum("jbk,...jb->...k", self.q, dy0)
-        res += np.einsum("kcjb,...jbc->...k", self.p, d2y0)
-        res -= np.einsum("kj,...j->...k", self.r, y0)
+        # is used as given.  Addition commutes, so starting from the p term
+        # keeps the bits of the q terms' difference plus the p term.
+        res = np.einsum("kcjb,...jbc->...k", self.p, d2y0)
+        if self._uses_q:
+            res += np.einsum("kcj,...jc->...k", self.q, dy0) - np.einsum("jbk,...jb->...k", self.q, dy0)
+        if self._uses_r:
+            res -= np.einsum("kj,...j->...k", self.r, y0)
         return res, self.second_derivative_scale()
 
     def second_derivative_scale(self) -> float:

@@ -6,7 +6,7 @@ import pytest
 from nullag import micropolar as mp
 from nullag import verifier as vf
 from nullag.polyfield import PolyField, constant_field, join, random_polyfield
-from nullag.quadrature import cube_rule
+from nullag.quadrature import cube_rule, face_rules
 from nullag.tensors import check_symmetry, levi_civita, project
 
 Z4 = np.zeros((3, 3, 3, 3))
@@ -313,9 +313,11 @@ def test_listed_entries_cover_every_free_orbit():
 
 def test_surface_potential_zero_cases():
     phi = random_polyfield(np.random.default_rng(2), 3, 3)
-    assert mp.surface_potential(Z4, phi, 4) == 0.0
     tilde = mp.split_B(iso_b(1.0, 0.0, 2.0)).b_tilde
-    assert mp.surface_potential(tilde, constant_field([1.0, -2.0, 0.5]), 2) == 0.0
+    for order in range(3, 9):
+        assert mp.surface_potential(Z4, phi, order) == 0.0
+    for order in range(1, 9):
+        assert mp.surface_potential(tilde, constant_field([1.0, -2.0, 0.5]), order) == 0.0
 
 
 def test_surface_potential_matches_volume_integral():
@@ -329,6 +331,26 @@ def test_surface_potential_matches_volume_integral():
         grad = phi.eval_grad(pts)
         vol = 0.5 * float(np.einsum("ijkl,mij,mkl->m", tilde, grad, grad) @ wts)
         assert abs(surf - vol) <= 1e-12 * max(1.0, abs(vol))
+
+
+def per_face_surface_potential(tilde, phi, order):
+    """The surface potential summed face by face, each face one four-operand
+    einsum over its weights and outward normal."""
+    total = 0.0
+    for pts, wts, normal in face_rules(order):
+        total += float(np.einsum("ijkl,mij,mk,l->m", tilde, phi.eval_grad(pts), phi.eval(pts), normal) @ wts)
+    return 0.5 * total
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5, 6, 7, 8])
+def test_surface_potential_matches_per_face_reference(order):
+    """One boundary moment contraction equals the face-by-face sum."""
+    rng = np.random.default_rng(60 + order)
+    for _ in range(5):
+        tilde = mp.split_B(random_major_symmetric(rng)).b_tilde
+        phi = random_polyfield(rng, 3, min(order, 4))
+        ref = per_face_surface_potential(tilde, phi, order)
+        assert abs(mp.surface_potential(tilde, phi, order) - ref) <= 1e-14 * max(1.0, abs(ref))
 
 
 def test_surface_potential_rejects_low_order():

@@ -21,7 +21,7 @@ from nullag.polyfield import (
     random_polyfield,
     stack_fields,
 )
-from nullag.quadrature import cube_rule, face_rules, gauss_points_01, required_order
+from nullag.quadrature import boundary_rule, cube_rule, face_rules, gauss_points_01, required_order
 
 X = sp.symbols("x1:4")
 
@@ -311,6 +311,69 @@ def test_bubble_damped_equals_poly3_product(fields):
             assert damped._table.keys == tuple(sorted(set().union(*expected)))
 
 
+def per_left_term_product(left, w):
+    """Keys and coefficients of `left * w` summed one fancy-index scatter per
+    term of `left`, in its table order, then trimmed to nonzero columns."""
+    table, columns = polyfield._product(left._table, w._table)
+    coeffs = np.zeros((w.n, len(table)))
+    for factor, cols in zip(left._coeffs[0], columns):
+        coeffs[:, cols] += factor * w._coeffs
+    used = np.any(coeffs != 0.0, axis=0)
+    return tuple(e for e, u in zip(table.keys, used.tolist()) if u), coeffs[:, used]
+
+
+def assert_product_matches_per_term(left, w):
+    keys, coeffs = per_left_term_product(left, w)
+    product = left * w
+    assert product._table.keys == keys
+    assert product._coeffs.shape == coeffs.shape
+    assert product._coeffs.tobytes() == coeffs.tobytes()
+    return product
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_product_keeps_per_term_bits(degree):
+    """The single scatter of all term products adds them in the order of the
+    per-term loop: the bubble and a random one-component field times fields
+    of degree 0-3 keep its keys and coefficient bytes."""
+    rng = np.random.default_rng(100 + degree)
+    for n in (1, 3, 6):
+        w = random_polyfield(rng, n, degree)
+        for left in (bubble(), random_polyfield(rng, 1, 3), random_polyfield(rng, 1, 0)):
+            assert_product_matches_per_term(left, w)
+
+
+def test_product_of_zero_field_and_cancellation():
+    """A zero right factor gives a zero field over an empty table; a product
+    whose terms cancel exactly drops them from its table."""
+    for left in (bubble(), random_polyfield(np.random.default_rng(3), 1, 2)):
+        zero = assert_product_matches_per_term(left, PolyField.zero(2))
+        assert zero.n == 2 and len(zero._table) == 0
+    left = PolyField([{(1, 0, 0): 1.0, (0, 1, 0): -1.0}])  # x - y
+    w = PolyField([{(1, 0, 0): 1.0, (0, 1, 0): 1.0}, {(1, 0, 0): 0.5, (0, 1, 0): 0.5}])
+    square = assert_product_matches_per_term(left, w)
+    assert square._table.keys == ((0, 2, 0), (2, 0, 0))  # the xy terms cancel
+    assert square.terms == [{(0, 2, 0): -1.0, (2, 0, 0): 1.0}, {(0, 2, 0): -0.5, (2, 0, 0): 0.5}]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    left_degree=st.integers(0, 3),
+    degree=st.integers(0, 3),
+    density=st.sampled_from([0.3, 0.7, 1.0]),
+    use_bubble=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_product_property(n, left_degree, degree, density, use_bubble, seed):
+    """Sparse dyadic factors, whose products cancel to exact zeros, and dense
+    random ones keep the per-term keys and bytes."""
+    rng = np.random.default_rng(seed)
+    left = bubble() if use_bubble else dyadic_field(rng, 1, left_degree, density)
+    assert_product_matches_per_term(left, dyadic_field(rng, n, degree, density))
+    assert_product_matches_per_term(random_polyfield(rng, 1, left_degree), random_polyfield(rng, n, degree))
+
+
 def test_random_polyfield_draws_like_scalar_polys():
     """Component by component, in the graded order of `monomials_upto`, one
     `rng.uniform` draw per monomial."""
@@ -364,12 +427,25 @@ def test_face_rules_measure_and_normals():
     assert np.array_equal(normal_sum, np.zeros(3))
 
 
+@pytest.mark.parametrize("order", [1, 3, 8])
+def test_boundary_rule_stacks_face_rules(order):
+    """The boundary rule is the six face rules in order, each point's weight
+    times its face's outward normal; it is built once per order."""
+    pts, flux = boundary_rule(order)
+    faces = face_rules(order)
+    assert np.array_equal(pts, np.concatenate([p for p, _, _ in faces]))
+    assert np.array_equal(flux, np.concatenate([np.outer(w, n) for _, w, n in faces]))
+    assert np.max(np.abs(np.sum(flux, axis=0))) <= 1e-15  # opposite faces cancel
+    assert float(np.sum(np.abs(flux))) == pytest.approx(6.0, abs=1e-13)
+    assert boundary_rule(order)[0] is pts
+
+
 def test_quadrature_rules_are_read_only():
     """Rules are cached per order and shared by every caller, including the
     monomial blocks kept at their points: no caller may write to them."""
     x, w = gauss_points_01(3)
     pts, wts = cube_rule(3)
-    arrays = [x, w, pts, wts] + [a for face in face_rules(3) for a in face]
+    arrays = [x, w, pts, wts, *boundary_rule(3)] + [a for face in face_rules(3) for a in face]
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 5.0
@@ -401,17 +477,23 @@ def rule_tables():
 @pytest.mark.parametrize("order", [8, 12, 13, 14])
 def test_rule_evaluation_equals_evaluate_monomials(order, face, cold_rules):
     """Cold and warm, the kept blocks give the bits of `evaluate_monomials`
-    at the rule's points; cube orders 13 and 14 span two 2048-row blocks."""
-    pts = cube_rule(order)[0] if face is None else face_rules(order)[face][0]
+    at the rule's points: the cube rule for face None (orders 13 and 14 span
+    two 2048-row blocks), else the boundary rule, whose rows of that face
+    are the face rule's points."""
+    boundary = face is not None
+    pts = (boundary_rule if boundary else cube_rule)(order)[0]
+    if boundary:
+        rows = order * order
+        assert_same_bits(pts[face * rows:(face + 1) * rows], face_rules(order)[face][0])
     for table, coeffs in rule_tables():
         want = evaluate_monomials(pts, table.plan, coeffs)
         for _ in range(2):
-            assert_same_bits(evaluate_on_rule(table, coeffs, order, face), want)
-        blocks = cold_rules[(table, order, face)]
+            assert_same_bits(evaluate_on_rule(table, coeffs, order, boundary), want)
+        blocks = cold_rules[(table, order, boundary)]
         rows = polyfield._BLOCK_ROWS
         assert [len(b) for b in blocks] == [len(pts[i:i + rows]) for i in range(0, len(pts), rows)]
     field = random_polyfield(np.random.default_rng(order), 3, 3)
-    vals, grads = field.eval_on_rule(order, face)
+    vals, grads = field.eval_on_rule(order, boundary)
     assert_same_bits(vals, field.eval(pts))
     assert_same_bits(grads, field.eval_grad(pts))
 
@@ -419,7 +501,7 @@ def test_rule_evaluation_equals_evaluate_monomials(order, face, cold_rules):
 def test_rule_blocks_are_read_only(cold_rules):
     for table, coeffs in rule_tables():
         evaluate_on_rule(table, coeffs, 13)
-        evaluate_on_rule(table, coeffs, 4, 2)
+        evaluate_on_rule(table, coeffs, 4, boundary=True)
     assert len(cold_rules) == 6
     for blocks in cold_rules.values():
         for block in blocks:
@@ -435,8 +517,8 @@ def test_rule_cache_stays_within_byte_budget(cold_rules):
         for table in tables:
             evaluate_on_rule(table, np.ones((len(table), 1)), order)
             assert rule_bytes() <= polyfield._RULE_BYTES
-    assert (tables[0], 1, None) not in cold_rules
-    assert (tables[-1], 20, None) in cold_rules
+    assert (tables[0], 1, False) not in cold_rules
+    assert (tables[-1], 20, False) in cold_rules
     assert rule_bytes() > polyfield._RULE_BYTES // 2
 
 
@@ -444,9 +526,11 @@ def test_rule_cache_evicts_least_recently_used(cold_rules, monkeypatch):
     table = polyfield._dense(3)[0]
     coeffs = np.ones((len(table), 1))
     monkeypatch.setattr(polyfield, "_RULE_BYTES", 2 * 64 * len(table) * 8)
-    for face in (0, 1, 0, 2):  # 64 points per face at order 8
-        evaluate_on_rule(table, coeffs, 8, face)
-    assert list(cold_rules) == [(table, 8, 0), (table, 8, 2)]
+    # 54 boundary points at order 3, 64 cube points at order 4, 24 boundary
+    # points at order 2: the third rule evicts the second, used least recently.
+    for order, boundary in ((3, True), (4, False), (3, True), (2, True)):
+        evaluate_on_rule(table, coeffs, order, boundary)
+    assert list(cold_rules) == [(table, 3, True), (table, 2, True)]
 
 
 def test_rule_larger_than_budget_is_evaluated_but_not_kept(cold_rules):

@@ -10,7 +10,7 @@ from nullag import polyfield
 from nullag import quasicrystal as qc
 from nullag import verifier as vf
 from nullag.polyfield import PolyField, bubble, bubble_damped, evaluate_monomials, random_polyfield, stack_fields
-from nullag.quadrature import cube_rule, face_rules, required_order
+from nullag.quadrature import boundary_rule, cube_rule, required_order
 from nullag.tensors import project
 from nullag.verifier import (
     CallableLagrangian,
@@ -191,11 +191,12 @@ def monomial_actions(lag, fields, order):
 
 
 def monomial_surface_potential(tilde, phi, order):
-    """`mp.surface_potential` with `eval` and `eval_grad` at each face's points."""
-    total = 0.0
-    for pts, wts, normal in face_rules(order):
-        total += float(np.einsum("ijkl,mij,mk,l->m", tilde, phi.eval_grad(pts), phi.eval(pts), normal) @ wts)
-    return 0.5 * total
+    """`mp.surface_potential` with `eval` and `eval_grad` at the points of the
+    stacked boundary rule: B~ (9, 9) against the moment of the gradients and
+    the values times weight and normal."""
+    pts, flux = boundary_rule(order)
+    values = (phi.eval(pts)[:, :, None] * flux[:, None, :]).reshape(-1, 9)
+    return 0.5 * float(np.sum(tilde.reshape(9, 9) * (phi.eval_grad(pts).reshape(-1, 9).T @ values)))
 
 
 @pytest.mark.parametrize("order", [8, 13])
@@ -518,3 +519,83 @@ def test_quadratic_evaluate_matches_einsum_form():
         size += np.einsum("mjb,jbk,mk->m", abs(dy), abs(lag.q), abs(y))
         size += 0.5 * np.einsum("mj,jk,mk->m", abs(y), abs(lag.r), abs(y))
         assert np.all(np.abs(lag.evaluate(x, y, dy) - ref) <= 1e-12 * size)
+
+
+class ThreeBlockDensity(QuadraticLagrangian):
+    """A quadratic density that takes the p, q and r terms on every call, in
+    the order `QuadraticLagrangian` adds them, zero blocks included."""
+
+    def evaluate(self, x, y, dy):
+        f = np.asarray(dy, dtype=float).reshape(len(dy), 3 * self.n)
+        out = 0.5 * np.einsum("mi,mi->m", f @ self.p.reshape(3 * self.n, 3 * self.n), f)
+        out += np.einsum("mi,mi->m", f @ self.q.reshape(3 * self.n, self.n), y)
+        out += 0.5 * np.einsum("mi,mi->m", y @ self.r, y)
+        return out
+
+    def closed_residual(self, x, y0, dy0, d2y0):
+        res = np.einsum("kcj,...jc->...k", self.q, dy0)
+        res -= np.einsum("jbk,...jb->...k", self.q, dy0)
+        res += np.einsum("kcjb,...jbc->...k", self.p, d2y0)
+        res -= np.einsum("kj,...j->...k", self.r, y0)
+        return res, self.second_derivative_scale()
+
+
+def zero_block_densities(rng):
+    """Quasicrystal, em_elast and B-only micropolar densities: q and r are 0."""
+    sym4 = lambda t: 0.5 * (t + np.transpose(t, (2, 3, 0, 1)))
+    sym3 = lambda t: 0.5 * (t + np.transpose(t, (0, 2, 1)))
+    sym2 = lambda t: 0.5 * (t + t.T)
+    z4 = np.zeros((3, 3, 3, 3))
+    return [
+        qc.lagrangian(qc.QcModuli(project(rng.uniform(-1, 1, (3, 3, 3, 3)), qc.PHONON_CLASS),
+                                  project(rng.uniform(-1, 1, (3, 3, 3, 3)), qc.MINOR_LEFT),
+                                  sym4(rng.uniform(-1, 1, (3, 3, 3, 3))))),
+        em.lagrangian(em.EmModuli(
+            project(rng.uniform(-1, 1, (3, 3, 3, 3)), em.EM_ELASTIC_CLASS),
+            sym3(rng.uniform(-1, 1, (3, 3, 3))), sym3(rng.uniform(-1, 1, (3, 3, 3))),
+            sym2(rng.uniform(-1, 1, (3, 3))), sym2(rng.uniform(-1, 1, (3, 3))),
+            sym2(rng.uniform(-1, 1, (3, 3))),
+        )),
+        mp.lagrangian(mp.MicropolarModuli(z4, sym4(rng.uniform(-1, 1, (3, 3, 3, 3))), z4)),
+        mp.lagrangian(mp.MicropolarModuli(z4, mp.split_B(sym4(rng.uniform(-1, 1, (3, 3, 3, 3)))).b_tilde, z4)),
+    ]
+
+
+def assert_same_as_three_blocks(lag, rng):
+    ref = ThreeBlockDensity(lag.p, lag.q, lag.r)
+    assert all(np.array_equal(getattr(ref, name), getattr(lag, name)) for name in "pqr")
+    m = 200
+    x, y, dy = rng.uniform(0, 1, (m, 3)), rng.uniform(-1, 1, (m, lag.n)), rng.uniform(-1, 1, (m, lag.n, 3))
+    assert np.array_equal(lag.evaluate(x, y, dy), ref.evaluate(x, y, dy))
+    fields = [random_polyfield(rng, lag.n, 3), random_polyfield(rng, lag.n, 2)]
+    assert np.array_equal(vf._actions(lag, fields, 8), vf._actions(ref, fields, 8))
+    pts = rng.uniform(0, 1, (2, 3, 3))
+    states = polyfield.field_states(fields, pts)
+    for got, want in zip(lag.closed_residual(pts, *states), ref.closed_residual(pts, *states)):
+        assert np.array_equal(got, want)
+    assert certify_null(lag, trials=4, seed=5).as_dict() == certify_null(ref, trials=4, seed=5).as_dict()
+
+
+def test_zero_blocks_are_skipped_with_the_same_values():
+    rng = np.random.default_rng(41)
+    for lag in zero_block_densities(rng):
+        assert not lag._uses_q and not lag._uses_r
+        assert_same_as_three_blocks(lag, rng)
+
+
+def test_nonzero_blocks_take_all_three_terms():
+    rng = np.random.default_rng(42)
+    lag = random_micropolar_density(rng)
+    assert lag._uses_q and lag._uses_r
+    assert_same_as_three_blocks(lag, rng)
+
+
+def test_density_blocks_are_read_only():
+    rng = np.random.default_rng(43)
+    q = rng.uniform(-1, 1, (2, 3, 2))
+    lag = QuadraticLagrangian(rng.uniform(-1, 1, (2, 3, 2, 3)), q, rng.uniform(-1, 1, (2, 2)))
+    for block in (lag.p, lag.q, lag.r):
+        with pytest.raises(ValueError, match="read-only"):
+            block[(0,) * block.ndim] = 1.0
+    q[0, 0, 0] = 2.0  # the caller's array stays its own and writable
+    assert lag.q[0, 0, 0] != 2.0
