@@ -432,22 +432,23 @@ def _stacked_eval(points: np.ndarray, table: _Table, coeffs: np.ndarray) -> np.n
     return mono @ np.swapaxes(coeffs, 1, 2)
 
 
-def _states(points: np.ndarray, table: _Table, coeffs: np.ndarray):
-    """Values, gradients and the six a <= b second partials of stacked
-    fields (F, N, M) over `table` at their own points (F, P, 3)."""
-    f, p = points.shape[:2]
+def _states(points: np.ndarray, table: _Table, coeffs: np.ndarray, levels) -> list:
+    """Values (F, P, N), first partials (F, P, 3N) and the six a <= b second
+    partials (F, P, 6N) of stacked fields (F, N, M) over `table` at their
+    own points (F, P, 3); None for a derivative level not in `levels`."""
     n = coeffs.shape[1]
     gtable, grad = table.differentiate(coeffs)
-    htable, hess = _upper_second(gtable, grad)
-    vals = _stacked_eval(points, table, coeffs)
-    grads = _stacked_eval(points, gtable, grad.reshape(f, 3 * n, len(gtable)))
-    hessians = _stacked_eval(points, htable, hess.reshape(f, 6 * n, len(htable)))
-    return vals, grads.reshape(f, p, n, 3), hessians.reshape(f, p, n, 6)
+    jets = ((table, coeffs, n), (gtable, grad, 3 * n), (*_upper_second(gtable, grad), 6 * n))
+    return [_stacked_eval(points, t, c.reshape(len(points), k, len(t))) if level in levels else None
+            for level, (t, c, k) in enumerate(jets)]
 
 
-def field_states(fields, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def field_states(fields, points, levels=(0, 1, 2)) -> tuple:
     """Values (F, P, N), gradients (F, P, N, 3) and exactly symmetric
     Hessians (F, P, N, 3, 3) of F fields, each at its own points (F, P, 3).
+    Only the derivative levels in `levels` (0 values, 1 gradients,
+    2 Hessians) are evaluated; the others are returned as None.  An array
+    that is evaluated has the same bits and layout whatever the levels.
 
     Fields are stacked per shared table, so each entry equals the field's
     own `eval`, `eval_grad` and `eval_hess` at its points bit for bit (a
@@ -461,13 +462,16 @@ def field_states(fields, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for i, field in enumerate(fields):
         groups.setdefault(field._table, []).append(i)
     shape = pts.shape[:2] + (fields[0].n,)
-    vals, grads, pairs = np.empty(shape), np.empty(shape + (3,)), np.empty(shape + (6,))
+    states = [np.empty(shape + tail) if level in levels else None
+              for level, tail in enumerate(((), (3,), (6,)))]
     for idx in groups.values():
-        for whole, part in zip((vals, grads, pairs), _states(pts[idx], *stack_fields([fields[i] for i in idx]))):
-            whole[idx] = part
+        for whole, part in zip(states, _states(pts[idx], *stack_fields([fields[i] for i in idx]), levels)):
+            if whole is not None:
+                whole[idx] = part.reshape((len(idx),) + whole.shape[1:])
     # Expanded last, as in `eval_hess`: the summation order of the residual
     # contractions follows this memory layout.
-    return vals, grads, pairs[..., _PAIR]
+    vals, grads, pairs = states
+    return vals, grads, None if pairs is None else pairs[..., _PAIR]
 
 
 @lru_cache(maxsize=1)

@@ -409,10 +409,14 @@ def _parse_term(term) -> tuple[tuple[int, ...], Fraction]:
     expo = term["exponents"]
     if not isinstance(expo, list) or not all(type(e) is int and e >= 0 for e in expo):
         raise ValueError(f"generator exponents must be a list of non-negative integers, got {expo!r}")
+    if not isinstance(text := term["coeff"], str):
+        raise ValueError(f"generator coefficient must be a string such as \"1/2\", got {text!r}")
     try:
-        coeff = Fraction(str(term["coeff"]))
+        coeff = Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"generator coefficient {term['coeff']!r} has a zero denominator") from None
+        raise ValueError(f"generator coefficient {text!r} has a zero denominator") from None
+    except ValueError:
+        raise ValueError(f"generator coefficient {text!r} is not a rational number") from None
     _to_float(coeff.numerator, coeff.denominator, "generator coefficient")
     return tuple(expo), coeff
 

@@ -58,6 +58,12 @@ class Lagrangian:
     #: raise it to cut roundoff amplification.
     fd_base_step = _FD_BASE_STEP
 
+    @property
+    def reads_values(self) -> bool:
+        """False if `evaluate` reads only Dy and `closed_residual` only the
+        Hessians, so their y, y0 and dy0 may be None."""
+        return True
+
     def evaluate(self, x: np.ndarray, y: np.ndarray, dy: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -84,7 +90,8 @@ class QuadraticLagrangian(Lagrangian):
     `p` has shape (N,3,N,3) and is symmetrized under pair swap, `q` has
     shape (N,3,N), `r` shape (N,N) symmetrized.  The blocks are read-only,
     and the terms of an identically zero `q` or `r` are skipped, which
-    leaves every value as it is.
+    leaves every value as it is; with both zero the density reads neither
+    y nor, in its residual, Dy (`reads_values`).
 
     Third derivatives vanish identically, so central differences carry no
     truncation error at any step; a large step minimizes roundoff on the
@@ -111,11 +118,19 @@ class QuadraticLagrangian(Lagrangian):
         self._uses_q, self._uses_r = bool(np.any(self.q)), bool(np.any(self.r))
         self.label = label
 
+    @property
+    def reads_values(self) -> bool:
+        # A subclass that replaces either method may read what these skip.
+        own = (type(self).evaluate is QuadraticLagrangian.evaluate
+               and type(self).closed_residual is QuadraticLagrangian.closed_residual)
+        return self._uses_q or self._uses_r or not own
+
     def evaluate(self, x, y, dy):
-        y = np.asarray(y, dtype=float)
         dy = np.asarray(dy, dtype=float)
         f = dy.reshape(dy.shape[0], 3 * self.n)
         out = 0.5 * np.einsum("mi,mi->m", f @ self.p.reshape(3 * self.n, 3 * self.n), f)
+        if self._uses_q or self._uses_r:
+            y = np.asarray(y, dtype=float)
         if self._uses_q:
             out += np.einsum("mi,mi->m", f @ self.q.reshape(3 * self.n, self.n), y)
         if self._uses_r:
@@ -311,9 +326,15 @@ def _residuals(lag: Lagrangian, x, y0, dy0, d2y0, method: str):
     return res, 1.0 + coeff * hess_mag
 
 
+def _read_states(lag: Lagrangian, fields, x, method: str):
+    """`field_states` of the levels the residual reads: the Hessians alone
+    for a closed-form density that reads no values."""
+    return field_states(fields, x, (0, 1, 2) if method != "closed" or lag.reads_values else (2,))
+
+
 def _residual_and_scale(lag: Lagrangian, y: PolyField, x, method: str):
     x = np.asarray(x, dtype=float).reshape(1, 1, 3)
-    res, scale = _residuals(lag, x, *field_states([y], x), method)
+    res, scale = _residuals(lag, x, *_read_states(lag, [y], x, method), method)
     return res[0, 0], float(scale[0, 0])
 
 
@@ -329,7 +350,8 @@ def _actions(lag: Lagrangian, fields, order: int) -> np.ndarray:
     """Exact tensor-product Gauss-Legendre actions (F,) of F fields over the
     unit cube: one rule, one kept monomial matrix per derivative level on the
     union of the fields' tables, and one density evaluation per field over
-    its Q rows, so no temporary grows with F.
+    its Q rows, so no temporary grows with F.  The values are evaluated
+    only for a density that reads them.
 
     Raises ValueError if the order is below what the density's
     per-coordinate degree bound requires for any field, and
@@ -347,7 +369,7 @@ def _actions(lag: Lagrangian, fields, order: int) -> np.ndarray:
     child, grad = table.differentiate(coeffs)
     density = np.empty((f, pts.shape[0]))
     for i in range(f):
-        y = evaluate_on_rule(table, coeffs[i].T, order)
+        y = evaluate_on_rule(table, coeffs[i].T, order) if lag.reads_values else None
         dy = evaluate_on_rule(child, grad[i].reshape(3 * n, len(child)).T, order).reshape(-1, n, 3)
         with np.errstate(over="ignore", invalid="ignore"):  # reported just below
             density[i] = lag.evaluate(pts, y, dy)
@@ -461,7 +483,7 @@ def certify_null(
         points.append(rng.uniform(0.0, 1.0, size=(points_per_trial, 3)))
     x = np.stack(points)
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        res, scale = _residuals(lag, x, *field_states(fields, x), method)
+        res, scale = _residuals(lag, x, *_read_states(lag, fields, x, method), method)
         normalized = np.max(np.abs(res), axis=-1) / scale
     if not np.all(np.isfinite(normalized)):
         raise FloatingPointError("non-finite Euler residual")

@@ -190,8 +190,14 @@ def generator_with(first_term):
         {"exponents": [1, 0, 0, -1], "coeff": "1"},
         {"exponents": [True, 0, 0, 1], "coeff": "1"},
         {"exponents": [1, 0, 0, 1], "coeff": "1/0"},
+        {"exponents": [1, 0, 0, 1], "coeff": 0.1},
+        {"exponents": [1, 0, 0, 1], "coeff": 1},
+        {"exponents": [1, 0, 0, 1], "coeff": True},
+        {"exponents": [1, 0, 0, 1], "coeff": "nan"},
+        {"exponents": [1, 0, 0, 1], "coeff": "abc"},
     ],
-    ids=["fractional-exponent", "negative-exponent", "bool-exponent", "zero-denominator"],
+    ids=["fractional-exponent", "negative-exponent", "bool-exponent", "zero-denominator",
+         "number-coeff", "integer-coeff", "bool-coeff", "nan-coeff", "word-coeff"],
 )
 def test_generator_file_contract_violation_is_usage_error(tmp_path, capsys, term):
     path = write(tmp_path, "gen.json", generator_with(term))
@@ -200,6 +206,17 @@ def test_generator_file_contract_violation_is_usage_error(tmp_path, capsys, term
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "coeff, message",
+    [(0.1, 'must be a string such as "1/2", got 0.1'), (True, 'must be a string such as "1/2", got True'),
+     ("nan", "'nan' is not a rational number"), ("abc", "'abc' is not a rational number")],
+)
+def test_generator_coefficient_error_names_the_value(tmp_path, capsys, coeff, message):
+    path = write(tmp_path, "gen.json", generator_with({"exponents": [1, 0, 0, 1], "coeff": coeff}))
+    assert main(["check", path]) == 2
+    assert capsys.readouterr().err == f"error: generator coefficient {message}\n"
 
 
 @pytest.mark.parametrize(

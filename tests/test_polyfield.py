@@ -217,6 +217,27 @@ def test_field_states_equal_per_field_eval_mixed_tables():
     assert_states_match_per_field(fields, rng.uniform(0, 1, (4, 3, 3)))
 
 
+@pytest.mark.parametrize("levels", [(2,), (0, 2), (1, 2)])
+def test_hessian_only_states_keep_bits_and_layout(levels):
+    """The residual contractions sum in an order that follows the Hessians'
+    layout, so a call that skips values or gradients must give the same
+    array in the same strides, on dense and bubble-damped tables alike."""
+    rng = np.random.default_rng(10)
+    fields = [random_polyfield(rng, 3, 3), bubble_damped(random_polyfield(rng, 3, 1)),
+              random_polyfield(rng, 3, 3) + bubble_damped(random_polyfield(rng, 3, 1)), random_polyfield(rng, 3, 2)]
+    assert len({f._table for f in fields}) == 4
+    pts = rng.uniform(0, 1, (4, 5, 3))
+    full = field_states(fields, pts)
+    part = field_states(fields, pts, levels)
+    for level in range(3):
+        if level not in levels:
+            assert part[level] is None
+            continue
+        assert_same_bits(part[level], full[level])
+        assert part[level].strides == full[level].strides
+        assert part[level].flags.c_contiguous == full[level].flags.c_contiguous
+
+
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(
     n=st.integers(1, 4),

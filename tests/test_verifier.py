@@ -8,6 +8,7 @@ from nullag import em
 from nullag import micropolar as mp
 from nullag import polyfield
 from nullag import quasicrystal as qc
+from nullag import rund
 from nullag import verifier as vf
 from nullag.polyfield import PolyField, bubble, bubble_damped, evaluate_monomials, random_polyfield, stack_fields
 from nullag.quadrature import boundary_rule, cube_rule, required_order
@@ -588,6 +589,50 @@ def test_nonzero_blocks_take_all_three_terms():
     lag = random_micropolar_density(rng)
     assert lag._uses_q and lag._uses_r
     assert_same_as_three_blocks(lag, rng)
+
+
+def evaluated_levels(lag):
+    """Derivative levels (0 values, 1 gradients, 2 Hessians) that `_actions`
+    and the residual states of `certify_null` and `euler_residual` evaluate
+    for `lag`, read off the column count of each evaluated batch."""
+    level = {lag.n: 0, 3 * lag.n: 1, 6 * lag.n: 2}
+    actions, states = set(), set()
+    on_rule, stacked = vf.evaluate_on_rule, polyfield._stacked_eval
+
+    def count_on_rule(table, coeffs, *rest):
+        actions.add(level[coeffs.shape[1]])
+        return on_rule(table, coeffs, *rest)
+
+    def count_stacked(points, table, coeffs):
+        states.add(level[coeffs.shape[1]])
+        return stacked(points, table, coeffs)
+
+    rng = np.random.default_rng(44)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vf, "evaluate_on_rule", count_on_rule)
+        patch.setattr(polyfield, "_stacked_eval", count_stacked)
+        vf._actions(lag, [random_polyfield(rng, lag.n, 2), bubble_damped(random_polyfield(rng, lag.n, 1))], 8)
+        certify_null(lag, trials=2, degree=2, seed=3, boundary_pairs=1)
+        euler_residual(lag, random_polyfield(rng, lag.n, 2), [0.2, 0.3, 0.4])
+    return actions, states
+
+
+def test_gradient_only_densities_skip_values():
+    rng = np.random.default_rng(45)
+    isotropic = mp.lagrangian(mp.IsotropicParams(0.5, 0.3, 0.0, 1.0, 0.3, -0.2).moduli())
+    for lag in zero_block_densities(rng) + [isotropic]:
+        assert not lag.reads_values
+        assert evaluated_levels(lag) == ({1}, {2})
+
+
+def test_densities_that_read_values_get_every_level():
+    rng = np.random.default_rng(46)
+    quasicrystal = zero_block_densities(rng)[0]
+    for lag in (random_micropolar_density(rng),
+                rund.build_null_lagrangian(rund.random_generator_set(rng, 2, degree=2)),
+                ThreeBlockDensity(quasicrystal.p, quasicrystal.q, quasicrystal.r)):
+        assert lag.reads_values
+        assert evaluated_levels(lag) == ({0, 1}, {0, 1, 2})
 
 
 def test_density_blocks_are_read_only():
