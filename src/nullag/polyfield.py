@@ -244,11 +244,12 @@ def _upper_second(table: _Table, grad: np.ndarray) -> tuple[_Table, np.ndarray]:
 class PolyField:
     """Vector-valued polynomial map R^3 -> R^N with exact derivatives.
 
-    Holds one sorted exponent table and an (N, M) coefficient matrix.
-    Gradient and Hessian coefficient matrices are built once, on first use.
+    Holds one sorted exponent table and a read-only (N, M) coefficient
+    matrix.  Gradient and Hessian coefficient matrices, and the axis degree,
+    are built once, on first use.
     """
 
-    __slots__ = ("_table", "_coeffs", "_grad", "_hess")
+    __slots__ = ("_table", "_coeffs", "_grad", "_hess", "_axis_degree")
 
     def __init__(self, components):
         """One {(e1, e2, e3): coeff} dict per component; the table holds the
@@ -264,14 +265,16 @@ class PolyField:
         for row, terms in zip(coeffs, clean):
             for expo, coeff in terms.items():
                 row[table.index[expo]] = coeff
+        coeffs.flags.writeable = False
         self._table, self._coeffs = table, coeffs
-        self._grad = self._hess = None
+        self._grad = self._hess = self._axis_degree = None
 
     @classmethod
     def _from_matrix(cls, table: _Table, coeffs: np.ndarray) -> "PolyField":
         field = cls.__new__(cls)
+        coeffs.flags.writeable = False
         field._table, field._coeffs = table, coeffs
-        field._grad = field._hess = None
+        field._grad = field._hess = field._axis_degree = None
         return field
 
     @classmethod
@@ -301,8 +304,10 @@ class PolyField:
         """Largest exponent of any single coordinate in a monomial in use;
         0 for the zero field.  A tensor-product Gauss rule is exact per
         coordinate, so this, not `degree()`, sizes it."""
-        used = self._used_expos()
-        return int(used.max()) if used.size else 0
+        if self._axis_degree is None:
+            used = self._used_expos()
+            self._axis_degree = int(used.max()) if used.size else 0
+        return self._axis_degree
 
     def __add__(self, other: "PolyField") -> "PolyField":
         if other.n != self.n:

@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from functools import lru_cache
+from itertools import chain, combinations_with_replacement
 
 import numpy as np
 
@@ -59,20 +60,6 @@ class GenPoly:
     def terms(self) -> dict:
         return dict(self._terms)
 
-    def degree(self) -> int:
-        return max((sum(e) for e in self._terms), default=0)
-
-    def diff(self, var: int) -> "GenPoly":
-        out: dict[tuple[int, ...], Fraction] = {}
-        for expo, coeff in self._terms.items():
-            if expo[var] == 0:
-                continue
-            new = list(expo)
-            new[var] -= 1
-            key = tuple(new)
-            out[key] = out.get(key, Fraction(0)) + coeff * expo[var]
-        return GenPoly(self.nvars, out)
-
 
 def _to_float(num: int, den: int, what: str) -> float:
     """num / den correctly rounded, which is float(Fraction(num, den)); a
@@ -87,84 +74,111 @@ def _to_float(num: int, den: int, what: str) -> float:
     return out
 
 
-def _partial_matrix(polys, nvars: int, order: int) -> tuple:
-    """Exponents (T, nvars), float coefficients (T, len(polys) * P) and plan
-    of all P partials of the given order of every polynomial: column p * P + i
-    holds the partial along the i-th sorted variable tuple of
-    `combinations_with_replacement(range(nvars), order)`.  The rows are the
-    sorted union of the partials' exponents.
-
-    A partial maps each term c * v^e to the single term c * e_v * v^(e - 1_v),
-    so each coefficient is one exact integer product and one correctly
-    rounded division, equal to float of the exact rational partial; only the
-    variables a term contains are visited."""
-    partials = {vs: i for i, vs in enumerate(combinations_with_replacement(range(nvars), order))}
-    columns = [{} for _ in range(len(polys) * len(partials))]
-    for p, poly in enumerate(polys):
-        for expo, c in poly._terms.items():
-            support = [v for v, e in enumerate(expo) if e]
-            for vs in combinations_with_replacement(support, order):
-                shifted, num = list(expo), c.numerator
-                for v in vs:
-                    num *= shifted[v]
-                    shifted[v] -= 1
-                if num:
-                    columns[p * len(partials) + partials[vs]][tuple(shifted)] = num, c.denominator
-    keys = sorted(set().union(*columns))
-    index = {e: i for i, e in enumerate(keys)}
-    coeffs = np.zeros((len(keys), len(columns)))
-    for col, column in enumerate(columns):
-        for expo, (num, den) in column.items():
-            coeffs[index[expo], col] = _to_float(num, den, "generator partial coefficient")
-    expos = np.array(keys, dtype=np.int64).reshape(-1, nvars)
-    return expos, coeffs, monomial_plan(expos)
+@lru_cache(maxsize=None)
+def _partial_tuples(nvars: int, order: int) -> tuple:
+    """For order 1 or 2: the tuples (P, order) of `combinations_with_replacement(
+    range(nvars), order)`, the decrement of each slot's exponent by earlier
+    slots on its variable, each tuple's count per variable (P, nvars), and the
+    matrix column a * P + i of every (a, v1, ..) of the three generators."""
+    tuples = np.array(list(combinations_with_replacement(range(nvars), order)), dtype=np.int64)
+    offsets = np.sum((tuples[:, :, None] == tuples[:, None, :]) & np.tri(order, k=-1, dtype=bool), axis=2)
+    index = np.empty((3,) + (nvars,) * order, dtype=np.int64)
+    columns = np.arange(3 * len(tuples)).reshape(3, -1)
+    index[(slice(None), *tuples.T)] = index[(slice(None), *tuples.T[::-1])] = columns
+    return tuples, offsets, np.sum(tuples[:, :, None] == np.arange(nvars), axis=1), index
 
 
 class GeneratorSet:
-    """Three generator polynomials of (x, y).
+    """Three generator polynomials of (x, y), held as one exact table: term t
+    is num[t] / den[t] * prod_v v^expos[t, v] of generator poly[t], with
+    exponents (T, 3+N) int64, generator indices (T,), and reduced numerators
+    and denominators as Python ints in object arrays.
 
     Their first and second partials are evaluated from float matrices built
-    once, on first use, straight from the exact rational terms: one exponent
-    table with its monomial plan and one coefficient column per partial, so
-    each evaluation is one monomial matrix and one product over the batch.
+    from the table on first use: one exponent table with its monomial plan and
+    one coefficient column per partial, so each evaluation is one monomial
+    matrix and one product over the batch.
     """
 
     def __init__(self, polys, n: int):
-        polys = tuple(polys)
+        polys, n = tuple(polys), int(n)
         if len(polys) != 3:
             raise ValueError("a generator set holds exactly three polynomials")
-        self.n = int(n)
-        if self.n < 1:
+        if n < 1:
             raise ValueError("field dimension must be positive")
-        nvars = 3 + self.n
-        for poly in polys:
-            if poly.nvars != nvars:
-                raise ValueError(f"generator polynomials must use {nvars} variables")
-        self.polys = polys
-        self._degree = max(p.degree() for p in polys)
-        self._grad = self._hess = None
+        if any(poly.nvars != 3 + n for poly in polys):
+            raise ValueError(f"generator polynomials must use {3 + n} variables")
+        self._fill(n, {(a, e): c for a, poly in enumerate(polys) for e, c in poly._terms.items()})
+        self._polys = polys
+
+    def _fill(self, n: int, terms: dict) -> None:
+        """Set the table to the {(generator index, exponents): nonzero Fraction} terms."""
+        self.n, self._polys, self._grad, self._hess = n, None, None, None
+        self._degree = max((sum(e) for _, e in terms), default=0)
+        self.poly = np.array([a for a, _ in terms], dtype=np.int64)
+        self.expos = np.fromiter(chain.from_iterable(e for _, e in terms), np.int64).reshape(-1, 3 + n)
+        self.num = np.array([c.numerator for c in terms.values()], dtype=object)
+        self.den = np.array([c.denominator for c in terms.values()], dtype=object)
+        for table in (self.poly, self.expos, self.num, self.den):
+            table.flags.writeable = False
+
+    @property
+    def polys(self) -> tuple:
+        """The generators as `GenPoly`s: those given, or built from a loaded table."""
+        if self._polys is None:
+            rows = list(zip(self.poly.tolist(), self.expos.tolist(), self.num, self.den))
+            self._polys = tuple(GenPoly(3 + self.n, [(e, Fraction(u, d)) for b, e, u, d in rows if b == a])
+                                for a in range(3))
+        return self._polys
 
     def degree(self) -> int:
         return self._degree
 
+    def _partial_matrix(self, order: int) -> tuple:
+        """Exponents (R, 3+N), float coefficients (R, 3 * P) and plan of all P
+        partials of the given order: column a * P + i holds the partial of S^a
+        along the i-th tuple of `_partial_tuples`, and the rows are the sorted
+        union of the partials' exponents.  A partial maps each term to one
+        term, so each coefficient is one exact integer product of exponent
+        factors and one correctly rounded division."""
+        tuples, offsets, counts, _ = _partial_tuples(3 + self.n, order)
+        factors = self.expos[:, tuples] - offsets
+        term, part = np.nonzero(np.all(factors > 0, axis=2))
+        col = self.poly[term] * len(tuples) + part
+        num, den = self.num[term], self.den[term]
+        # Python ints: a product of exponent factors can pass 2**63.
+        for factor in factors[term, part].T:
+            num = num * factor.astype(object)
+        try:
+            values = (num / den).astype(float)
+        except OverflowError:
+            values = None
+        if values is None or not values.all():
+            # name the first coefficient out of range, column by column in table order
+            for i in np.lexsort((term, col)):
+                _to_float(num[i], den[i], "generator partial coefficient")
+        shifted = self.expos[term] - counts[part]
+        sort = np.lexsort(shifted.T[::-1])
+        new = np.ones(len(sort), dtype=bool)
+        new[1:] = np.any(shifted[sort[1:]] != shifted[sort[:-1]], axis=1)
+        row = np.empty_like(sort)
+        row[sort] = np.cumsum(new) - 1
+        expos = shifted[sort[new]]
+        coeffs = np.zeros((len(expos), 3 * len(tuples)))
+        coeffs[row, col] = values
+        return expos, coeffs, monomial_plan(expos)
+
     def _gradient(self) -> tuple:
         """Exponents, coefficients (T1, 3 * (3+N)) and plan of dS^a/dv, column a*(3+N) + v."""
         if self._grad is None:
-            nvars = 3 + self.n
-            self._grad = _partial_matrix(self.polys, nvars, 1)
+            self._grad = self._partial_matrix(1)
         return self._grad
 
     def _hessian(self) -> tuple:
         """Exponents, coefficients and plan of d2S^a/dv1 dv2 for v1 <= v2, and the
         column of every (a, v1, v2) in the full symmetric (3, 3+N, 3+N) array."""
         if self._hess is None:
-            nvars = 3 + self.n
-            pairs = list(combinations_with_replacement(range(nvars), 2))
-            index = np.empty((3, nvars, nvars), dtype=np.int64)
-            for a in range(3):
-                for col, (v1, v2) in enumerate(pairs):
-                    index[a, v1, v2] = index[a, v2, v1] = a * len(pairs) + col
-            self._hess = _partial_matrix(self.polys, nvars, 2) + (index,)
+            self._hess = self._partial_matrix(2) + (_partial_tuples(3 + self.n, 2)[3],)
         return self._hess
 
     def _points(self, x, y) -> np.ndarray:
@@ -409,6 +423,8 @@ def _parse_term(term) -> tuple[tuple[int, ...], Fraction]:
     expo = term["exponents"]
     if not isinstance(expo, list) or not all(type(e) is int and e >= 0 for e in expo):
         raise ValueError(f"generator exponents must be a list of non-negative integers, got {expo!r}")
+    if max(expo, default=0) >= 2**63:
+        raise ValueError(f"generator exponent {max(expo)} is too large for a 64-bit integer")
     if not isinstance(text := term["coeff"], str):
         raise ValueError(f"generator coefficient must be a string such as \"1/2\", got {text!r}")
     try:
@@ -425,18 +441,18 @@ def generator_set_from_json(obj, n: int | None = None) -> GeneratorSet:
     """Parse the generator file format: a list of three polynomials, each a
     list of {"exponents": [ex1,ex2,ex3,ey1..eyN], "coeff": "p/q"}.
 
-    Exponents must be non-negative JSON integers and coefficients finite
-    rationals that a double represents without overflow or underflow to
-    zero; anything else is a ValueError.
+    Exponents must be non-negative JSON integers below 2**63 and coefficients
+    finite rationals that a double represents without overflow or underflow
+    to zero; anything else is a ValueError.  Duplicate terms of a polynomial
+    are summed exactly and zero sums dropped.
     """
     if not isinstance(obj, list) or len(obj) != 3:
         raise ValueError("generator file must be a list of three polynomials")
     nvars = None
-    polys = []
-    for poly_terms in obj:
+    terms: dict = {}
+    for a, poly_terms in enumerate(obj):
         if not isinstance(poly_terms, list):
             raise ValueError("each generator polynomial must be a list of terms")
-        terms = []
         for term in poly_terms:
             expo, coeff = _parse_term(term)
             if nvars is None:
@@ -445,14 +461,16 @@ def generator_set_from_json(obj, n: int | None = None) -> GeneratorSet:
                     raise ValueError("exponent tuples need at least four entries (3 for x)")
             elif len(expo) != nvars:
                 raise ValueError("inconsistent exponent tuple lengths")
-            terms.append((expo, coeff))
-        polys.append(terms)
+            key = (a, expo)
+            terms[key] = terms[key] + coeff if key in terms else coeff
     if nvars is None:
         raise ValueError("generator file has no terms; field dimension is undetermined")
     inferred = nvars - 3
     if n is not None and n != inferred:
         raise ValueError(f"generator file implies {inferred} field components, expected {n}")
-    return GeneratorSet([GenPoly(nvars, t) for t in polys], inferred)
+    g = GeneratorSet.__new__(GeneratorSet)
+    g._fill(inferred, {key: c for key, c in terms.items() if c})
+    return g
 
 
 def generator_set_to_json(g: GeneratorSet) -> list:

@@ -399,6 +399,13 @@ def test_numbers_json_cannot_give_as_doubles_are_usage_errors(tmp_path, capsys, 
     assert needle in assert_one_error_line(["certify", path, "--trials", "1", "--degree", "2"], capsys)
 
 
+@pytest.mark.parametrize("command", ["check", "split", "certify"])
+def test_generator_exponent_beyond_int64_is_named_at_load(tmp_path, capsys, command):
+    path = write(tmp_path, "gen.json", generator_with({"exponents": [0, 2**63, 0, 1], "coeff": "1"}))
+    err = assert_one_error_line([command, path], capsys)
+    assert err == f"error: generator exponent {2**63} is too large for a 64-bit integer\n"
+
+
 def cli_bases():
     """One small valid file per model tag, and a generator file."""
     return [

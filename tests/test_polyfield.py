@@ -395,6 +395,21 @@ def test_product_property(n, left_degree, degree, density, use_bubble, seed):
     assert_product_matches_per_term(random_polyfield(rng, 1, left_degree), random_polyfield(rng, n, degree))
 
 
+def test_axis_degree_is_kept_and_coefficients_are_read_only():
+    rng = np.random.default_rng(5)
+    y, w, scalar = random_polyfield(rng, 3, 2), random_polyfield(rng, 3, 1), random_polyfield(rng, 1, 2)
+    keep = np.array([1.0, 0.0] * (len(y._table) // 2) + [0.0] * (len(y._table) % 2))
+    fields = [y, y + w, y + PolyField._from_matrix(y._table, -y._coeffs), scalar * w, bubble_damped(w),
+              PolyField._from_matrix(y._table, y._coeffs * keep), y.diff(), PolyField([{(0, 4, 1): 2.0}])]
+    for field in fields:
+        used = field._table.expos[np.any(field._coeffs != 0.0, axis=0)]
+        fresh = int(used.max()) if used.size else 0
+        assert field.axis_degree() == field.axis_degree() == fresh
+        with pytest.raises(ValueError, match="read-only"):
+            field._coeffs[0, 0] = 1.0
+    assert [f.axis_degree() for f in fields[2:4]] == [0, 3]
+
+
 def test_random_polyfield_draws_like_scalar_polys():
     """Component by component, in the graded order of `monomials_upto`, one
     `rng.uniform` draw per monomial."""

@@ -1,8 +1,11 @@
 import json
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nullag import verifier as vf
 from nullag.polyfield import field_states, random_polyfield
@@ -30,6 +33,16 @@ def unit_gen(var_index, sign=1):
     return GenPoly(NVARS, {tuple(expo): Fraction(sign)})
 
 
+def diff(poly, var):
+    """Exact partial of a `GenPoly` along variable `var`, term by term."""
+    out = {}
+    for expo, coeff in poly.terms.items():
+        if expo[var]:
+            key = expo[:var] + (expo[var] - 1,) + expo[var + 1:]
+            out[key] = out.get(key, Fraction(0)) + coeff * expo[var]
+    return GenPoly(poly.nvars, out)
+
+
 def minor_example():
     """S1 = y5, S2 = -y4, S3 = 0."""
     return GeneratorSet([unit_gen(3 + 4), unit_gen(3 + 3, -1), GenPoly(NVARS)], N)
@@ -41,8 +54,8 @@ def test_genpoly_exact_diff_commutes():
     for poly in g.polys:
         for v1 in range(NVARS):
             for v2 in range(NVARS):
-                a = poly.diff(v1).diff(v2)
-                b = poly.diff(v2).diff(v1)
+                a = diff(diff(poly, v1), v2)
+                b = diff(diff(poly, v2), v1)
                 assert a.terms == b.terms
 
 
@@ -298,10 +311,10 @@ def test_partials_match_exact_per_partial_evaluation(g):
             got2[:, 3:, :3] = np.transpose(sxy, (0, 2, 1))
             for a, poly in enumerate(g.polys):
                 for v1 in range(nvars):
-                    ref, size = _exact_value(poly.diff(v1), pt)
+                    ref, size = _exact_value(diff(poly, v1), pt)
                     assert abs(got1[m, a, v1] - ref) <= 1e-15 * size
                     for v2 in range(nvars):
-                        ref, size = _exact_value(poly.diff(v1).diff(v2), pt)
+                        ref, size = _exact_value(diff(diff(poly, v1), v2), pt)
                         assert abs(got2[a, v1, v2] - ref) <= 1e-15 * size
 
 
@@ -313,7 +326,7 @@ def test_partial_matrices_hold_float_of_exact_coefficients(g):
     expected = np.zeros_like(coeffs)
     for a, poly in enumerate(g.polys):
         for v in range(nvars):
-            for e, c in poly.diff(v).terms.items():
+            for e, c in diff(poly, v).terms.items():
                 expected[rows[e], a * nvars + v] = float(c)
     assert np.array_equal(coeffs, expected)
 
@@ -323,7 +336,7 @@ def test_partial_matrices_hold_float_of_exact_coefficients(g):
     for a, poly in enumerate(g.polys):
         for v1 in range(nvars):
             for v2 in range(nvars):
-                for e, c in poly.diff(v1).diff(v2).terms.items():
+                for e, c in diff(diff(poly, v1), v2).terms.items():
                     expected[rows[e], index[a, v1, v2]] = float(c)
     assert np.array_equal(coeffs, expected)
     assert np.array_equal(index, np.transpose(index, (0, 2, 1)))
@@ -337,6 +350,125 @@ def test_partial_coefficient_outside_double_range_is_rejected():
     tiny = GeneratorSet([GenPoly(NVARS, {x2: Fraction(1, 10**400)}), GenPoly(NVARS), GenPoly(NVARS)], N)
     with pytest.raises(ValueError, match="double range"):
         tiny.second_partials(np.zeros(3), np.zeros(N))
+
+
+def fraction_partial_matrix(polys, nvars: int, order: int) -> tuple:
+    """Reference builder: exponents and float coefficients of all partials of
+    the given order, term by term from the exact `Fraction` coefficients.
+    Column p * P + i holds the partial of polynomial p along the i-th tuple of
+    `combinations_with_replacement(range(nvars), order)`; rows are the sorted
+    union of the partials' exponents."""
+    partials = {vs: i for i, vs in enumerate(combinations_with_replacement(range(nvars), order))}
+    columns = [{} for _ in range(len(polys) * len(partials))]
+    for p, poly in enumerate(polys):
+        for expo, c in poly.terms.items():
+            support = [v for v, e in enumerate(expo) if e]
+            for vs in combinations_with_replacement(support, order):
+                shifted, num = list(expo), c.numerator
+                for v in vs:
+                    num *= shifted[v]
+                    shifted[v] -= 1
+                if num:
+                    columns[p * len(partials) + partials[vs]][tuple(shifted)] = Fraction(num, c.denominator)
+    keys = sorted(set().union(*columns))
+    index = {e: i for i, e in enumerate(keys)}
+    coeffs = np.zeros((len(keys), len(columns)))
+    for col, column in enumerate(columns):
+        for expo, value in column.items():
+            coeffs[index[expo], col] = float(value)
+    return np.array(keys, dtype=np.int64).reshape(-1, nvars), coeffs
+
+
+def assert_matrices_equal_reference(g):
+    for order, (expos, coeffs, *_) in ((1, g._gradient()), (2, g._hessian())):
+        ref_expos, ref_coeffs = fraction_partial_matrix(g.polys, 3 + g.n, order)
+        assert expos.shape == ref_expos.shape and expos.tobytes() == ref_expos.tobytes()
+        assert coeffs.shape == ref_coeffs.shape and coeffs.tobytes() == ref_coeffs.tobytes()
+
+
+def _edge_sets():
+    """Loaded sets with duplicate and cancelling terms, and with numerators of
+    2**64 and more over large denominators, some from exponent factors near 2**62."""
+    x1y1, y1y2, x2 = [1, 0, 0, 1, 0], [0, 0, 0, 1, 1], [0, 2, 0, 0, 0]
+    big = [2**62, 0, 0, 1, 0]
+    files = [
+        [[{"exponents": x1y1, "coeff": "1/2"}, {"exponents": y1y2, "coeff": "3"},
+          {"exponents": x1y1, "coeff": "-1/2"}, {"exponents": y1y2, "coeff": "1/3"}],
+         [{"exponents": x2, "coeff": "0"}, {"exponents": x2, "coeff": "-2/7"}, {"exponents": x2, "coeff": "2/7"}],
+         [{"exponents": y1y2, "coeff": "5"}, {"exponents": y1y2, "coeff": "5"}]],
+        [[{"exponents": [3, 0, 1, 2, 0], "coeff": f"{3**47}/{7**30}"}],
+         [{"exponents": big, "coeff": "3/7"}, {"exponents": x2, "coeff": f"-{2**70 + 1}/{5**25}"}],
+         [{"exponents": [0, 0, 0, 2, 2], "coeff": f"{10**30}/{3**40}"}]],
+    ]
+    return [generator_set_from_json(f) for f in files]
+
+
+@pytest.mark.parametrize("g", _reference_sets() + _edge_sets(), ids=lambda g: f"n{g.n}d{g.degree()}")
+def test_partial_matrices_equal_fraction_loop_bits(g):
+    assert_matrices_equal_reference(g)
+
+
+def test_partial_matrices_of_acceptance_07_sets_equal_fraction_loop_bits():
+    for s in range(100):
+        assert_matrices_equal_reference(random_generator_set(np.random.default_rng(20_000 + s), 6, 2))
+
+
+def test_loaded_table_sums_duplicates_and_drops_zero_sums():
+    g = _edge_sets()[0]
+    assert g._polys is None
+    assert g.poly.tolist() == [0, 2]
+    assert g.expos.tolist() == [[0, 0, 0, 1, 1]] * 2
+    assert (g.num.tolist(), g.den.tolist()) == ([10, 10], [3, 1])
+    assert g.degree() == 2
+    assert [p.terms for p in g.polys] == [{(0, 0, 0, 1, 1): Fraction(10, 3)}, {}, {(0, 0, 0, 1, 1): Fraction(10)}]
+    for table in (g.poly, g.expos, g.num, g.den):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1
+
+
+def test_set_built_from_polys_keeps_them():
+    polys = [unit_gen(3 + 4), unit_gen(3 + 3, -1), GenPoly(NVARS)]
+    g = GeneratorSet(polys, N)
+    assert all(a is b for a, b in zip(g.polys, polys))
+    assert g.poly.tolist() == [0, 1] and (g.num.tolist(), g.den.tolist()) == ([1, -1], [1, 1])
+
+
+def _table(g) -> list:
+    """The exact table as sorted (generator, exponents, numerator, denominator) rows."""
+    return sorted(zip(g.poly.tolist(), map(tuple, g.expos.tolist()), g.num.tolist(), g.den.tolist()))
+
+
+def _term_lists(n):
+    """Three lists of (exponents, coefficient) terms in 3 + n variables."""
+    term = st.tuples(st.tuples(*[st.integers(0, 3)] * (3 + n)),
+                     st.fractions(max_denominator=50).filter(lambda c: abs(c) < 10**6))
+    return st.tuples(st.just(n), st.lists(st.lists(term, max_size=8), min_size=3, max_size=3))
+
+
+TERM_LISTS = st.sampled_from([1, 3, 6]).flatmap(_term_lists)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(TERM_LISTS, st.booleans())
+def test_generator_json_round_trip_keeps_table_and_matrices(case, duplicate):
+    n, term_lists = case
+    if duplicate:  # repeat every term, with the coefficient split or negated
+        term_lists = [terms + [(e, -c if k % 2 else c / 3) for k, (e, c) in enumerate(terms)]
+                      for terms in term_lists]
+    g = GeneratorSet([GenPoly(3 + n, terms) for terms in term_lists], n)
+    assume(len(g.poly))
+    encoded = json.loads(json.dumps(generator_set_to_json(g)))
+    back = generator_set_from_json(encoded)
+    assert (back.n, back.degree()) == (g.n, g.degree())
+    assert _table(back) == _table(g)
+    assert generator_set_to_json(back) == encoded
+    # loading the term lists themselves sums their duplicates as GenPoly does
+    raw = [[{"exponents": list(e), "coeff": str(c)} for e, c in terms] for terms in term_lists]
+    assert _table(generator_set_from_json(raw)) == _table(g)
+    for mine, theirs in ((g._gradient(), back._gradient()), (g._hessian(), back._hessian())):
+        for a, b in zip(mine[:2], theirs[:2]):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert_matrices_equal_reference(back)
 
 
 def _total_degree_order(lag, field):
