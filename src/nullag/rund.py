@@ -248,17 +248,9 @@ class RundLagrangian(Lagrangian):
     first and second partials and the field state.
     """
 
-    closed_form = True
-
     def __init__(self, generators: GeneratorSet):
         self.generators = generators
         self.n = generators.n
-        # For generator degree <= 3 the density is a polynomial of degree
-        # <= 4 in every single argument, so the Richardson stencil has zero
-        # truncation error and a large step minimizes roundoff on the
-        # finite-difference cross-validation path.
-        if generators.degree() <= 3:
-            self.fd_base_step = 1e-2
 
     def evaluate(self, x, y, dy):
         sx, sy = self.generators.first_partials(x, y)

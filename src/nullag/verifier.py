@@ -8,18 +8,16 @@ expanded by the chain rule into second partials of L contracted with the
 exact field derivatives.  With this sign convention the residual of the
 Dirichlet density |grad u|^2 / 2 is the (positive) Laplacian.
 
-Densities with `closed_form` set (quadratic densities with constant
-coefficients, and the generator-built densities of `nullag.rund`) give their
-residual exactly through `Lagrangian.closed_residual`; any other evaluator is
-treated as a black box and differentiated by central finite differences with
-two-level Richardson extrapolation.
+Every density gives its residual exactly through
+`Lagrangian.closed_residual`: the quadratic densities with constant
+coefficients here and the generator-built densities of `nullag.rund`.  The
+test suite cross-checks these closed forms against a finite-difference
+oracle kept under `tests/`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +27,6 @@ from .quadrature import cube_rule, required_order
 __all__ = [
     "Lagrangian",
     "QuadraticLagrangian",
-    "CallableLagrangian",
     "FieldSampler",
     "NullCertificate",
     "euler_residual",
@@ -37,26 +34,17 @@ __all__ = [
     "boundary_dependence_test",
     "certify_null",
     "CLOSED_FORM_RESIDUAL_TOL",
-    "FD_RESIDUAL_TOL",
     "ACTION_TOL_REL",
 ]
 
 CLOSED_FORM_RESIDUAL_TOL = 1e-10
-FD_RESIDUAL_TOL = 1e-6
 ACTION_TOL_REL = 1e-12
-
-_FD_BASE_STEP = 1e-4
 
 
 class Lagrangian:
     """Base class: a density L(x, y, Dy) evaluated on batches of states."""
 
     n: int
-    closed_form = False
-    #: finite-difference base step; evaluators whose Richardson truncation
-    #: vanishes identically (low polynomial degree in every argument) may
-    #: raise it to cut roundoff amplification.
-    fd_base_step = _FD_BASE_STEP
 
     @property
     def reads_values(self) -> bool:
@@ -68,20 +56,20 @@ class Lagrangian:
         raise NotImplementedError
 
     def closed_residual(self, x: np.ndarray, y0: np.ndarray, dy0: np.ndarray, d2y0: np.ndarray):
-        """Exact Euler residual of a `closed_form` density at points x (..., 3)
-        with field values (..., N), gradients (..., N, 3) and Hessians
-        (..., N, 3, 3), for any leading batch axes: E_k (..., N) and the scale
-        max|d2L/dDy dDy|, a number or one per point (...)."""
-        raise NotImplementedError
+        """Exact Euler residual at points x (..., 3) with field values
+        (..., N), gradients (..., N, 3) and Hessians (..., N, 3, 3), for any
+        leading batch axes: E_k (..., N) and the scale max|d2L/dDy dDy|, a
+        number or one per point (...)."""
+        raise TypeError(f"{type(self).__name__} defines no closed_residual, the exact Euler residual")
 
-    def integrand_degree(self, field_degree: int) -> int | None:
+    def integrand_degree(self, field_degree: int) -> int:
         """Upper bound on the degree in each single coordinate of
         x -> L(x, y(x), Dy(x)), for a polynomial field y of degree
-        `field_degree` in each single coordinate (`PolyField.axis_degree`);
-        None if unknown.  A tensor-product Gauss rule of order n is exact
-        through degree 2n - 1 in each coordinate separately, so this bound,
-        not a total-degree one, sizes the action quadrature."""
-        return None
+        `field_degree` in each single coordinate (`PolyField.axis_degree`).
+        A tensor-product Gauss rule of order n is exact through degree
+        2n - 1 in each coordinate separately, so this bound, not a
+        total-degree one, sizes the action quadrature."""
+        raise TypeError(f"{type(self).__name__} defines no integrand_degree, the bound on its degree")
 
 
 class QuadraticLagrangian(Lagrangian):
@@ -92,14 +80,7 @@ class QuadraticLagrangian(Lagrangian):
     and the terms of an identically zero `q` or `r` are skipped, which
     leaves every value as it is; with both zero the density reads neither
     y nor, in its residual, Dy (`reads_values`).
-
-    Third derivatives vanish identically, so central differences carry no
-    truncation error at any step; a large step minimizes roundoff on the
-    finite-difference cross-validation path.
     """
-
-    closed_form = True
-    fd_base_step = 1e-2
 
     def __init__(self, p: np.ndarray, q: np.ndarray | None = None,
                  r: np.ndarray | None = None, label: str = ""):
@@ -157,192 +138,28 @@ class QuadraticLagrangian(Lagrangian):
         return float(np.max(np.abs(self.p))) if self.p.size else 0.0
 
 
-class CallableLagrangian(Lagrangian):
-    """Wrap a plain function f(x, y, dy) -> value as a black-box density.
-
-    `degree_bound`, if given, maps the field's degree in each single
-    coordinate to a bound on the density's degree in each single coordinate
-    (see `Lagrangian.integrand_degree`); None means unknown.
-    """
-
-    def __init__(self, func, n: int, batched: bool = False,
-                 degree_bound=None, label: str = ""):
-        self.func = func
-        self.n = n
-        self.batched = batched
-        self._degree_bound = degree_bound
-        self.label = label
-
-    def evaluate(self, x, y, dy):
-        if self.batched:
-            return np.asarray(self.func(x, y, dy), dtype=float)
-        return np.array([self.func(x[m], y[m], dy[m]) for m in range(x.shape[0])], dtype=float)
-
-    def integrand_degree(self, field_degree: int) -> int | None:
-        if self._degree_bound is None:
-            return None
-        return self._degree_bound(field_degree)
-
-
-# Step multipliers of the two Richardson levels.
-_LEVELS = np.array([1.0, 0.5])
-
-
-class _Stencil(NamedTuple):
-    """Richardson stencil over z = (x, y, Dy) for one field dimension N."""
-
-    offsets: np.ndarray  # (R, 3+4N) step multipliers of the rows, in evaluation order
-    center: int          # row of the unperturbed state
-    first: np.ndarray    # (n1, 2, 2) rows (+s, -s) per level of each first estimate
-    first_var: np.ndarray
-    diag: np.ndarray     # (n2, 2, 2) rows (+s, -s) per level of each pure second estimate
-    diag_var: np.ndarray
-    mixed: np.ndarray    # (n3, 2, 4) rows (++, +-, -+, --) per level of each mixed estimate
-    mixed_var: np.ndarray  # (n3, 2) the two differentiated variables
-    src: np.ndarray      # estimate (first, then diag, then mixed) feeding each slot
-    dst: np.ndarray      # slot in the flat (dL/dy, d2L/dx dy', d2L/dy dy', d2L/dy' dy')
-
-
-@lru_cache(maxsize=None)
-def _fd_stencil(n: int) -> _Stencil:
-    """The stencil for N components, built once: rows for the first
-    y-partials, the centre, then the x-Dy, y-Dy and Dy-Dy second partials."""
-    width = 3 + 4 * n
-    rows: list[np.ndarray] = []
-
-    def push(*bumps) -> int:
-        row = np.zeros(width)
-        for idx, mult in bumps:
-            row[idx] = mult
-        rows.append(row)
-        return len(rows) - 1
-
-    def plan_pm(i):
-        return [[push((i, +s)), push((i, -s))] for s in _LEVELS]
-
-    def plan_mixed(i, j):
-        return [[push((i, +s), (j, +s)), push((i, +s), (j, -s)),
-                 push((i, -s), (j, +s)), push((i, -s), (j, -s))] for s in _LEVELS]
-
-    iy = lambda k: 3 + k
-    idp = lambda k, g: 3 + n + 3 * k + g
-    # flat output offsets of d_x_dyp (3,N,3), d_y_dyp (N,N,3), d_dyp (3N,3N)
-    o_x, o_y, o_d = n, 10 * n, 10 * n + 3 * n * n
-    first, diag, mixed = [], [], []  # (rows, variables, slots)
-
-    for k in range(n):
-        first.append((plan_pm(iy(k)), iy(k), [k]))
-    center = push()
-    for g in range(3):
-        for k in range(n):
-            mixed.append((plan_mixed(g, idp(k, g)), (g, idp(k, g)), [o_x + (g * n + k) * 3 + g]))
-    for j in range(n):
-        for k in range(n):
-            for g in range(3):
-                mixed.append((plan_mixed(iy(j), idp(k, g)), (iy(j), idp(k, g)),
-                              [o_y + (j * n + k) * 3 + g]))
-    for a in range(3 * n):
-        for b in range(a, 3 * n):
-            i, j = 3 + n + a, 3 + n + b
-            if a == b:
-                diag.append((plan_pm(i), i, [o_d + a * 3 * n + a]))
-            else:
-                mixed.append((plan_mixed(i, j), (i, j), [o_d + a * 3 * n + b, o_d + b * 3 * n + a]))
-
-    estimates = first + diag + mixed
-    src = [e for e, (_, _, slots) in enumerate(estimates) for _ in slots]
-    dst = [slot for _, _, slots in estimates for slot in slots]
-    parts = [np.array(rows, dtype=float).reshape(len(rows), width), center]
-    for group in (first, diag, mixed):
-        parts += [np.array([r for r, _, _ in group], dtype=np.int64),
-                  np.array([v for _, v, _ in group], dtype=np.int64)]
-    stencil = _Stencil(*parts, np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64))
-    for arr in stencil:
-        if isinstance(arr, np.ndarray):
-            arr.flags.writeable = False
-    return stencil
-
-
-def _richardson(ests: np.ndarray) -> np.ndarray:
-    """Two-level extrapolation of estimates (..., 2) at steps s and s/2."""
-    return (4.0 * ests[..., 1] - ests[..., 0]) / 3.0
-
-
-def _fd_partials(lag: Lagrangian, x0: np.ndarray, y0: np.ndarray, dy0: np.ndarray):
-    """All partials of L entering the Euler operator, by batched central
-    differences with two-level Richardson extrapolation.
-
-    Returns (dL_dy (N,), d2_x_dyp (3,N,3), d2_y_dyp (N,N,3), d2_dyp_dyp (N,3,N,3)).
-    """
-    n = lag.n
-    plan = _fd_stencil(n)
-    z0 = np.concatenate([x0, y0, dy0.reshape(-1)])
-    h = lag.fd_base_step * (1.0 + np.abs(z0))
-    if np.any(h <= 0.0) or np.any(h < 1e-300):
-        raise FloatingPointError("finite-difference step underflow")
-
-    batch = z0 + plan.offsets * h
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        vals = lag.evaluate(batch[:, :3], batch[:, 3:3 + n], batch[:, 3 + n:].reshape(-1, n, 3))
-    if not np.all(np.isfinite(vals)):
-        raise FloatingPointError("non-finite density evaluation during differentiation")
-
-    f0 = vals[plan.center]
-    s = _LEVELS * h[plan.first_var][:, None]
-    first = (vals[plan.first[..., 0]] - vals[plan.first[..., 1]]) / (2.0 * s)
-    s = _LEVELS * h[plan.diag_var][:, None]
-    diag = (vals[plan.diag[..., 0]] - 2.0 * f0 + vals[plan.diag[..., 1]]) / (s * s)
-    si = _LEVELS * h[plan.mixed_var[:, 0]][:, None]
-    sj = _LEVELS * h[plan.mixed_var[:, 1]][:, None]
-    quad = vals[plan.mixed]
-    mixed = (quad[..., 0] - quad[..., 1] - quad[..., 2] + quad[..., 3]) / (4.0 * si * sj)
-
-    out = np.zeros(10 * n + 12 * n * n)
-    out[plan.dst] = np.concatenate([_richardson(first), _richardson(diag), _richardson(mixed)])[plan.src]
-    d_y, d_x_dyp, d_y_dyp, d_dyp = np.split(out, [n, 10 * n, 10 * n + 3 * n * n])
-    return d_y, d_x_dyp.reshape(3, n, 3), d_y_dyp.reshape(n, n, 3), d_dyp.reshape(n, 3, n, 3)
-
-
-def _residuals(lag: Lagrangian, x, y0, dy0, d2y0, method: str):
+def _residuals(lag: Lagrangian, x, y0, dy0, d2y0):
     """Euler residuals (..., N) and normalization scales (...) at the states
     (y0, dy0, d2y0) of points x (..., 3), for any leading batch axes."""
-    hess_mag = np.max(np.abs(d2y0), axis=(-3, -2, -1))
-    if method == "closed":
-        if not lag.closed_form:
-            raise TypeError("closed-form residual requires a density with a closed form")
-        res, coeff = lag.closed_residual(x, y0, dy0, d2y0)
-    elif method == "fd":
-        res = np.empty(y0.shape)
-        coeff = np.empty(hess_mag.shape)
-        for i in np.ndindex(hess_mag.shape):
-            d_y, d_x_dyp, d_y_dyp, d_dyp = _fd_partials(lag, x[i], y0[i], dy0[i])
-            res[i] = np.einsum("gkg->k", d_x_dyp)
-            res[i] += np.einsum("jkg,jg->k", d_y_dyp, dy0[i])
-            res[i] += np.einsum("jbkg,jbg->k", d_dyp, d2y0[i])
-            res[i] -= d_y
-            coeff[i] = np.max(np.abs(d_dyp))
-    else:
-        raise ValueError(f"unknown residual method {method!r}")
-    return res, 1.0 + coeff * hess_mag
+    res, coeff = lag.closed_residual(x, y0, dy0, d2y0)
+    return res, 1.0 + coeff * np.max(np.abs(d2y0), axis=(-3, -2, -1))
 
 
-def _read_states(lag: Lagrangian, fields, x, method: str):
+def _read_states(lag: Lagrangian, fields, x):
     """`field_states` of the levels the residual reads: the Hessians alone
-    for a closed-form density that reads no values."""
-    return field_states(fields, x, (0, 1, 2) if method != "closed" or lag.reads_values else (2,))
+    for a density that reads no values."""
+    return field_states(fields, x, (0, 1, 2) if lag.reads_values else (2,))
 
 
-def _residual_and_scale(lag: Lagrangian, y: PolyField, x, method: str):
+def _residual_and_scale(lag: Lagrangian, y: PolyField, x):
     x = np.asarray(x, dtype=float).reshape(1, 1, 3)
-    res, scale = _residuals(lag, x, *_read_states(lag, [y], x, method), method)
+    res, scale = _residuals(lag, x, *_read_states(lag, [y], x))
     return res[0, 0], float(scale[0, 0])
 
 
-def euler_residual(lag: Lagrangian, y: PolyField, x, method: str = "auto") -> np.ndarray:
+def euler_residual(lag: Lagrangian, y: PolyField, x) -> np.ndarray:
     """Euler-operator components E_k at the point x for the field y."""
-    if method == "auto":
-        method = "closed" if lag.closed_form else "fd"
-    res, _ = _residual_and_scale(lag, y, x, method)
+    res, _ = _residual_and_scale(lag, y, x)
     return res
 
 
@@ -358,7 +175,7 @@ def _actions(lag: Lagrangian, fields, order: int) -> np.ndarray:
     FloatingPointError if any field's density is not finite."""
     for y in fields:
         degree = lag.integrand_degree(y.axis_degree())
-        if degree is not None and 2 * order - 1 < degree:
+        if 2 * order - 1 < degree:
             raise ValueError(
                 f"quadrature order {order} is inexact for integrand degree {degree}; "
                 f"use order >= {required_order(degree)}"
@@ -467,12 +284,16 @@ def certify_null(
         raise ValueError("order must be >= 1")
     if seed < 0:
         raise ValueError(f"seed must be an integer >= 0, got {seed}")
-    sampler = sampler or FieldSampler(lag.n)
-    method = "closed" if lag.closed_form else "fd"
+    if points_per_trial < 1:
+        raise ValueError(f"points per trial must be an integer >= 1, got {points_per_trial}")
+    if boundary_pairs < 0:
+        raise ValueError(f"boundary pairs must be an integer >= 0, got {boundary_pairs}")
     if residual_tol is None:
-        residual_tol = CLOSED_FORM_RESIDUAL_TOL if lag.closed_form else FD_RESIDUAL_TOL
-    elif not (np.isfinite(residual_tol) and residual_tol >= 0.0):
-        raise ValueError(f"residual tolerance must be a finite number >= 0, got {residual_tol}")
+        residual_tol = CLOSED_FORM_RESIDUAL_TOL
+    for name, tol in (("residual", residual_tol), ("action", action_tol_rel)):
+        if not (np.isfinite(tol) and tol >= 0.0):
+            raise ValueError(f"{name} tolerance must be a finite number >= 0, got {tol}")
+    sampler = sampler or FieldSampler(lag.n)
 
     children = np.random.SeedSequence(seed).spawn(trials + boundary_pairs)
 
@@ -483,7 +304,7 @@ def certify_null(
         points.append(rng.uniform(0.0, 1.0, size=(points_per_trial, 3)))
     x = np.stack(points)
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        res, scale = _residuals(lag, x, *_read_states(lag, fields, x, method), method)
+        res, scale = _residuals(lag, x, *_read_states(lag, fields, x))
         normalized = np.max(np.abs(res), axis=-1) / scale
     if not np.all(np.isfinite(normalized)):
         raise FloatingPointError("non-finite Euler residual")
@@ -497,7 +318,7 @@ def certify_null(
         field = sampler.field(rng, degree)
         perturbed = field + sampler.boundary_delta(rng, degree)
         degree_bound = lag.integrand_degree(max(field.axis_degree(), perturbed.axis_degree()))
-        use_order = order if degree_bound is None else max(order, required_order(degree_bound))
+        use_order = max(order, required_order(degree_bound))
         pair_orders.append(use_order)
         groups.setdefault(use_order, []).extend((field, perturbed))
     actions = {o: iter(_actions(lag, group, o).tolist()) for o, group in groups.items()}
@@ -516,5 +337,5 @@ def certify_null(
         trials=trials,
         degree=degree,
         seed=seed,
-        path="closed-form" if method == "closed" else "finite-difference",
+        path="closed-form",
     )

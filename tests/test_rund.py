@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fd_oracle import fd_point_residual, fd_residual
 from nullag import verifier as vf
 from nullag.polyfield import field_states, random_polyfield
 from nullag.quadrature import cube_rule, required_order
@@ -126,7 +127,7 @@ def test_euler_residual_vanishes_at_random_points():
     field = random_polyfield(np.random.default_rng(5), N, 3)
     rng = np.random.default_rng(6)
     for x in rng.uniform(0, 1, (20, 3)):
-        res, scale = vf._residual_and_scale(lag, field, x, "fd")
+        res, scale = fd_point_residual(lag, field, x)
         assert np.max(np.abs(res)) / scale <= 1e-6
 
 
@@ -226,18 +227,15 @@ def test_closed_residual_halves_match_finite_differences():
         states = field_states([random_polyfield(rng, N, 3)], x)
         y0, dy0, d2y0 = (a[0] for a in states)
         d_dyp, d_y, div_c, _ = lag._euler_halves(x[0], y0, dy0, d2y0)
-        closed, scale = vf._residuals(lag, x, *states, "closed")
-        fd, fd_scale = vf._residuals(lag, x, *states, "fd")
-        assert np.max(np.abs(closed - fd) / scale[..., None]) <= 1e-6
-        assert np.max(np.abs(scale - fd_scale) / fd_scale) <= 1e-6
+        closed, scale = vf._residuals(lag, x, *states)
+        fd = fd_residual(lag, x, *states)
+        assert np.max(np.abs(closed - fd.residual) / scale[..., None]) <= 1e-6
+        assert np.max(np.abs(scale - fd.scale) / fd.scale) <= 1e-6
         assert np.max(np.abs(div_c)) / np.min(scale) <= 1e-12
         for p in range(2):
-            fd_y, fd_x_dyp, fd_y_dyp, fd_dyp_dyp = vf._fd_partials(lag, x[0, p], y0[p], dy0[p])
-            fd_half = (np.einsum("gkg->k", fd_x_dyp) + np.einsum("jkg,jg->k", fd_y_dyp, dy0[p])
-                       + np.einsum("jbkg,jbg->k", fd_dyp_dyp, d2y0[p]))
             assert np.max(np.abs(d_y[p])) >= 1e-3 * scale[0, p]
-            assert np.max(np.abs(d_dyp[p] - fd_half)) / scale[0, p] <= 1e-6
-            assert np.max(np.abs(d_y[p] - fd_y)) / scale[0, p] <= 1e-6
+            assert np.max(np.abs(d_dyp[p] - fd.div_half[0, p])) / scale[0, p] <= 1e-6
+            assert np.max(np.abs(d_y[p] - fd.d_y[0, p])) / scale[0, p] <= 1e-6
 
 
 def test_generator_json_round_trip():

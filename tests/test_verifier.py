@@ -4,18 +4,27 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from fd_oracle import fd_point_residual
 from nullag import em
 from nullag import micropolar as mp
 from nullag import polyfield
 from nullag import quasicrystal as qc
 from nullag import rund
 from nullag import verifier as vf
-from nullag.polyfield import PolyField, bubble, bubble_damped, evaluate_monomials, random_polyfield, stack_fields
+from nullag.polyfield import (
+    PolyField,
+    bubble,
+    bubble_damped,
+    constant_field,
+    evaluate_monomials,
+    random_polyfield,
+    stack_fields,
+)
 from nullag.quadrature import boundary_rule, cube_rule, required_order
 from nullag.tensors import project
 from nullag.verifier import (
-    CallableLagrangian,
     FieldSampler,
+    Lagrangian,
     QuadraticLagrangian,
     action_integral,
     boundary_dependence_test,
@@ -41,7 +50,7 @@ def test_laplacian_residual():
 
 
 def test_constant_density_zero_residual():
-    lag = CallableLagrangian(lambda x, y, dy: 7.5, n=3, degree_bound=lambda d: 0)
+    lag = QuadraticLagrangian(np.zeros((3, 3, 3, 3)))
     y = random_polyfield(np.random.default_rng(0), 3, 3)
     res = euler_residual(lag, y, [0.2, 0.2, 0.2])
     assert np.array_equal(res, np.zeros(3))
@@ -53,15 +62,14 @@ def test_iso_null_evaluator_residual_vanishes():
     for _ in range(10):
         y = random_polyfield(rng, 6, 3)
         x = rng.uniform(0, 1, 3)
-        res, scale = vf._residual_and_scale(lag, y, x, "closed")
+        res, scale = vf._residual_and_scale(lag, y, x)
         assert np.max(np.abs(res)) / scale <= 1e-10
 
 
 def test_action_integral_constant():
-    lag = CallableLagrangian(lambda x, y, dy: np.ones(x.shape[0]), n=3, batched=True,
-                             degree_bound=lambda d: 0)
-    y = PolyField.zero(3)
-    assert action_integral(lag, y, 2) == pytest.approx(1.0, abs=1e-15)
+    """L = r[y,y]/2 with r = 2 is 1 on the field y = 1."""
+    lag = QuadraticLagrangian(np.zeros((1, 3, 1, 3)), r=2.0 * np.eye(1))
+    assert action_integral(lag, constant_field([1.0]), 2) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_action_integral_iso_null_single_shear():
@@ -127,10 +135,19 @@ def test_action_integral_guard_reads_axis_degree():
         action_integral(lag, y, 3)
 
 
+def overflowing_density(n=1):
+    """L = r[y,y]/2 with finite entries of 1e300, which overflows at |y| >= 1e10."""
+    return QuadraticLagrangian(np.zeros((n, 3, n, 3)), r=np.array([[1e300, -1e300], [-1e300, 1e300]])[:n, :n])
+
+
 def test_action_integral_rejects_nonfinite():
-    lag = CallableLagrangian(lambda x, y, dy: np.nan, n=1, degree_bound=lambda d: 0)
+    """y = (1e10, 1e10) meets +inf and -inf in y @ r, so the density is NaN."""
+    lag, y = overflowing_density(2), constant_field([1e10, 1e10])
+    pts = cube_rule(2)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.all(np.isnan(lag.evaluate(pts, y.eval(pts), y.eval_grad(pts))))
     with pytest.raises(FloatingPointError):
-        action_integral(lag, PolyField.zero(1), 2)
+        action_integral(lag, y, 2)
 
 
 def parent_action(lag, y, order):
@@ -168,9 +185,8 @@ def test_batched_actions_guard_every_field():
 
 
 def test_batched_actions_reject_one_nonfinite_field():
-    lag = CallableLagrangian(lambda x, y, dy: np.where(y[:, 0] > 5.0, np.inf, y[:, 0] ** 2), n=1,
-                             batched=True, degree_bound=lambda d: 2 * d)
-    fine, bad = PolyField.zero(1), PolyField([{(0, 0, 0): 10.0}])
+    lag = overflowing_density()
+    fine, bad = PolyField.zero(1), constant_field([1e10])
     assert vf._actions(lag, [fine, fine], 2).tolist() == [0.0, 0.0]
     for fields in ([bad, fine], [fine, bad]):
         with pytest.raises(FloatingPointError):
@@ -266,7 +282,7 @@ def test_certify_residual_equals_per_trial_evaluation(sampler):
         pts = rng.uniform(0.0, 1.0, size=(3, 3))
         points.append(pts)
         states.append((field.eval(pts), field.eval_grad(pts), field.eval_hess(pts)))
-    res, scale = vf._residuals(lag, np.stack(points), *(np.stack(s) for s in zip(*states)), "closed")
+    res, scale = vf._residuals(lag, np.stack(points), *(np.stack(s) for s in zip(*states)))
     expected = float(np.max(np.max(np.abs(res), axis=-1) / scale))
     cert = certify_null(lag, trials=trials, seed=seed, sampler=sampler)
     assert cert.max_normalized_residual == expected
@@ -329,6 +345,41 @@ def test_certify_validates_arguments():
         certify_null(lag, trials=1, seed=-1)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"points_per_trial": 0, "boundary_pairs": 0}, "points per trial must be an integer >= 1, got 0"),
+    ({"boundary_pairs": -1}, "boundary pairs must be an integer >= 0, got -1"),
+    ({"action_tol_rel": float("nan")}, "action tolerance must be a finite number >= 0, got nan"),
+    ({"action_tol_rel": float("inf")}, "action tolerance must be a finite number >= 0, got inf"),
+    ({"action_tol_rel": -1e-12}, "action tolerance must be a finite number >= 0, got -1e-12"),
+    ({"residual_tol": float("nan")}, "residual tolerance must be a finite number >= 0, got nan"),
+])
+def test_certify_rejects_degenerate_sampling(kwargs, message):
+    """Without these checks a non-null model passed a certificate that
+    sampled no point, and an infinite action tolerance passed every action."""
+    lag = mp.lagrangian(mp.IsotropicParams(1.0, 1.0, 1.0, 0.0, 0.0, 0.0).moduli())
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        certify_null(lag, trials=3, seed=9, **kwargs)
+
+
+class EvaluateOnly(Lagrangian):
+    """A density that gives only its values: no closed residual, no degree bound."""
+
+    n = 1
+
+    def evaluate(self, x, y, dy):
+        return np.ones(len(x))
+
+
+@pytest.mark.parametrize("call, missing", [
+    (lambda lag, y: certify_null(lag, trials=1), "closed_residual"),
+    (lambda lag, y: euler_residual(lag, y, [0.2, 0.3, 0.4]), "closed_residual"),
+    (lambda lag, y: action_integral(lag, y, 2), "integrand_degree"),
+], ids=["certify_null", "euler_residual", "action_integral"])
+def test_density_without_closed_residual_is_rejected(call, missing):
+    with pytest.raises(TypeError, match=f"^EvaluateOnly defines no {missing}, "):
+        call(EvaluateOnly(), random_polyfield(np.random.default_rng(47), 1, 2))
+
+
 def test_closed_vs_fd_cross_validation():
     rng = np.random.default_rng(5)
     for _ in range(5):
@@ -340,8 +391,8 @@ def test_closed_vs_fd_cross_validation():
         lag = mp.lagrangian(mp.MicropolarModuli(a, b, d))
         y = random_polyfield(rng, 6, 3)
         x = rng.uniform(0, 1, 3)
-        closed, s1 = vf._residual_and_scale(lag, y, x, "closed")
-        fd, s2 = vf._residual_and_scale(lag, y, x, "fd")
+        closed, s1 = vf._residual_and_scale(lag, y, x)
+        fd, _ = fd_point_residual(lag, y, x)
         assert np.max(np.abs(closed - fd)) / s1 <= 1e-5
 
 
@@ -415,82 +466,6 @@ def test_certify_matches_per_point_reference():
         assert cert.max_normalized_residual == pytest.approx(ref, rel=1e-12, abs=1e-15)
         verdicts.append(cert.passed)
     assert verdicts == [True, False, False, True, False]
-
-
-def reference_fd_partials(lag, x0, y0, dy0):
-    """The finite-difference stencil built row by row from Python dicts, in
-    the row and operation order that `_fd_partials` keeps."""
-    n = lag.n
-    z0 = np.concatenate([x0, y0, dy0.reshape(-1)])
-    h = lag.fd_base_step * (1.0 + np.abs(z0))
-    rows = []
-
-    def push(*bumps):
-        z = z0.copy()
-        for idx, amount in bumps:
-            z[idx] += amount
-        rows.append(z)
-        return len(rows) - 1
-
-    def plan_pm(i):
-        return [(push((i, +s)), push((i, -s)), s) for s in (1.0 * h[i], 0.5 * h[i])]
-
-    def plan_mixed(i, j):
-        recs = []
-        for scale in (1.0, 0.5):
-            si, sj = scale * h[i], scale * h[j]
-            recs.append((push((i, +si), (j, +sj)), push((i, +si), (j, -sj)),
-                         push((i, -si), (j, +sj)), push((i, -si), (j, -sj)), si, sj))
-        return recs
-
-    idp = lambda k, g: 3 + n + 3 * k + g
-    first_plan = [plan_pm(3 + k) for k in range(n)]
-    center = push()
-    xdyp = {(g, k): plan_mixed(g, idp(k, g)) for g in range(3) for k in range(n)}
-    ydyp = {(j, k, g): plan_mixed(3 + j, idp(k, g)) for j in range(n) for k in range(n) for g in range(3)}
-    dypdyp = {}
-    for a in range(3 * n):
-        for b in range(a, 3 * n):
-            i, j = 3 + n + a, 3 + n + b
-            dypdyp[(a, b)] = plan_pm(i) if a == b else plan_mixed(i, j)
-
-    batch = np.array(rows)
-    vals = lag.evaluate(batch[:, :3], batch[:, 3:3 + n], batch[:, 3 + n:].reshape(-1, n, 3))
-    f0 = vals[center]
-    richardson = lambda e: (4.0 * e[1] - e[0]) / 3.0
-    first = lambda recs: richardson([(vals[p] - vals[q]) / (2.0 * s) for p, q, s in recs])
-    diag = lambda recs: richardson([(vals[p] - 2.0 * f0 + vals[q]) / (s * s) for p, q, s in recs])
-    mixed = lambda recs: richardson([(vals[pp] - vals[pm] - vals[mp] + vals[mm]) / (4.0 * si * sj)
-                                     for pp, pm, mp, mm, si, sj in recs])
-
-    d_y = np.array([first(recs) for recs in first_plan])
-    d_x_dyp = np.zeros((3, n, 3))
-    for (g, k), recs in xdyp.items():
-        d_x_dyp[g, k, g] = mixed(recs)
-    d_y_dyp = np.zeros((n, n, 3))
-    for (j, k, g), recs in ydyp.items():
-        d_y_dyp[j, k, g] = mixed(recs)
-    d_dyp = np.zeros((3 * n, 3 * n))
-    for (a, b), recs in dypdyp.items():
-        d_dyp[a, b] = d_dyp[b, a] = diag(recs) if a == b else mixed(recs)
-    return d_y, d_x_dyp, d_y_dyp, d_dyp.reshape(n, 3, n, 3)
-
-
-def test_fd_partials_bit_identical_to_dict_stencil():
-    from nullag.rund import build_null_lagrangian, random_generator_set
-
-    rng = np.random.default_rng(21)
-    p, q, r = rng.uniform(-1, 1, (3, 3, 3, 3)), rng.uniform(-1, 1, (3, 3, 3)), rng.uniform(-1, 1, (3, 3))
-    densities = [QuadraticLagrangian(p, q, r),
-                 build_null_lagrangian(random_generator_set(np.random.default_rng(22), 6, 3))]
-    for lag in densities:
-        for _ in range(3):
-            x0, y0, dy0 = rng.uniform(0, 1, 3), rng.uniform(-1, 1, lag.n), rng.uniform(-1, 1, (lag.n, 3))
-            got = vf._fd_partials(lag, x0, y0, dy0)
-            ref = reference_fd_partials(lag, x0, y0, dy0)
-            for a, b in zip(got, ref):
-                assert a.shape == b.shape
-                assert np.all(a == b)
 
 
 def test_quadratic_evaluate_matches_einsum_form():
