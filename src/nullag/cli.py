@@ -10,8 +10,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import micropolar
 from .modelio import load_input_file
@@ -63,9 +65,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json_text(value, indent: str = "") -> str:
+    """The text of `json.dumps(value, indent=2)`, which always takes json's
+    pure-Python encoder; a list of floats takes one C-encoded `json.dumps`."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):
+        return {None: "null", True: "true", False: "false"}[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
+    if not isinstance(value, (list, tuple, dict)):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    brackets, inner = ("{}" if isinstance(value, dict) else "[]"), indent + "  "
+    if not value:
+        return brackets
+    if isinstance(value, dict):
+        items = (f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in value.items())
+    elif set(map(type, value)) == {float}:
+        items = json.dumps(value)[1:-1].split(", ")
+    else:
+        items = (_json_text(v, inner) for v in value)
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
         return
     for line in _text_lines(payload):
         print(line)
@@ -150,6 +177,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -82,6 +82,13 @@ CAUCHY_ANALOGUE_ENTRIES = (
     (3, 2, 1, 3), (1, 2, 2, 1), (1, 2, 3, 1),
     (2, 3, 1, 2), (1, 3, 2, 1), (2, 3, 3, 2),
 )
+_CAUCHY_NAMES = tuple("B~_" + "".join(map(str, entry)) for entry in CAUCHY_ANALOGUE_ENTRIES)
+_CAUCHY_FLAT = np.ravel_multi_index(np.array(CAUCHY_ANALOGUE_ENTRIES).T - 1, (3, 3, 3, 3))
+
+#: The isotropic basis d_ij d_kl, d_ik d_jl and d_il d_jk.
+_ISO_TR, _ISO_ID, _ISO_SWAP = (
+    np.einsum(spec, np.eye(3), np.eye(3)) for spec in ("ij,kl->ijkl", "ik,jl->ijkl", "il,jk->ijkl")
+)
 
 
 @dataclass(frozen=True)
@@ -116,13 +123,8 @@ def _iso_tensor(c_tr: float, c_id: float, c_swap: float) -> np.ndarray:
     """c_tr * d_ij d_kl + c_id * d_ik d_jl + c_swap * d_il d_jk; constants
     near the double limit give non-finite entries, which `as_tensor4`
     rejects."""
-    eye = np.eye(3)
     with np.errstate(over="ignore", invalid="ignore"):
-        return (
-            c_tr * np.einsum("ij,kl->ijkl", eye, eye)
-            + c_id * np.einsum("ik,jl->ijkl", eye, eye)
-            + c_swap * np.einsum("il,jk->ijkl", eye, eye)
-        )
+        return c_tr * _ISO_TR + c_id * _ISO_ID + c_swap * _ISO_SWAP
 
 
 @dataclass(frozen=True)
@@ -370,12 +372,8 @@ def cauchy_analogue(b_tilde: np.ndarray, tol_abs: float = DEFAULT_TOL_ABS) -> Co
     part (the micropolar analogue of the classical Cauchy relations)."""
     b_tilde = as_tensor4(b_tilde)
     scale = tensor_scale(b_tilde)
-    checks = []
-    for entry in CAUCHY_ANALOGUE_ENTRIES:
-        idx = tuple(v - 1 for v in entry)
-        name = "B~_" + "".join(str(v) for v in entry)
-        checks.append(make_check(name, abs(float(b_tilde[idx])), scale, tol_abs))
-    return make_report(checks)
+    values = np.abs(b_tilde.reshape(-1)[_CAUCHY_FLAT]).tolist()
+    return make_report([make_check(name, v, scale, tol_abs) for name, v in zip(_CAUCHY_NAMES, values)])
 
 
 def surface_potential(b_tilde: np.ndarray, phi: PolyField, surface_quadrature_order: int) -> float:

@@ -79,7 +79,7 @@ def _floats(key: str, value) -> np.ndarray:
 def _array(obj: dict, key: str, length: int) -> np.ndarray:
     value = obj[key]
     # Exact types: JSON gives bool for true/false, which must not read as 1/0.
-    if not isinstance(value, list) or len(value) != length or not all(type(v) in (int, float) for v in value):
+    if not isinstance(value, list) or len(value) != length or not set(map(type, value)) <= {int, float}:
         raise ValueError(f"field {key!r} must be a flat list of {length} numbers")
     return _floats(key, value).reshape(_SHAPES[length])
 

@@ -137,6 +137,22 @@ class SymmetryClass:
     def all_indices(self):
         return itertools.product(range(3), repeat=self.order)
 
+    @functools.cached_property
+    def _check_plan(self) -> tuple[np.ndarray, np.ndarray]:
+        """Gather indices and signs, both (K, 3**order), such that row k of
+        |t.flat[index] - signs * t.flat| is relation k's violation.  With
+        structural zeros, a last row reads |t| there (sign 0), 0 elsewhere."""
+        cube = np.arange(3**self.order).reshape((3,) * self.order)
+        index = [np.transpose(cube, r.perm) for r in self.relations]
+        signs = [np.full(cube.shape, r.sign) for r in self.relations]
+        if self.zero_indices:
+            index.append(cube)
+            signs.append(np.where(np.isin(cube, [cube[idx] for idx in self.zero_indices]), 0.0, 1.0))
+        index = np.array(index, dtype=np.intp).reshape(-1, cube.size)
+        signs = np.array(signs).reshape(-1, cube.size)
+        index.flags.writeable = signs.flags.writeable = False
+        return index, signs
+
 
 def _zeros_from_predicate(order, predicate) -> frozenset:
     return frozenset(
@@ -174,14 +190,10 @@ def check_symmetry(t: np.ndarray, cls: SymmetryClass) -> float:
     violation is then inf, without a floating-point warning."""
     if t.ndim != cls.order:
         raise ValueError(f"tensor order {t.ndim} does not match class order {cls.order}")
-    worst = 0.0
-    for rel in cls.relations:
-        permuted = np.transpose(t, rel.perm)
-        with np.errstate(over="ignore"):
-            worst = max(worst, float(np.max(np.abs(permuted - rel.sign * t))))
-    for idx in cls.zero_indices:
-        worst = max(worst, abs(float(t[idx])))
-    return worst
+    index, signs = cls._check_plan
+    flat = t.reshape(-1)
+    with np.errstate(over="ignore"):
+        return float(np.abs(flat[index] - signs * flat).max(initial=0.0))
 
 
 @functools.lru_cache(maxsize=64)
@@ -290,7 +302,7 @@ def tensor_to_json(t: np.ndarray) -> dict:
     """Encode as {"order": n, "data": [...]} with row-major flattening."""
     if t.ndim not in _SHAPES:
         raise ValueError(f"unsupported tensor order {t.ndim}")
-    return {"order": t.ndim, "data": [float(v) for v in t.reshape(-1)]}
+    return {"order": t.ndim, "data": np.asarray(t, dtype=float).reshape(-1).tolist()}
 
 
 def tensor_from_json(obj: dict) -> np.ndarray:

@@ -231,10 +231,10 @@ def test_acceptance_07_rund_construction():
         worst_resid = max(worst_resid, cert.max_normalized_residual)
         rng = np.random.default_rng(30_000 + s)
         for _ in range(50):
-            rq, rl = rund.coefficient_identity_residuals(
+            lin, quad = rund.coefficient_identity_residuals(
                 g, rng.uniform(0, 1, 3), rng.uniform(-1, 1, 6)
             )
-            worst_identity = max(worst_identity, float(np.max(np.abs(rq))), float(np.max(np.abs(rl))))
+            worst_identity = max(worst_identity, float(np.max(np.abs(lin))), float(np.max(np.abs(quad))))
     ok = all_pass and worst_resid <= 1e-6 and worst_identity <= 1e-9
     _verdict(ok, "criterion 7: generator construction certifies null with exact identities",
              f"worst residual {worst_resid:.2e}, worst identity residual {worst_identity:.2e}")

@@ -1,16 +1,22 @@
 import contextlib
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import nullag
 from nullag import micropolar as mp
-from nullag.cli import _build_parser, main
+from nullag.cli import _build_parser, _json_text, main
 from nullag.rund import GenPoly, GeneratorSet, generator_set_to_json
 
 Z81 = [0.0] * 81
@@ -560,3 +566,100 @@ def test_shared_parser_matches_a_fresh_parser_per_call(tmp_path):
         fresh.append(run_main(argv))
     assert shared == fresh
     assert {code for code, _, _ in shared} == {0, 1, 2}
+
+
+def seeded_quasicrystal():
+    """Quasicrystal moduli with the constructor's symmetries made exact by
+    sums of transposes, from entries rounded to three decimals."""
+    rng = np.random.default_rng(5)
+    c, d, e = (np.round(rng.uniform(-1, 1, (3, 3, 3, 3)), 3) for _ in range(3))
+    c = c + np.transpose(c, (1, 0, 2, 3))
+    c = c + np.transpose(c, (0, 1, 3, 2))
+    c = c + np.transpose(c, (2, 3, 0, 1))
+    d = d + np.transpose(d, (1, 0, 2, 3))
+    e = e + np.transpose(e, (2, 3, 0, 1))
+    return {"model": "quasicrystal", **{k: [float(v) for v in t.reshape(-1)] for k, t in zip("CDE", (c, d, e))}}
+
+
+PINNED_INPUTS = {
+    "zero-micropolar": lambda: {"model": "micropolar", "A": Z81, "B": Z81, "D": Z81},
+    "isotropic-null": lambda: iso_params("micropolar_isotropic", [0.0, 0.0, 0.0, 1.0, 0.0, -1.0]),
+    "hemitropic": lambda: iso_params("micropolar_hemitropic", [1.0, 0.5, 0.25, 1.0, 0.5, 0.25, 1.0, 0.5, 0.25]),
+    "quasicrystal": seeded_quasicrystal,
+    "em-coupling": lambda: {"model": "em_elast", "C": Z81, "P": [0.0] * 27, "Q": [0.0] * 27, "Ediel": [0.0] * 9,
+                            "Bperm": [0.0] * 9, "Acpl": [1.0, 0, 0, 0, 1.0, 0, 0, 0, 1.0]},
+    "generator": minor_generator_json,
+}
+PINNED_ARGV = [
+    [command, *extra, "--format", fmt]
+    for command, extra in (("check", []), ("split", []), ("certify", ["--trials", "2"]))
+    for fmt in ("json", "text")
+]
+
+
+def pinned_outputs(tmp_path, name):
+    """(exit code, first 16 hex digits of the sha256 of stdout) of every
+    PINNED_ARGV call on one input."""
+    path = write(tmp_path, f"{name}.json", PINNED_INPUTS[name]())
+    out = []
+    for command, *options in PINNED_ARGV:
+        code, stdout, _ = run_main([command, path, *options])
+        out.append((code, hashlib.sha256(stdout.encode()).hexdigest()[:16]))
+    return out
+
+
+# Output of `json.dumps(payload, indent=2)` and the per-relation symmetry
+# loop, which `_json_text` and the symmetry-check plan must reproduce byte
+# for byte; in PINNED_ARGV order.
+EMPTY = hashlib.sha256(b"").hexdigest()[:16]
+PINNED_DIGESTS = {
+    "em-coupling": [(1, "185218dbf3273d86"), (1, "2616a3a8d5fb31eb"), (2, EMPTY), (2, EMPTY),
+                    (1, "e8d96b64f9e40d70"), (1, "68beacdf7e1ad761")],
+    "generator": [(2, EMPTY), (2, EMPTY), (2, EMPTY), (2, EMPTY), (0, "30d9d74a5351b461"), (0, "32f0166ad8528859")],
+    "hemitropic": [(1, "632a818f8b50e204"), (1, "ce1fd7f6b7d1046d"), (1, "0c67be0c4197fce2"),
+                   (1, "ad2b59645417e094"), (1, "7e5e65b7caff52ed"), (1, "1186643704ee3acd")],
+    "isotropic-null": [(0, "02f3e241ef949129"), (0, "5bdfc829022c0624"), (1, "645b40bd27c64ec0"),
+                       (1, "fc4f9d6bee11ca91"), (0, "5e1b4a6c676106d4"), (0, "053ce564c47ca859")],
+    "quasicrystal": [(1, "27e8115905e1efc7"), (1, "c77b187a3114133a"), (2, EMPTY), (2, EMPTY),
+                     (1, "d1ae8a13f4daa131"), (1, "57a493642a4ce5fc")],
+    "zero-micropolar": [(0, "7859402fa88ea429"), (0, "9916e9574a6c0680"), (0, "6165cc928c559e52"),
+                        (0, "089ac3cac0956f4d"), (0, "a7fb4a761ff79dae"), (0, "0b11873c51a0b1f3")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_INPUTS))
+def test_cli_stdout_bytes_are_pinned(tmp_path, name):
+    assert pinned_outputs(tmp_path, name) == PINNED_DIGESTS[name]
+
+
+EMITTER_STRINGS = st.text() | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u00e9\u2028\U0001f600", "\ud800"])
+EMITTER_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.sampled_from([2**63, -(2**64) - 1, 10**40]), EMITTER_STRINGS,
+    st.floats(), st.sampled_from([-0.0, 5e-324, 1e308, float("nan"), float("inf"), float("-inf")]),
+)
+EMITTER_FLOATS = st.lists(st.floats() | st.sampled_from([-0.0, 5e-324, float("nan")]), max_size=5)
+EMITTER_VALUES = st.recursive(
+    EMITTER_LEAVES | EMITTER_FLOATS | EMITTER_FLOATS.map(tuple),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(EMITTER_STRINGS, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(EMITTER_VALUES)
+def test_json_emitter_matches_json_dumps_indent_2(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    """`python -m nullag` gives the exit code and output of the in-process `main`."""
+    src = str(Path(nullag.__file__).resolve().parents[1])
+    passing = write(tmp_path, "m.json", {"model": "micropolar", "A": Z81, "B": Z81, "D": Z81})
+    failing = write(tmp_path, "iso.json", iso_params("micropolar_isotropic", [1.0, 1.0, 1.0, 0.0, 0.0, 0.0]))
+    bad = write(tmp_path, "bad.json", {"model": "micropolar", "A": Z81})
+    for argv, code in ((["split", passing], 0), (["check", failing, "--format", "text"], 1), (["check", bad], 2)):
+        proc = subprocess.run([sys.executable, "-m", "nullag", *argv], cwd=tmp_path, capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert (proc.returncode, proc.stdout, proc.stderr) == run_main(argv)
+        assert proc.returncode == code

@@ -182,16 +182,16 @@ def test_coefficient_identities_random_generators():
     for s in range(10):
         g = random_generator_set(np.random.default_rng(20 + s), N, 2)
         for _ in range(5):
-            rq, rl = coefficient_identity_residuals(g, rng.uniform(0, 1, 3), rng.uniform(-1, 1, N))
-            assert np.max(np.abs(rq)) <= 1e-9
-            assert np.max(np.abs(rl)) <= 1e-9
+            lin, quad = coefficient_identity_residuals(g, rng.uniform(0, 1, 3), rng.uniform(-1, 1, N))
+            assert np.max(np.abs(lin)) <= 1e-9
+            assert np.max(np.abs(quad)) <= 1e-9
 
 
 def test_coefficient_identities_special_cases():
     g = GeneratorSet([GenPoly(NVARS, {(0,) * NVARS: Fraction(3)}) for _ in range(3)], N)
-    rq, rl = coefficient_identity_residuals(g, [0.1, 0.2, 0.3], np.zeros(N))
-    assert np.array_equal(rq, np.zeros(N))
-    assert np.array_equal(rl, np.zeros((N, 3, N)))
+    lin, quad = coefficient_identity_residuals(g, [0.1, 0.2, 0.3], np.zeros(N))
+    assert np.array_equal(lin, np.zeros(N))
+    assert np.array_equal(quad, np.zeros((N, 3, N)))
 
     # single mixed term S1 = x1*y1
     expo = [0] * NVARS
@@ -199,9 +199,9 @@ def test_coefficient_identities_special_cases():
     expo[3] = 1
     g = GeneratorSet([GenPoly(NVARS, {tuple(expo): Fraction(1)}), GenPoly(NVARS), GenPoly(NVARS)], N)
     rng = np.random.default_rng(12)
-    rq, rl = coefficient_identity_residuals(g, rng.uniform(0, 1, 3), rng.uniform(-1, 1, N))
-    assert np.max(np.abs(rq)) <= 1e-15
-    assert np.max(np.abs(rl)) <= 1e-15
+    lin, quad = coefficient_identity_residuals(g, rng.uniform(0, 1, 3), rng.uniform(-1, 1, N))
+    assert np.max(np.abs(lin)) <= 1e-15
+    assert np.max(np.abs(quad)) <= 1e-15
 
 
 def test_certify_random_generator_sets():

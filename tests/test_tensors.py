@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from nullag import tensors
+from nullag import em, micropolar, quasicrystal, tensors
 from nullag.tensors import (
     MAJOR,
     MINOR_LEFT,
@@ -125,6 +125,67 @@ def test_check_symmetry_zero_tensor():
     z = np.zeros((3, 3, 3, 3))
     for cls in (MAJOR, MINOR_LEFT, SWAP24_ANTI, SWAP13_ANTI, ZERO_IF_IK_OR_JL):
         assert check_symmetry(z, cls) == 0.0
+
+
+def reference_check_symmetry(t, cls):
+    """The per-relation loop `check_symmetry` replaced: one transpose per
+    relation, then one Python step per structural zero."""
+    worst = 0.0
+    for rel in cls.relations:
+        with np.errstate(over="ignore"):
+            worst = max(worst, float(np.max(np.abs(np.transpose(t, rel.perm) - rel.sign * t))))
+    for idx in cls.zero_indices:
+        worst = max(worst, abs(float(t[idx])))
+    return worst
+
+
+ALL_CLASSES = {
+    value.name: value
+    for module in (tensors, micropolar, quasicrystal, em)
+    for value in vars(module).values()
+    if isinstance(value, tensors.SymmetryClass)
+}
+
+
+def oracle_tensors(cls, rng):
+    """Random, in-class and near-double-limit tensors of the class's order,
+    and a non-contiguous view of one of them."""
+    shape = (3,) * cls.order
+    out = [rng.uniform(-1, 1, shape), rng.standard_normal(shape) * 10.0 ** rng.integers(-5, 5, shape)]
+    out += [project(rng.uniform(-1, 1, shape), cls) for _ in range(2)]
+    huge = [rng.choice([-1.5e308, -1e308, 1e308, 1.5e308], shape) for _ in range(3)]
+    out += huge + [np.where(rng.uniform(size=shape) < 0.5, h, 0.0) for h in huge]
+    return out + [np.transpose(out[0])]
+
+
+@pytest.mark.parametrize("name", sorted(ALL_CLASSES))
+def test_check_symmetry_matches_the_per_relation_loop(name):
+    cls = ALL_CLASSES[name]
+    rng = np.random.default_rng(sorted(ALL_CLASSES).index(name))
+    results = []
+    for t in oracle_tensors(cls, rng):
+        expected = reference_check_symmetry(t, cls)
+        assert check_symmetry(t, cls) == expected
+        results.append(expected)
+    assert results[2] == results[3] == 0.0
+    if cls.relations:
+        assert np.inf in results
+
+
+@pytest.mark.parametrize(
+    "constants",
+    [(1.7, 0.3, -2.2), (0.0, -0.0, 1.0), (-1.0, 0.0, 0.0), (1e308, 1e308, -1e308), (np.inf, 1.0, 0.0)],
+)
+def test_iso_tensor_matches_its_einsum_construction(constants):
+    c_tr, c_id, c_swap = constants
+    eye = np.eye(3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = (
+            c_tr * np.einsum("ij,kl->ijkl", eye, eye)
+            + c_id * np.einsum("ik,jl->ijkl", eye, eye)
+            + c_swap * np.einsum("il,jk->ijkl", eye, eye)
+        )
+    assert micropolar._iso_tensor(*constants).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize(
