@@ -131,8 +131,7 @@ def _cmd_split(args) -> int:
         raise ValueError("split needs a micropolar model file")
     parts = micropolar.split_B(model.moduli.b)
     cauchy = micropolar.cauchy_analogue(parts.b_tilde, tol_abs=args.tol_abs)
-    counts = orbit_summary(micropolar.TILDE_CLASS)
-    zero_entries = counts["forced_zero_entries"]
+    zero_entries = orbit_summary(micropolar.TILDE_CLASS)["forced_zero_entries"]
     payload = {
         "command": "split",
         "model": model.kind,

@@ -153,26 +153,28 @@ def admissible_phason_modulus(seeds: dict[tuple[int, int, int, int], float]) -> 
     """Build a phason modulus from seed entries (0-based indices) closed
     under the null symmetry group.
 
-    Raises if the closure forces a seeded entry to two different values or
-    to zero.
+    Raises if a seed is not an index of a 3x3x3x3 tensor, gives a nonzero
+    value to a structurally zero entry, or if the closure forces an entry to
+    two different values; a zero seed on a structural zero is accepted.
     """
-    orbit_of = {idx: orbit for orbit in tensors._orbits(PHASON_NULL_CLASS) for idx in orbit[0]}
-    e = np.zeros((3, 3, 3, 3))
-    assigned: dict[tuple, float] = {}
+    label, sign, dead = PHASON_NULL_CLASS.orbits
+    at_rep = np.zeros(label.size)  # each seeded orbit's value at its representative
+    seeded = np.zeros(label.size, dtype=bool)
     for start, value in seeds.items():
         start = tuple(int(v) for v in start)
-        if start in PHASON_NULL_CLASS.zero_indices and value != 0.0:
-            raise ValueError(f"entry {start} is structurally zero in the admissible class")
-        members, dead = orbit_of[start]
-        if dead:
-            raise ValueError(f"seed {start} lies on a sign-conflicted orbit; value must be 0")
-        for idx, sign in members.items():
-            val = sign * members[start] * float(value)
-            if idx in assigned and assigned[idx] != val:
-                raise ValueError(f"conflicting closure values at entry {idx}")
-            assigned[idx] = val
-            e[idx] = val
-    return as_tensor4(e)
+        if len(start) != 4 or not all(0 <= i < 3 for i in start):
+            raise ValueError(f"seed {start} is not a 0-based index of a 3x3x3x3 tensor")
+        f = np.ravel_multi_index(start, (3, 3, 3, 3))
+        if dead[f]:  # every forced-zero orbit of the class is made of structural zeros
+            if value != 0.0:
+                raise ValueError(f"entry {start} is structurally zero in the admissible class")
+            continue
+        rep, val = label[f], sign[f] * float(value)
+        if seeded[rep] and at_rep[rep] != val:
+            entry = tuple(int(i) for i in np.unravel_index(rep, (3, 3, 3, 3)))
+            raise ValueError(f"conflicting closure values at entry {entry}")
+        at_rep[rep], seeded[rep] = val, True
+    return as_tensor4(np.where(seeded[label], sign * at_rep[label], 0.0))
 
 
 def lagrangian(m: QcModuli) -> QuadraticLagrangian:

@@ -2,8 +2,8 @@
 
 Rank-2/3/4 tensors are plain float64 ndarrays made read-only after
 validation.  Symmetry classes are data (signed index permutations plus
-zero predicates) and can be checked by exhaustive enumeration, or used
-to project a tensor onto the subspace where every relation holds.
+structural zeros); each builds, once, a gather plan that checks a tensor
+and an orbit plan that projects it onto the subspace of the class.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 
@@ -134,9 +133,6 @@ class SymmetryClass:
     relations: tuple[IndexRelation, ...]
     zero_indices: frozenset[tuple[int, ...]] = frozenset()
 
-    def all_indices(self):
-        return itertools.product(range(3), repeat=self.order)
-
     @functools.cached_property
     def _check_plan(self) -> tuple[np.ndarray, np.ndarray]:
         """Gather indices and signs, both (K, 3**order), such that row k of
@@ -153,11 +149,37 @@ class SymmetryClass:
         index.flags.writeable = signs.flags.writeable = False
         return index, signs
 
+    @functools.cached_property
+    def orbits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The orbit plan, read-only arrays over the 3**order flat entries:
+        `label`, the smallest flat index in the entry's orbit (its
+        representative); `sign`, the entry's sign relative to it, so that
+        t.flat[f] = sign[f] * t.flat[label[f]] on the class; `dead`, set on
+        orbits that a sign conflict or a structural zero forces to zero.
 
-def _zeros_from_predicate(order, predicate) -> frozenset:
-    return frozenset(
-        idx for idx in itertools.product(range(3), repeat=order) if predicate(idx)
-    )
+        Built from the `_check_plan` gather, in which the last row's sign 0
+        at a structural zero reads as a relation no sign can satisfy."""
+        index, signs = self._check_plan
+        entries = np.arange(index.shape[1])
+        label, sign = entries, np.ones(entries.size)
+        while index.size:  # each entry takes the smallest label one relation away
+            k = np.argmin(label[index], axis=0)
+            step = index[k, entries]
+            smaller = label[step] < label
+            if not smaller.any():
+                break
+            label = np.where(smaller, label[step], label)
+            sign = np.where(smaller, signs[k, entries] * sign[step], sign)
+        conflict = (sign[index] != signs * sign).any(axis=0)
+        dead = np.isin(label, label[conflict])
+        label.flags.writeable = sign.flags.writeable = dead.flags.writeable = False
+        return label, sign, dead
+
+
+@functools.cache
+def _index_tuples(order: int) -> tuple[tuple[int, ...], ...]:
+    """Every index tuple of an order-`order` tensor, in flat order."""
+    return tuple(itertools.product(range(3), repeat=order))
 
 
 MAJOR = SymmetryClass("MAJOR", 4, (IndexRelation((2, 3, 0, 1), 1.0),))
@@ -169,12 +191,13 @@ ZERO_IF_IK_OR_JL = SymmetryClass(
     "ZERO_IF_IK_OR_JL",
     4,
     (),
-    _zeros_from_predicate(4, lambda t: t[0] == t[2] or t[1] == t[3]),
+    frozenset(t for t in _index_tuples(4) if t[0] == t[2] or t[1] == t[3]),
 )
 
 
+@functools.lru_cache(maxsize=64)
 def combine(name: str, *classes: SymmetryClass) -> SymmetryClass:
-    """Merge several symmetry classes of the same tensor order into one."""
+    """Merge classes of one tensor order; equal arguments give the same class."""
     orders = {c.order for c in classes}
     if len(orders) != 1:
         raise ValueError("cannot combine classes of different tensor order")
@@ -183,108 +206,53 @@ def combine(name: str, *classes: SymmetryClass) -> SymmetryClass:
     return SymmetryClass(name, orders.pop(), rels, zeros)
 
 
+def _flat(t: np.ndarray, cls: SymmetryClass) -> np.ndarray:
+    if t.shape != (3,) * cls.order:
+        raise ValueError(f"tensor of shape {t.shape} does not match class {cls.name}, "
+                         f"which needs shape {(3,) * cls.order}")
+    return t.reshape(-1)
+
+
 def check_symmetry(t: np.ndarray, cls: SymmetryClass) -> float:
     """Maximum violation of the class over all index tuples (0 = holds).
 
     Entries near the double limit can make a difference overflow; the
     violation is then inf, without a floating-point warning."""
-    if t.ndim != cls.order:
-        raise ValueError(f"tensor order {t.ndim} does not match class order {cls.order}")
     index, signs = cls._check_plan
-    flat = t.reshape(-1)
+    flat = _flat(t, cls)
     with np.errstate(over="ignore"):
         return float(np.abs(flat[index] - signs * flat).max(initial=0.0))
-
-
-@functools.lru_cache(maxsize=64)
-def _orbits(cls: SymmetryClass) -> tuple[tuple[MappingProxyType, bool], ...]:
-    """Decompose index space into relation orbits, once per class.
-
-    Returns (members, dead) pairs where members maps index -> sign relative
-    to the orbit's canonical (lexicographically smallest) representative
-    and dead marks orbits forced to zero by sign conflicts or zero
-    predicates.  The result is cached, so members are read-only views.
-    """
-    orbits = []
-    visited: set[tuple[int, ...]] = set()
-    for start in cls.all_indices():
-        if start in visited:
-            continue
-        members = {start: 1.0}
-        stack = [start]
-        dead = start in cls.zero_indices
-        while stack:
-            cur = stack.pop()
-            s_cur = members[cur]
-            for rel in cls.relations:
-                nxt = rel.apply(cur)
-                s_nxt = s_cur * rel.sign
-                if nxt in members:
-                    if members[nxt] != s_nxt:
-                        dead = True
-                else:
-                    members[nxt] = s_nxt
-                    if nxt in cls.zero_indices:
-                        dead = True
-                    stack.append(nxt)
-        rep = min(members)
-        rep_sign = members[rep]
-        members = {idx: s / rep_sign for idx, s in members.items()}
-        visited |= set(members)
-        orbits.append((MappingProxyType(members), dead))
-    return tuple(orbits)
 
 
 def project(t: np.ndarray, cls: SymmetryClass) -> np.ndarray:
     """Orthogonal projection onto the class subspace by orbit averaging.
 
     Relations hold bit-exactly on the result: every orbit is assigned a
-    single averaged value with per-entry signs, and conflicted orbits are
-    zeroed.
+    single averaged value with per-entry signs (summed in ascending flat
+    order), and dead orbits are zeroed.
     """
-    if t.ndim != cls.order:
-        raise ValueError(f"tensor order {t.ndim} does not match class order {cls.order}")
-    out = np.zeros_like(t, dtype=float)
-    for members, dead in _orbits(cls):
-        if dead:
-            continue
-        ordered = sorted(members)
-        value = sum(members[idx] * float(t[idx]) for idx in ordered) / len(ordered)
-        for idx, sign in members.items():
-            out[idx] = sign * value
-    return out
+    label, sign, dead = cls.orbits
+    flat = _flat(t, cls)
+    mean = np.bincount(label, sign * flat)[label] / np.bincount(label)[label]
+    return np.where(dead, 0.0, sign * mean).reshape(t.shape)
 
 
 def orbit_summary(cls: SymmetryClass) -> dict:
-    """Structural counts: entries forced to zero and free orbit count (a
-    fresh dictionary on every call)."""
-    forced = 0
-    free = 0
-    reps = []
-    for members, dead in _orbits(cls):
-        if dead:
-            forced += len(members)
-        else:
-            free += 1
-            reps.append(min(members))
-    return {"forced_zero_entries": forced, "free_orbits": free, "representatives": reps}
+    """Structural counts: entries forced to zero, free orbit count and the
+    free orbits' smallest index tuples, ascending (a fresh dictionary on
+    every call)."""
+    label, _, dead = cls.orbits
+    live, index = label[~dead], _index_tuples(cls.order)
+    reps = [index[f] for f in sorted(set(live.tolist()))]
+    return {"forced_zero_entries": label.size - live.size, "free_orbits": len(reps), "representatives": reps}
 
 
 def class_projector_matrix(cls: SymmetryClass) -> np.ndarray:
     """The orbit-averaging projection as a dense matrix on the flattened
     component vector; useful for projecting large sample batches at once."""
-    dim = 3 ** cls.order
-    strides = [3 ** (cls.order - 1 - k) for k in range(cls.order)]
-    flat = lambda idx: sum(i * s for i, s in zip(idx, strides))
-    p = np.zeros((dim, dim))
-    for members, dead in _orbits(cls):
-        if dead:
-            continue
-        n = len(members)
-        for idx_a, sign_a in members.items():
-            for idx_b, sign_b in members.items():
-                p[flat(idx_a), flat(idx_b)] = sign_a * sign_b / n
-    return p
+    label, sign, dead = cls.orbits
+    same = (label[:, None] == label) & ~dead
+    return np.where(same, np.outer(sign, sign) / np.bincount(label)[label], 0.0)
 
 
 def nullspace_projector(rows: np.ndarray, dim: int) -> np.ndarray:

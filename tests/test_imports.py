@@ -3,6 +3,7 @@ package loads no test or symbolic library, builds no CLI parser and keeps
 no monomial matrix at a quadrature rule."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -31,3 +32,17 @@ def test_runtime_imports_load_only_numpy():
     assert rules_kept == "0"
     assert "numpy" in out
     assert sorted(set(out) & set(TEST_ONLY)) == []
+
+
+PRIVATE_NAME = re.compile(
+    r"\b(cli|em|micropolar|modelio|polyfield|quadrature|quasicrystal|rund|tensors|verifier|report)\._"
+)
+
+
+def test_no_module_reads_another_modules_private_names():
+    package = Path(nullag.__file__).resolve().parent
+    reads = [f"{path.name}:{number}: {line.strip()}"
+             for path in sorted(package.glob("*.py"))
+             for number, line in enumerate(path.read_text().splitlines(), 1)
+             if PRIVATE_NAME.search(line)]
+    assert reads == []

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -136,9 +137,26 @@ def test_seed_closure_conflicts():
     # two seeds on the same orbit with inconsistent values
     with pytest.raises(ValueError, match="conflicting"):
         qc.admissible_phason_modulus({(0, 1, 1, 2): 1.0, (1, 2, 0, 1): 2.0})
+    # the message names the orbit's lowest entry: here the swap24 partner
+    # (0, 2, 1, 1) of (0, 1, 1, 2) is seeded with the wrong sign
+    with pytest.raises(ValueError, match=re.escape("conflicting closure values at entry (0, 1, 1, 2)")):
+        qc.admissible_phason_modulus({(1, 2, 0, 1): 1.0, (0, 2, 1, 1): 1.0})
     # consistent duplicate seeds merge
     e = qc.admissible_phason_modulus({(0, 1, 1, 2): 1.0, (1, 2, 0, 1): 1.0})
     assert e[0, 1, 1, 2] == 1.0
+
+
+@pytest.mark.parametrize("seed", [(3, 0, 0, 0), (-1, 0, 1, 2), (0, 1, 1), (0, 1, 1, 2, 0)])
+def test_seed_closure_rejects_indices_outside_the_tensor(seed):
+    with pytest.raises(ValueError, match=re.escape(f"seed {seed} is not")):
+        qc.admissible_phason_modulus({seed: 1.0})
+
+
+@pytest.mark.parametrize("seed", [(0, 0, 0, 0), (0, 1, 0, 2), (2, 1, 2, 1)])
+def test_seed_closure_accepts_a_zero_seed_on_a_structural_zero(seed):
+    e = qc.admissible_phason_modulus({seed: 0.0, (0, 1, 1, 2): 1.0})
+    assert e[seed] == 0.0
+    assert np.array_equal(e, seeded_phason())
 
 
 def test_check_qc_null_cases():

@@ -1,20 +1,27 @@
+import functools
 import itertools
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
 
 from nullag import em, micropolar, quasicrystal, tensors
+from nullag.polyfield import random_polyfield
 from nullag.tensors import (
     MAJOR,
     MINOR_LEFT,
     SWAP13_ANTI,
     SWAP24_ANTI,
     ZERO_IF_IK_OR_JL,
+    IndexRelation,
+    SymmetryClass,
     apply4,
     as_matrix3,
     as_tensor4,
     check_symmetry,
+    class_projector_matrix,
     combine,
     invariants2,
     levi_civita,
@@ -246,10 +253,177 @@ def test_orbit_cache_cannot_be_mutated_by_callers():
     first["representatives"].clear()
     again = orbit_summary(TILDE_CLASS)
     assert again["forced_zero_entries"] == 45 and len(again["representatives"]) == 9
-    orbits = tensors._orbits(TILDE_CLASS)
-    assert orbits is tensors._orbits(TILDE_CLASS)
-    with pytest.raises(TypeError):
-        orbits[0][0][(0, 0, 0, 0)] = 2.0
+    plan = TILDE_CLASS.orbits
+    assert plan is TILDE_CLASS.orbits
+    for array in plan:
+        assert array.shape == (81,)
+        with pytest.raises(ValueError):
+            array[0] = 2
+
+
+# The orbit walk, projection, summary, projector matrix and phason closure
+# that the per-class orbit plan replaced, kept as oracles.
+
+
+@functools.cache
+def reference_orbits(cls):
+    """(members, dead) per orbit, in order of each orbit's smallest index
+    tuple: members maps index -> sign relative to that representative, and
+    dead marks orbits forced to zero by sign conflicts or zero predicates."""
+    orbits = []
+    visited = set()
+    for start in itertools.product(range(3), repeat=cls.order):
+        if start in visited:
+            continue
+        members = {start: 1.0}
+        stack = [start]
+        dead = start in cls.zero_indices
+        while stack:
+            cur = stack.pop()
+            s_cur = members[cur]
+            for rel in cls.relations:
+                nxt = rel.apply(cur)
+                s_nxt = s_cur * rel.sign
+                if nxt in members:
+                    if members[nxt] != s_nxt:
+                        dead = True
+                else:
+                    members[nxt] = s_nxt
+                    if nxt in cls.zero_indices:
+                        dead = True
+                    stack.append(nxt)
+        rep_sign = members[min(members)]
+        members = {idx: s / rep_sign for idx, s in members.items()}
+        visited |= set(members)
+        orbits.append((members, dead))
+    return tuple(orbits)
+
+
+def reference_project(t, cls):
+    out = np.zeros_like(t, dtype=float)
+    for members, dead in reference_orbits(cls):
+        if dead:
+            continue
+        ordered = sorted(members)
+        value = sum(members[idx] * float(t[idx]) for idx in ordered) / len(ordered)
+        for idx, sign in members.items():
+            out[idx] = sign * value
+    return out
+
+
+def reference_orbit_summary(cls):
+    forced = 0
+    reps = []
+    for members, dead in reference_orbits(cls):
+        if dead:
+            forced += len(members)
+        else:
+            reps.append(min(members))
+    return {"forced_zero_entries": forced, "free_orbits": len(reps), "representatives": reps}
+
+
+def reference_class_projector_matrix(cls):
+    strides = [3 ** (cls.order - 1 - k) for k in range(cls.order)]
+    flat = lambda idx: sum(i * s for i, s in zip(idx, strides))
+    p = np.zeros((3**cls.order, 3**cls.order))
+    for members, dead in reference_orbits(cls):
+        if dead:
+            continue
+        for idx_a, sign_a in members.items():
+            for idx_b, sign_b in members.items():
+                p[flat(idx_a), flat(idx_b)] = sign_a * sign_b / len(members)
+    return p
+
+
+def reference_phason_closure(seeds):
+    cls = quasicrystal.PHASON_NULL_CLASS
+    orbit_of = {idx: orbit for orbit in reference_orbits(cls) for idx in orbit[0]}
+    e = np.zeros((3, 3, 3, 3))
+    assigned = {}
+    for start, value in seeds.items():
+        if start in cls.zero_indices and value != 0.0:
+            raise ValueError(f"entry {start} is structurally zero in the admissible class")
+        members, dead = orbit_of[start]
+        if dead:
+            raise ValueError(f"seed {start} lies on a sign-conflicted orbit; value must be 0")
+        for idx, sign in members.items():
+            val = sign * members[start] * float(value)
+            if idx in assigned and assigned[idx] != val:
+                raise ValueError(f"conflicting closure values at entry {idx}")
+            assigned[idx] = val
+            e[idx] = val
+    return e
+
+
+def same_bits(a, b):
+    """Equal dtype, shape and bytes, with any NaN equal to any NaN."""
+    nan = np.isnan(a)
+    return (a.dtype == b.dtype and a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.where(nan, 0.0, a).tobytes() == np.where(nan, 0.0, b).tobytes())
+
+
+# Every module-level class, the combined classes of the acceptance tests and
+# a class with neither relations nor structural zeros.
+ORBIT_CLASSES = {
+    **ALL_CLASSES,
+    "cn": combine("cn", quasicrystal.PHONON_CLASS, SWAP13_ANTI),
+    "dn": combine("dn", MINOR_LEFT, SWAP13_ANTI),
+    "cen": combine("cen", em.EM_ELASTIC_CLASS, SWAP13_ANTI),
+    "PIEZO_NULL": SymmetryClass(
+        "PIEZO_NULL", 3, (IndexRelation((0, 2, 1), 1.0), IndexRelation((2, 1, 0), -1.0))
+    ),
+    "FREE": SymmetryClass("FREE", 2, ()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_CLASSES))
+def test_orbit_plan_consumers_match_the_orbit_walk(name):
+    cls = ORBIT_CLASSES[name]
+    rng = np.random.default_rng([sorted(ORBIT_CLASSES).index(name), 20])
+    shape = (3,) * cls.order
+    decades = [rng.standard_normal(shape) * 10.0 ** rng.integers(-5, 5, shape) for _ in range(10)]
+    infinite = rng.choice([-np.inf, np.inf, 1.0], shape)  # orbit sums of inf - inf are NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for t in oracle_tensors(cls, rng) + decades + [infinite]:
+            assert same_bits(project(t, cls), reference_project(t, cls))
+    assert repr(orbit_summary(cls)) == repr(reference_orbit_summary(cls))
+    assert class_projector_matrix(cls).tobytes() == reference_class_projector_matrix(cls).tobytes()
+
+
+def acceptance_phason_seeds():
+    """The seed dictionaries of acceptance criterion 8, drawn in its order."""
+    rng = np.random.default_rng(108)
+    reps = [idx for idx in itertools.product(range(3), repeat=4) if idx[0] < idx[2] and idx[1] < idx[3]]
+    for _ in range(20):
+        chosen = rng.choice(len(reps), 3, replace=False)
+        yield {reps[int(i)]: float(rng.uniform(-1, 1)) for i in chosen}
+        random_polyfield(rng, 3, 3)
+        random_polyfield(rng, 3, 3)
+        rng.uniform(0, 1, (3, 3))
+
+
+def test_phason_closure_matches_the_orbit_walk():
+    cases = list(acceptance_phason_seeds())
+    cases += [{(0, 1, 1, 2): 1.0}, {(0, 1, 1, 2): 1.0, (1, 2, 0, 1): 1.0},
+              {(0, 1, 1, 2): 0.25, (0, 1, 1, 0): -3.0, (2, 0, 1, 2): 1e308}]
+    for seeds in cases:
+        e = quasicrystal.admissible_phason_modulus(seeds)
+        assert e.tobytes() == reference_phason_closure(seeds).tobytes()
+
+
+def test_phason_forced_zero_orbits_are_its_structural_zeros():
+    cls = quasicrystal.PHASON_NULL_CLASS
+    zeros = np.zeros((3, 3, 3, 3), dtype=bool)
+    zeros[tuple(np.array(sorted(cls.zero_indices)).T)] = True
+    assert np.array_equal(cls.orbits[2], zeros.reshape(-1))
+
+
+@pytest.mark.parametrize("shape", [(4, 4, 4, 4), (2, 2, 2, 2), (3, 3, 3), (9, 9), (81,)])
+@pytest.mark.parametrize("check", [project, check_symmetry])
+def test_class_functions_require_the_class_shape(check, shape):
+    with pytest.raises(ValueError, match=re.escape(f"shape {shape} does not match class MAJOR")):
+        check(np.ones(shape), MAJOR)
 
 
 def test_nullspace_projector_properties():
