@@ -12,6 +12,7 @@ from .report import DEFAULT_TOL_ABS, ConditionReport, make_check, make_report, t
 from .tensors import (
     MAJOR,
     MINOR_LEFT,
+    SYMMETRY_TOL,
     IndexRelation,
     SymmetryClass,
     as_matrix3,
@@ -30,8 +31,6 @@ __all__ = [
     "lagrangian",
     "EM_ELASTIC_CLASS",
 ]
-
-SYMMETRY_TOL = 1e-12
 
 EM_ELASTIC_CLASS = combine("EM_ELASTIC", MINOR_LEFT, MAJOR)
 TRAILING_SYM3 = SymmetryClass("TRAILING_SYM3", 3, (IndexRelation((0, 2, 1), 1.0),))

@@ -18,12 +18,14 @@ import numpy as np
 from . import tensors
 from .polyfield import PolyField, bubble, bubble_damped, join, random_polyfield
 from .quadrature import boundary_rule, required_order
-from .report import DEFAULT_TOL_ABS, ConditionReport, make_check, make_report, tensor_scale
+from .report import DEFAULT_TOL_ABS, DEFAULT_TOL_REL, ConditionReport, make_check, make_report, tensor_scale
 from .tensors import (
     MAJOR,
     MINOR_RIGHT,
     SWAP13_ANTI,
     SWAP24_ANTI,
+    SYMMETRY_TOL,
+    TILDE,
     ZERO_IF_IK_OR_JL,
     as_matrix3,
     as_tensor4,
@@ -62,11 +64,8 @@ __all__ = [
     "coupling_entrywise_projector",
 ]
 
-SYMMETRY_TOL = 1e-12
-
-#: Class of rotation-gradient moduli supporting a null energy: major symmetric,
-#: antisymmetric under both odd index swaps, vanishing when i=k or j=l.
-TILDE_CLASS = combine("TILDE", MAJOR, SWAP24_ANTI, SWAP13_ANTI, ZERO_IF_IK_OR_JL)
+#: Class of rotation-gradient moduli supporting a null energy.
+TILDE_CLASS = TILDE
 
 #: Condition system that forces the strain modulus to vanish: major symmetry
 #: plus swap24 antisymmetry plus symmetry in the trailing pair.
@@ -209,12 +208,28 @@ def constitutive(m: MicropolarModuli, eps, kap) -> tuple[np.ndarray, np.ndarray]
     return sigma, mu
 
 
+def _swap24_sum(d: np.ndarray) -> np.ndarray:
+    """D_ijkl + D_ilkj, the violation of swap24 antisymmetry."""
+    return d + np.swapaxes(d, -3, -1)
+
+
 def _alternating_balance(d: np.ndarray) -> np.ndarray:
     """e_mkl D_klin - e_ijk D_jkmn, indexed (m, i, n)."""
     lc = levi_civita()
-    t1 = np.einsum("mkl,klin->min", lc, d)
-    t2 = np.einsum("ijk,jkmn->min", lc, d)
+    t1 = np.einsum("mkl,...klin->...min", lc, d)
+    t2 = np.einsum("ijk,...jkmn->...min", lc, d)
     return t1 - t2
+
+
+_I, _J, _K = np.array(list(itertools.permutations(range(3)))).T
+
+
+def _entrywise_pair(d: np.ndarray) -> np.ndarray:
+    """For each permutation (i, j, k), b = D_ijji + D_ikki and
+    c = D_ijjk - D_kikk - D_jijk, interleaved (b, c) per permutation."""
+    b = d[..., _I, _J, _J, _I] + d[..., _I, _K, _K, _I]
+    c = d[..., _I, _J, _J, _K] - d[..., _K, _I, _K, _K] - d[..., _J, _I, _J, _K]
+    return np.stack((b, c), axis=-1).reshape(*d.shape[:-4], 12)
 
 
 def check_null_sufficient(m: MicropolarModuli, tol_abs: float = DEFAULT_TOL_ABS) -> ConditionReport:
@@ -252,11 +267,8 @@ def check_coupling_entrywise(d: np.ndarray) -> ConditionReport:
     """
     d = as_tensor4(d)
     scale = tensor_scale(d)
-    v_b = 0.0
-    v_c = 0.0
-    for i, j, k in itertools.permutations(range(3)):
-        v_b = max(v_b, abs(d[i, j, j, i] + d[i, k, k, i]))
-        v_c = max(v_c, abs(d[i, j, j, k] - d[k, i, k, k] - d[j, i, j, k]))
+    with np.errstate(over="ignore", invalid="ignore"):  # make_check rejects non-finite sums
+        v_b, v_c = np.abs(_entrywise_pair(d)).reshape(6, 2).max(axis=0)
     checks = [
         make_check("D swap24 antisym", tensors.check_symmetry(d, SWAP24_ANTI), scale),
         make_check("D opposite transposed diagonals", v_b, scale),
@@ -265,53 +277,25 @@ def check_coupling_entrywise(d: np.ndarray) -> ConditionReport:
     return make_report(checks)
 
 
-def _idx4_position(i, j, k, l) -> int:
-    return ((i * 3 + j) * 3 + k) * 3 + l
+def _condition_rows(*maps) -> np.ndarray:
+    """Rows of linear condition maps on the 81 coupling components: each
+    map evaluated on the 81 unit tensors, its outputs in flat order."""
+    units = np.eye(81).reshape(81, 3, 3, 3, 3)
+    return np.concatenate([f(units).reshape(81, -1).T for f in maps])
 
 
 @functools.lru_cache(maxsize=1)
 def coupling_direct_rows() -> np.ndarray:
     """Constraint rows of {swap24 antisymmetry, alternating balance} on the
     81 coupling components."""
-    lc = levi_civita()
-    rows = []
-    for i, j, k, l in itertools.product(range(3), repeat=4):
-        r = np.zeros(81)
-        r[_idx4_position(i, j, k, l)] += 1.0
-        r[_idx4_position(i, l, k, j)] += 1.0
-        rows.append(r)
-    for m, i, n in itertools.product(range(3), repeat=3):
-        r = np.zeros(81)
-        for k, l in itertools.product(range(3), repeat=2):
-            if lc[m, k, l]:
-                r[_idx4_position(k, l, i, n)] += lc[m, k, l]
-        for j, k in itertools.product(range(3), repeat=2):
-            if lc[i, j, k]:
-                r[_idx4_position(j, k, m, n)] -= lc[i, j, k]
-        rows.append(r)
-    return np.array(rows)
+    return _condition_rows(_swap24_sum, _alternating_balance)
 
 
 @functools.lru_cache(maxsize=1)
 def coupling_entrywise_rows() -> np.ndarray:
-    """Constraint rows of the entrywise coupling conditions."""
-    rows = []
-    for i, j, k, l in itertools.product(range(3), repeat=4):
-        r = np.zeros(81)
-        r[_idx4_position(i, j, k, l)] += 1.0
-        r[_idx4_position(i, l, k, j)] += 1.0
-        rows.append(r)
-    for i, j, k in itertools.permutations(range(3)):
-        r = np.zeros(81)
-        r[_idx4_position(i, j, j, i)] += 1.0
-        r[_idx4_position(i, k, k, i)] += 1.0
-        rows.append(r)
-        r = np.zeros(81)
-        r[_idx4_position(i, j, j, k)] += 1.0
-        r[_idx4_position(k, i, k, k)] -= 1.0
-        r[_idx4_position(j, i, j, k)] -= 1.0
-        rows.append(r)
-    return np.array(rows)
+    """Constraint rows of the entrywise coupling conditions: swap24
+    antisymmetry, then the (b, c) pair of each permutation."""
+    return _condition_rows(_swap24_sum, _entrywise_pair)
 
 
 @functools.lru_cache(maxsize=1)
@@ -397,21 +381,14 @@ def surface_potential(b_tilde: np.ndarray, phi: PolyField, surface_quadrature_or
 
 
 def positive_definite(p: IsotropicParams | HemitropicParams) -> bool:
-    """Positive definiteness of the stored energy.
-
-    For the hemitropic material only the inequalities on the six
-    centrosymmetric constants are available here; no cross conditions on
-    the chiral constants are checked, so the test may be incomplete for
-    strongly chiral materials.
-    """
-    return (
-        p.kappa > 0.0
-        and 2.0 * p.mu + p.kappa > 0.0
-        and 3.0 * p.lam + 2.0 * p.mu + p.kappa > 0.0
-        and 3.0 * p.beta1 + p.beta2 + p.beta3 > 0.0
-        and p.beta2 + p.beta3 > 0.0
-        and p.beta2 - p.beta3 > 0.0
-    )
+    """Positive definiteness of the stored energy, decided from its whole
+    quadratic form on (eps, kap): the symmetric 18x18 matrix
+    [[A, D], [D^T, B]], each block reshaped to 9x9, must have a least
+    eigenvalue above DEFAULT_TOL_REL times its largest absolute eigenvalue."""
+    m = p.moduli()
+    a, b, d = (t.reshape(9, 9) for t in (m.a, m.b, m.d))
+    eig = np.linalg.eigvalsh(np.block([[a, d], [d.T, b]]))
+    return bool(eig[0] > DEFAULT_TOL_REL * np.abs(eig).max())
 
 
 def null_lagrangian_iso(c0: float, kap) -> float:

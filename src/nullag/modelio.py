@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -116,11 +117,21 @@ def load_model(obj: dict) -> LoadedModel:
     return LoadedModel(kind, build(*values), family)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object whose keys are all distinct; a repeated key is a ValueError."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        repeated = next(key for key, n in Counter(key for key, _ in pairs).items() if n > 1)
+        raise ValueError(f"input file repeats the key {repeated!r} in one object")
+    return obj
+
+
 def load_input_file(path: str | Path) -> LoadedModel | GeneratorSet:
-    """Load either a model file (JSON object) or a generator file (JSON list)."""
+    """Load either a model file (JSON object) or a generator file (JSON list);
+    an object that repeats a key is rejected."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            obj = json.load(handle)
+            obj = json.load(handle, object_pairs_hook=_unique_keys)
         except RecursionError:
             raise ValueError("input file nests JSON arrays or objects too deeply to load") from None
     if isinstance(obj, list):

@@ -20,6 +20,8 @@ from .tensors import (
     MINOR_RIGHT,
     SWAP13_ANTI,
     SWAP24_ANTI,
+    SYMMETRY_TOL,
+    TILDE,
     ZERO_IF_IK_OR_JL,
     as_matrix3,
     as_tensor4,
@@ -40,12 +42,8 @@ __all__ = [
     "PHASON_NULL_CLASS",
 ]
 
-SYMMETRY_TOL = 1e-12
-
 PHONON_CLASS = combine("PHONON", MAJOR, MINOR_LEFT, MINOR_RIGHT)
-PHASON_NULL_CLASS = combine(
-    "PHASON_NULL", MAJOR, SWAP13_ANTI, SWAP24_ANTI, ZERO_IF_IK_OR_JL
-)
+PHASON_NULL_CLASS = TILDE
 
 
 @dataclass(frozen=True)

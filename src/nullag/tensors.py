@@ -30,6 +30,8 @@ __all__ = [
     "SWAP24_ANTI",
     "SWAP13_ANTI",
     "ZERO_IF_IK_OR_JL",
+    "TILDE",
+    "SYMMETRY_TOL",
     "combine",
     "check_symmetry",
     "project",
@@ -41,6 +43,9 @@ __all__ = [
 ]
 
 _SHAPES = {2: (3, 3), 3: (3, 3, 3), 4: (3, 3, 3, 3)}
+
+#: Largest violation of its constructor symmetries that a moduli type accepts.
+SYMMETRY_TOL = 1e-12
 
 
 def _validated(data, order: int) -> np.ndarray:
@@ -204,6 +209,12 @@ def combine(name: str, *classes: SymmetryClass) -> SymmetryClass:
     rels = tuple(r for c in classes for r in c.relations)
     zeros = frozenset().union(*(c.zero_indices for c in classes))
     return SymmetryClass(name, orders.pop(), rels, zeros)
+
+
+#: Rank-4 moduli that support a null energy (micropolar B-tilde, the
+#: quasicrystal phason E): major symmetric, antisymmetric under both odd
+#: index swaps, vanishing when i=k or j=l.
+TILDE = combine("TILDE", MAJOR, SWAP24_ANTI, SWAP13_ANTI, ZERO_IF_IK_OR_JL)
 
 
 def _flat(t: np.ndarray, cls: SymmetryClass) -> np.ndarray:

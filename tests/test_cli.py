@@ -412,6 +412,24 @@ def test_generator_exponent_beyond_int64_is_named_at_load(tmp_path, capsys, comm
     assert err == f"error: generator exponent {2**63} is too large for a 64-bit integer\n"
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        # the last "B" would win: checked against ones, the file would fail
+        ('{"model": "micropolar", "A": %s, "B": %s, "D": %s, "B": %s}' % (Z81, Z81, Z81, [1.0] * 81), "B"),
+        # the second "coeff" would win and certify
+        (json.dumps(generator_with({"exponents": [1, 0, 0, 1], "coeff": "1"}))
+         .replace('"coeff": "1"}', '"coeff": "1", "coeff": "2"}', 1), "coeff"),
+    ],
+    ids=["model-file", "generator-file"],
+)
+def test_repeated_json_key_is_usage_error(tmp_path, capsys, text, key):
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    for argv in (["check", str(path)], ["split", str(path)], ["certify", str(path), "--trials", "1"]):
+        assert assert_one_error_line(argv, capsys) == f"error: input file repeats the key {key!r} in one object\n"
+
+
 def cli_bases():
     """One small valid file per model tag, and a generator file."""
     return [

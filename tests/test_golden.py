@@ -1,4 +1,5 @@
-"""Golden certificates: three seeded `certify_null` runs pinned bit for bit.
+"""Golden certificates: three seeded `certify_null` runs pinned bit for bit,
+and the digests of `check` and `split` output on model files of every tag.
 
 The values were captured on x86-64 with numpy 2.4 and its bundled OpenBLAS.
 They guard the summation order of field sampling, state evaluation and the
@@ -6,12 +7,15 @@ boundary actions: a refactor that reorders a sum changes a digit here.
 """
 
 import hashlib
+import json
 
 import numpy as np
 
 from nullag import micropolar as mp
 from nullag import quasicrystal as qc
 from nullag import rund
+from nullag.cli import main
+from nullag.em import EM_ELASTIC_CLASS
 from nullag.polyfield import bubble_damped, field_states, random_polyfield
 from nullag.tensors import MINOR_LEFT, project
 from nullag.verifier import action_integral, boundary_dependence_test, certify_null
@@ -101,3 +105,96 @@ def test_evaluation_digests_are_pinned():
     y, w = random_polyfield(rng, 6, 4), random_polyfield(rng, 6, 4)
     assert repr(action_integral(isotropic_null(), y, 12)) == "-5.8132339109173135"
     assert repr(boundary_dependence_test(isotropic_null(), y, w, 12)) == "3.552713678800501e-15"
+
+
+#: Captured before the coupling rows were derived from the condition maps.
+CLI_DIGESTS = {
+    "check/mp-null/json": "bc14cc44018609932f266d73b47af480d637e9b05de701a3f33309dfcf1f5c30",
+    "check/mp-null/text": "f9d215d57aca0c8a789d3129a45b5012121ff8f4b67850ca881102ee7b833dfc",
+    "split/mp-null/json": "409c734e008006ef061350b4e87f9bb390bb2f9fdf3b85b5da3090a3688609cb",
+    "split/mp-null/text": "47c71ebca75dfaf6ad028bbb1a885f800198f643bdf28d1010f034321469d06e",
+    "check/mp-hat/json": "4a7b72f21a85f579fddd0179149d85269975f7dcee6aa69ab74070d582d648b9",
+    "check/mp-hat/text": "64836a75075046af856a1d10010eb4a3b40860cf3fa28b6ff9bdcd080421a2fb",
+    "split/mp-hat/json": "45d0e4782996d568e121e541f3ae9948be407ea76c4a1aafff49ccf18b5c359b",
+    "split/mp-hat/text": "7e519508b0cd39d172680745edc3f7841ee4095a3abf2f541096a5219023147c",
+    "check/mp-random/json": "4f3051e25cf4bf7ae0b9c2fe769b822fdef75c425576d5bb399f7bce178fe0a7",
+    "check/mp-random/text": "ff6be24e0faa693120e31b0bd958c2686bba33cb22059c19cb4b6447cfaf90c9",
+    "split/mp-random/json": "8cc6a82f547d411c5102469bd87b5c2d8e12486c2b3cf4d8231780a0c4fbaa31",
+    "split/mp-random/text": "5d4fce01ac57eba5a4f9683621079ad85c6505463b2f753384eb49f1f168fb4a",
+    "check/iso-null/json": "65562d79a596e405569ec3d39d124b9dad6c55451c59d5835e890ee2bbc11030",
+    "check/iso-null/text": "99c06aa31c3cd4eade4d0caf6ddfbf55eaca83d44cdf200f2d7eef1540ec357e",
+    "split/iso-null/json": "b1a6a1b093c0888e0f9f30f977232fa267348c318d728d44b6760b3424d893f1",
+    "split/iso-null/text": "5543934954ab3a7985abbe155215a7227e5c97077028d481f5077bcda270912f",
+    "check/iso-random/json": "ebf7538de57c5a3e67bbefdc8acadf897cf756a58e4d6a699ff4c38d7e0befb6",
+    "check/iso-random/text": "b2036bd305e7c74e5456bcba578d67be7b4784169f9563fa0de23cbd70a86fc3",
+    "split/iso-random/json": "d404fe9e9b525aaf7bbfa13ce5eda9f093f92105046d86b122952cb24471ba43",
+    "split/iso-random/text": "84cb4fb22b013f417be02855242839b1188c9c482873be6a6b2aba5cebf4d538",
+    "check/hemi-random/json": "03862aebec21a9e0f37b16b92f85c3209a86ebed419daf3e147c56d37efa6361",
+    "check/hemi-random/text": "0719c8ebcf3f6baa1f8a84d368f34d891cf20d5bd759f9b87108ccc22feca5a9",
+    "split/hemi-random/json": "02929844a89b2364aef9d4d8b23d0b660c133a4436ed1e63d509d3d4bbc13cb0",
+    "split/hemi-random/text": "ca75ee4d88f33d7ee8f9558e8a22862fcf36a6a10ad5c5bc6d874deb483f6822",
+    "check/qc-phason/json": "0c20147c1b717d9408546fa289f0f1d45008846b9d9973f68ad20e0bf20df55a",
+    "check/qc-phason/text": "1ea7f776d2983aa2e09fe8d9048b44b59c46643772c7c7cec5b3062afd64caa0",
+    "check/qc-random/json": "06ce3bd7d71207c09d684aff9c3d85c476972eb6fa22f2a1a03aba9444a4efde",
+    "check/qc-random/text": "9452c28ab64b3d59f7ea071708a8746e1ac94ef04c145eefc0588f4ee9084f65",
+    "check/em-random/json": "9c2400ce543d8c252c584a48228dc558c330fcb8eb371a5c272ccda039eb79d1",
+    "check/em-random/text": "991c22f97a63fc12ca84e06076655e776c53630a8e6525f0d2c1f22cbf921c00",
+}
+
+
+def cli_models():
+    """Model files of all five tags, among them a micropolar model with a
+    projected null D and a B-tilde, and a quasicrystal model whose phason E
+    is closed from seeds."""
+    rng = np.random.default_rng(77)
+
+    def major():
+        t = rng.uniform(-1, 1, (3, 3, 3, 3))
+        return 0.5 * (t + np.transpose(t, (2, 3, 0, 1)))
+
+    def sym(shape, axes):
+        t = rng.uniform(-1, 1, shape)
+        return 0.5 * (t + np.transpose(t, axes))
+
+    def flat(t):
+        return np.asarray(t, dtype=float).reshape(-1).tolist()
+
+    def consts(tag, n):
+        names = ("lambda", "mu", "kappa", "beta1", "beta2", "beta3", "zeta", "nu", "rho")
+        return {"model": tag, **dict(zip(names, rng.uniform(-2, 2, n).tolist()))}
+
+    z81 = [0.0] * 81
+    d_null = (mp.coupling_direct_projector() @ rng.uniform(-1, 1, 81)).reshape(3, 3, 3, 3)
+    e_null = qc.admissible_phason_modulus({(0, 1, 1, 0): 0.75, (0, 1, 2, 0): -1.25, (1, 2, 0, 1): 0.5})
+    return {
+        "mp-null": {"model": "micropolar", "A": z81, "B": flat(mp.split_B(major()).b_tilde), "D": flat(d_null)},
+        "mp-hat": {"model": "micropolar", "A": flat(major()), "B": flat(mp.split_B(major()).b_hat),
+                   "D": flat(rng.uniform(-1, 1, 81))},
+        "mp-random": {"model": "micropolar", "A": flat(major()), "B": flat(major()), "D": flat(rng.uniform(-1, 1, 81))},
+        "iso-null": {"model": "micropolar_isotropic", "lambda": 0.0, "mu": 0.0, "kappa": 0.0,
+                     "beta1": 1.5, "beta2": 0.0, "beta3": -1.5},
+        "iso-random": consts("micropolar_isotropic", 6),
+        "hemi-random": consts("micropolar_hemitropic", 9),
+        "qc-phason": {"model": "quasicrystal", "C": z81, "D": z81, "E": flat(e_null)},
+        "qc-random": {"model": "quasicrystal", "C": flat(project(rng.uniform(-1, 1, (3, 3, 3, 3)), qc.PHONON_CLASS)),
+                      "D": flat(sym((3, 3, 3, 3), (1, 0, 2, 3))), "E": flat(major())},
+        "em-random": {"model": "em_elast", "C": flat(project(rng.uniform(-1, 1, (3, 3, 3, 3)), EM_ELASTIC_CLASS)),
+                      "P": flat(sym((3, 3, 3), (0, 2, 1))), "Q": flat(sym((3, 3, 3), (0, 2, 1))),
+                      "Ediel": flat(sym((3, 3), (1, 0))), "Bperm": flat(sym((3, 3), (1, 0))),
+                      "Acpl": flat(sym((3, 3), (1, 0)))},
+    }
+
+
+def test_check_and_split_output_digests_are_pinned(tmp_path, capsys):
+    """SHA-256 of `check` and `split` stdout, with the exit code, in both
+    formats; `split` runs on the micropolar files only."""
+    got = {}
+    for name, model in cli_models().items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(model))
+        for command in ("check", "split") if model["model"].startswith("micropolar") else ("check",):
+            for fmt in ("json", "text"):
+                code = main([command, str(path), "--format", fmt])
+                text = f"{code}\n{capsys.readouterr().out}"
+                got[f"{command}/{name}/{fmt}"] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == CLI_DIGESTS

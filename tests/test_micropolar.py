@@ -223,6 +223,78 @@ def test_coupling_equivalence_probe():
         assert np.max(np.abs(mp.coupling_direct_rows() @ via2.reshape(81))) <= 1e-13
 
 
+def reference_coupling_rows(entrywise):
+    """The constraint rows written out index by index: swap24 antisymmetry,
+    then either the alternating balance per (m, i, n) or the entrywise
+    (b, c) pair per permutation (i, j, k)."""
+    lc = levi_civita()
+
+    def pos(i, j, k, l):
+        return ((i * 3 + j) * 3 + k) * 3 + l
+
+    rows = []
+    for i, j, k, l in itertools.product(range(3), repeat=4):
+        r = np.zeros(81)
+        r[pos(i, j, k, l)] += 1.0
+        r[pos(i, l, k, j)] += 1.0
+        rows.append(r)
+    if not entrywise:
+        for m, i, n in itertools.product(range(3), repeat=3):
+            r = np.zeros(81)
+            for k, l in itertools.product(range(3), repeat=2):
+                if lc[m, k, l]:
+                    r[pos(k, l, i, n)] += lc[m, k, l]
+            for j, k in itertools.product(range(3), repeat=2):
+                if lc[i, j, k]:
+                    r[pos(j, k, m, n)] -= lc[i, j, k]
+            rows.append(r)
+        return np.array(rows)
+    for i, j, k in itertools.permutations(range(3)):
+        r = np.zeros(81)
+        r[pos(i, j, j, i)] += 1.0
+        r[pos(i, k, k, i)] += 1.0
+        rows.append(r)
+        r = np.zeros(81)
+        r[pos(i, j, j, k)] += 1.0
+        r[pos(k, i, k, k)] -= 1.0
+        r[pos(j, i, j, k)] -= 1.0
+        rows.append(r)
+    return np.array(rows)
+
+
+def test_coupling_rows_are_the_condition_maps_written_out():
+    for rows, entrywise in ((mp.coupling_direct_rows(), False), (mp.coupling_entrywise_rows(), True)):
+        expected = reference_coupling_rows(entrywise)
+        assert np.array_equal(rows, expected)
+        assert rows.tobytes() == expected.tobytes()
+
+
+def test_coupling_entrywise_violations_match_the_permutation_loop():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        d = rng.uniform(-1, 1, (3, 3, 3, 3)) * 10.0 ** rng.uniform(-5, 5, (3, 3, 3, 3))
+        v_b = v_c = 0.0
+        for i, j, k in itertools.permutations(range(3)):
+            v_b = max(v_b, abs(d[i, j, j, i] + d[i, k, k, i]))
+            v_c = max(v_c, abs(d[i, j, j, k] - d[k, i, k, k] - d[j, i, j, k]))
+        report = mp.check_coupling_entrywise(d)
+        assert report["D opposite transposed diagonals"].max_violation == v_b
+        assert report["D mixed-entry sum rule"].max_violation == v_c
+
+
+def test_coupling_entrywise_rejects_sums_beyond_the_double_range():
+    d = np.zeros((3, 3, 3, 3))
+    d[0, 1, 1, 0] = d[0, 2, 2, 0] = 1.5e308
+    with pytest.raises(ValueError, match="overflows"):
+        mp.check_coupling_entrywise(d)
+
+
+def test_phason_null_class_is_the_tilde_class():
+    from nullag import quasicrystal
+
+    assert quasicrystal.PHASON_NULL_CLASS is mp.TILDE_CLASS
+
+
 def test_check_centrosymmetric_null():
     rng = np.random.default_rng(21)
     parts = mp.split_B(random_major_symmetric(rng))
@@ -366,7 +438,49 @@ def test_positive_definite_cases():
     assert mp.positive_definite(mp.IsotropicParams(1.0, 1.0, 1.0, 1.0, 3.0, 1.0))
     assert not mp.positive_definite(mp.IsotropicParams(1.0, 1.0, 0.0, 1.0, 3.0, 1.0))
     assert not mp.positive_definite(mp.IsotropicParams(1.0, 1.0, 1.0, 1.0, 2.0, 2.0))
-    assert mp.positive_definite(mp.HemitropicParams(1.0, 1.0, 1.0, 1.0, 3.0, 1.0, 5.0, 5.0, 5.0))
+    # strongly chiral: the 18x18 energy form has least eigenvalue -23.5
+    assert not mp.positive_definite(mp.HemitropicParams(1.0, 1.0, 1.0, 1.0, 3.0, 1.0, 5.0, 5.0, 5.0))
+    # weakly chiral: least eigenvalue 0.382
+    assert mp.positive_definite(mp.HemitropicParams(1.0, 1.0, 1.0, 1.0, 3.0, 1.0, 1.0, 1.0, 1.0))
+
+
+def isotropic_positive_definite(p):
+    """The closed-form inequalities on the six centrosymmetric constants."""
+    return (
+        p.kappa > 0.0
+        and 2.0 * p.mu + p.kappa > 0.0
+        and 3.0 * p.lam + 2.0 * p.mu + p.kappa > 0.0
+        and 3.0 * p.beta1 + p.beta2 + p.beta3 > 0.0
+        and p.beta2 + p.beta3 > 0.0
+        and p.beta2 - p.beta3 > 0.0
+    )
+
+
+def test_positive_definite_agrees_with_the_isotropic_inequalities():
+    rng = np.random.default_rng(0)
+    verdicts = []
+    for constants in rng.uniform(-2, 2, (2000, 6)):
+        p = mp.IsotropicParams(*constants)
+        verdicts.append(mp.positive_definite(p))
+        assert verdicts[-1] == isotropic_positive_definite(p)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_positive_definite_matches_the_energy_at_the_least_eigenvector():
+    """On a hemitropic sweep the verdict is the sign of the stored energy in
+    the direction of least curvature."""
+    rng = np.random.default_rng(1)
+    verdicts = []
+    for constants in rng.uniform(-2, 2, (300, 9)):
+        constants[1:3] = np.abs(constants[1:3])
+        p = mp.HemitropicParams(*constants)
+        m = p.moduli()
+        a, b, d = (t.reshape(9, 9) for t in (m.a, m.b, m.d))
+        _, vectors = np.linalg.eigh(np.block([[a, d], [d.T, b]]))
+        eps, kap = vectors[:9, 0].reshape(3, 3), vectors[9:, 0].reshape(3, 3)
+        verdicts.append(mp.positive_definite(p))
+        assert verdicts[-1] == (mp.energy_density(m, eps, kap) > 0.0)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_null_lagrangian_iso_values():
