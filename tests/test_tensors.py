@@ -152,6 +152,9 @@ ALL_CLASSES = {
     for value in vars(module).values()
     if isinstance(value, tensors.SymmetryClass)
 }
+# The phason null class is the B-tilde class under its quasicrystal name; it
+# keeps a case of its own so both names stay covered.
+ALL_CLASSES["PHASON_NULL"] = quasicrystal.PHASON_NULL_CLASS
 
 
 def oracle_tensors(cls, rng):
