@@ -158,4 +158,4 @@ def lagrangian(m: EmModuli) -> QuadraticLagrangian:
         p[:3, :, 4, k] += m.q[k]
     p[3, :, 4, :] += -m.acpl
     p[4, :, 3, :] += -m.acpl.T
-    return QuadraticLagrangian(p, label="em_elast")
+    return QuadraticLagrangian(p)

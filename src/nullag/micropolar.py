@@ -127,29 +127,9 @@ def _iso_tensor(c_tr: float, c_id: float, c_swap: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class IsotropicParams:
-    """Six constants of the centrosymmetric isotropic material."""
-
-    lam: float
-    mu: float
-    kappa: float
-    beta1: float
-    beta2: float
-    beta3: float
-
-    def a_tensor(self) -> np.ndarray:
-        return _iso_tensor(self.lam, self.mu + self.kappa, self.mu)
-
-    def b_tensor(self) -> np.ndarray:
-        return _iso_tensor(self.beta1, self.beta2, self.beta3)
-
-    def moduli(self) -> MicropolarModuli:
-        return MicropolarModuli(self.a_tensor(), self.b_tensor(), np.zeros((3, 3, 3, 3)))
-
-
-@dataclass(frozen=True)
 class HemitropicParams:
-    """Nine constants of the chiral isotropic material."""
+    """Nine constants of the chiral isotropic material.  The chiral ones,
+    zeta, nu and rho, default to 0: the centrosymmetric isotropic material."""
 
     lam: float
     mu: float
@@ -157,9 +137,9 @@ class HemitropicParams:
     beta1: float
     beta2: float
     beta3: float
-    zeta: float
-    nu: float
-    rho: float
+    zeta: float = 0.0
+    nu: float = 0.0
+    rho: float = 0.0
 
     def a_tensor(self) -> np.ndarray:
         return _iso_tensor(self.lam, self.mu + self.kappa, self.mu)
@@ -172,6 +152,10 @@ class HemitropicParams:
 
     def moduli(self) -> MicropolarModuli:
         return MicropolarModuli(self.a_tensor(), self.b_tensor(), self.d_tensor())
+
+
+#: The centrosymmetric isotropic material is the hemitropic one with zeta = nu = rho = 0.
+IsotropicParams = HemitropicParams
 
 
 @dataclass(frozen=True)
@@ -277,47 +261,53 @@ def check_coupling_entrywise(d: np.ndarray) -> ConditionReport:
     return make_report(checks)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """The array itself, frozen: a cached array is shared by every caller."""
+    a.flags.writeable = False
+    return a
+
+
 def _condition_rows(*maps) -> np.ndarray:
     """Rows of linear condition maps on the 81 coupling components: each
     map evaluated on the 81 unit tensors, its outputs in flat order."""
     units = np.eye(81).reshape(81, 3, 3, 3, 3)
-    return np.concatenate([f(units).reshape(81, -1).T for f in maps])
+    return _read_only(np.concatenate([f(units).reshape(81, -1).T for f in maps]))
 
 
 @functools.lru_cache(maxsize=1)
 def coupling_direct_rows() -> np.ndarray:
     """Constraint rows of {swap24 antisymmetry, alternating balance} on the
-    81 coupling components."""
+    81 coupling components; read-only."""
     return _condition_rows(_swap24_sum, _alternating_balance)
 
 
 @functools.lru_cache(maxsize=1)
 def coupling_entrywise_rows() -> np.ndarray:
     """Constraint rows of the entrywise coupling conditions: swap24
-    antisymmetry, then the (b, c) pair of each permutation."""
+    antisymmetry, then the (b, c) pair of each permutation; read-only."""
     return _condition_rows(_swap24_sum, _entrywise_pair)
 
 
 @functools.lru_cache(maxsize=1)
 def coupling_direct_projector() -> np.ndarray:
-    return tensors.nullspace_projector(coupling_direct_rows(), 81)
+    return _read_only(tensors.nullspace_projector(coupling_direct_rows(), 81))
 
 
 @functools.lru_cache(maxsize=1)
 def coupling_entrywise_projector() -> np.ndarray:
-    return tensors.nullspace_projector(coupling_entrywise_rows(), 81)
+    return _read_only(tensors.nullspace_projector(coupling_entrywise_rows(), 81))
 
 
-def coupling_equivalence_probe(d: np.ndarray, tol: float = 1e-10) -> bool:
+def coupling_equivalence_probe(d: np.ndarray) -> bool:
     """Check that the direct and entrywise coupling condition systems agree
-    on the given tensor: both hold or both fail.  A theorem probe; must
-    return True for every input."""
+    on the given tensor: both hold or both fail, each within 1e-10 of its
+    largest entry.  A theorem probe; must return True for every input."""
     d = as_tensor4(d)
     flat = d.reshape(81)
-    scale = tensor_scale(flat)
+    tol = 1e-10 * tensor_scale(flat)
     direct = float(np.max(np.abs(coupling_direct_rows() @ flat)))
     entrywise = float(np.max(np.abs(coupling_entrywise_rows() @ flat)))
-    return (direct <= tol * scale) == (entrywise <= tol * scale)
+    return (direct <= tol) == (entrywise <= tol)
 
 
 def check_centrosymmetric_null(a: np.ndarray, b: np.ndarray) -> ConditionReport:
@@ -380,7 +370,7 @@ def surface_potential(b_tilde: np.ndarray, phi: PolyField, surface_quadrature_or
     return 0.5 * float(np.sum(b_tilde.reshape(9, 9) * moment))
 
 
-def positive_definite(p: IsotropicParams | HemitropicParams) -> bool:
+def positive_definite(p: HemitropicParams) -> bool:
     """Positive definiteness of the stored energy, decided from its whole
     quadratic form on (eps, kap): the symmetric 18x18 matrix
     [[A, D], [D^T, B]], each block reshaped to 9x9, must have a least
@@ -439,7 +429,7 @@ def lagrangian(m: MicropolarModuli) -> QuadraticLagrangian:
     q[:3, :, 3:] = np.einsum("ijkl,skl->ijs", m.a, lc)
     q[3:, :, 3:] = np.einsum("ijkl,sij->kls", m.d, lc)
     r[3:, 3:] = np.einsum("ijkl,sij,tkl->st", m.a, lc, lc)
-    return QuadraticLagrangian(p, q, r, label="micropolar")
+    return QuadraticLagrangian(p, q, r)
 
 
 def iso_null_evaluator(c0: float) -> QuadraticLagrangian:

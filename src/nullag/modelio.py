@@ -27,21 +27,19 @@ _FAMILIES = {
 
 _ISO_KEYS = ("lambda", "mu", "kappa", "beta1", "beta2", "beta3")
 
+
+def _constants_moduli(*values: float) -> micropolar.MicropolarModuli:
+    """Moduli of the isotropic or hemitropic constants; omitted chiral ones are 0."""
+    return micropolar.HemitropicParams(*values).moduli()
+
+
 #: model tag -> (family, fields, constructor).  Fields map each key to the
 #: flat length of its tensor, or to None for a number; the constructor takes
 #: the parsed fields in order and returns the family's moduli.
 _MODEL_TAGS = {
     "micropolar": ("micropolar", {"A": 81, "B": 81, "D": 81}, micropolar.MicropolarModuli),
-    "micropolar_isotropic": (
-        "micropolar",
-        dict.fromkeys(_ISO_KEYS),
-        lambda *v: micropolar.IsotropicParams(*v).moduli(),
-    ),
-    "micropolar_hemitropic": (
-        "micropolar",
-        dict.fromkeys((*_ISO_KEYS, "zeta", "nu", "rho")),
-        lambda *v: micropolar.HemitropicParams(*v).moduli(),
-    ),
+    "micropolar_isotropic": ("micropolar", dict.fromkeys(_ISO_KEYS), _constants_moduli),
+    "micropolar_hemitropic": ("micropolar", dict.fromkeys((*_ISO_KEYS, "zeta", "nu", "rho")), _constants_moduli),
     "quasicrystal": ("quasicrystal", {"C": 81, "D": 81, "E": 81}, quasicrystal.QcModuli),
     "em_elast": (
         "em_elast",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensors
-from .polyfield import PolyField
+from .polyfield import PolyField, join
 from .report import DEFAULT_TOL_ABS, ConditionReport, make_check, make_report, tensor_scale
 from .tensors import (
     MAJOR,
@@ -27,7 +27,7 @@ from .tensors import (
     as_tensor4,
     combine,
 )
-from .verifier import QuadraticLagrangian
+from .verifier import QuadraticLagrangian, euler_residual
 
 __all__ = [
     "QcModuli",
@@ -106,20 +106,14 @@ def qc_constitutive(m: QcModuli, gamma, kappa) -> tuple[np.ndarray, np.ndarray]:
     return sigma_p, sigma_s
 
 
-def qc_equilibrium_residual(
-    m: QcModuli,
-    u_p: PolyField,
-    u_s: PolyField,
-    f_p: PolyField | None,
-    f_s: PolyField | None,
-    x,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise equilibrium residuals r_p and r_s; zero at equilibrium."""
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    hp = u_p.eval_hess(pts)[0]
-    hs = u_s.eval_hess(pts)[0]
-    r_p = np.einsum("ijkl,klj->i", m.c, hp) + np.einsum("ijkl,klj->i", m.d, hs)
-    r_s = np.einsum("klij,klj->i", m.d, hp) + np.einsum("ijkl,klj->i", m.e, hs)
+def qc_equilibrium_residual(m: QcModuli, u_p: PolyField, u_s: PolyField, f_p: PolyField | None,
+                            f_s: PolyField | None, x) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise equilibrium residuals r_p and r_s at the point x, zero at
+    equilibrium: the Euler residual of the density split into its phonon
+    and phason parts, plus the body forces."""
+    res = euler_residual(lagrangian(m), join(u_p, u_s), x)
+    r_p, r_s = res[:3], res[3:]
+    pts = np.reshape(np.asarray(x, dtype=float), (1, 3))
     if f_p is not None:
         r_p = r_p + f_p.eval(pts)[0]
     if f_s is not None:
@@ -183,4 +177,4 @@ def lagrangian(m: QcModuli) -> QuadraticLagrangian:
     p[3:, :, 3:, :] = m.e
     p[:3, :, 3:, :] += m.d
     p[3:, :, :3, :] += np.transpose(m.d, (2, 3, 0, 1))
-    return QuadraticLagrangian(p, label="quasicrystal")
+    return QuadraticLagrangian(p)

@@ -59,15 +59,9 @@ def tensor_scale(t) -> float:
     return float(np.max(np.abs(t))) or 1.0
 
 
-def make_check(
-    name: str,
-    violation: float,
-    scale: float,
-    tol_abs: float = DEFAULT_TOL_ABS,
-    tol_rel: float = DEFAULT_TOL_REL,
-) -> ConditionCheck:
+def make_check(name: str, violation: float, scale: float, tol_abs: float = DEFAULT_TOL_ABS) -> ConditionCheck:
     """Build a check; passes when the violation is within the absolute
-    tolerance or within the relative tolerance of the tensor magnitude.
+    tolerance or within DEFAULT_TOL_REL of the tensor magnitude.
 
     Raises ValueError for an absolute tolerance that is negative or not
     finite, and for a violation that is not finite (moduli so close to the
@@ -78,7 +72,7 @@ def make_check(
     if not math.isfinite(violation):
         raise ValueError(f"condition {name!r}: violation overflows the double range")
     rel = violation / scale if scale > 0 else violation
-    tolerance = max(tol_abs, tol_rel * scale)
+    tolerance = max(tol_abs, DEFAULT_TOL_REL * scale)
     return ConditionCheck(name, violation, rel, tolerance, violation <= tolerance)
 
 

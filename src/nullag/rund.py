@@ -429,7 +429,7 @@ def _parse_term(term) -> tuple[tuple[int, ...], Fraction]:
     return tuple(expo), coeff
 
 
-def generator_set_from_json(obj, n: int | None = None) -> GeneratorSet:
+def generator_set_from_json(obj) -> GeneratorSet:
     """Parse the generator file format: a list of three polynomials, each a
     list of {"exponents": [ex1,ex2,ex3,ey1..eyN], "coeff": "p/q"}.
 
@@ -457,11 +457,8 @@ def generator_set_from_json(obj, n: int | None = None) -> GeneratorSet:
             terms[key] = terms[key] + coeff if key in terms else coeff
     if nvars is None:
         raise ValueError("generator file has no terms; field dimension is undetermined")
-    inferred = nvars - 3
-    if n is not None and n != inferred:
-        raise ValueError(f"generator file implies {inferred} field components, expected {n}")
     g = GeneratorSet.__new__(GeneratorSet)
-    g._fill(inferred, {key: c for key, c in terms.items() if c})
+    g._fill(nvars - 3, {key: c for key, c in terms.items() if c})
     return g
 
 

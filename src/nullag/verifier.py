@@ -82,8 +82,7 @@ class QuadraticLagrangian(Lagrangian):
     y nor, in its residual, Dy (`reads_values`).
     """
 
-    def __init__(self, p: np.ndarray, q: np.ndarray | None = None,
-                 r: np.ndarray | None = None, label: str = ""):
+    def __init__(self, p: np.ndarray, q: np.ndarray | None = None, r: np.ndarray | None = None):
         p = np.asarray(p, dtype=float)
         n = p.shape[0]
         self.n = n
@@ -97,7 +96,6 @@ class QuadraticLagrangian(Lagrangian):
                 raise ValueError(f"density block {name} must be finite after symmetrization")
             getattr(self, name).flags.writeable = False
         self._uses_q, self._uses_r = bool(np.any(self.q)), bool(np.any(self.r))
-        self.label = label
 
     @property
     def reads_values(self) -> bool:

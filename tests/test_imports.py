@@ -1,12 +1,18 @@
 """numpy is the only runtime dependency: importing every module of the
 package loads no test or symbolic library, builds no CLI parser and keeps
-no monomial matrix at a quadrature rule."""
+no monomial matrix at a quadrature rule.  Across the modules, no module
+reads another's private names, and no cached array can be written."""
 
+import importlib
+import inspect
 import os
+import pkgutil
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import nullag
 
@@ -46,3 +52,28 @@ def test_no_module_reads_another_modules_private_names():
              for number, line in enumerate(path.read_text().splitlines(), 1)
              if PRIVATE_NAME.search(line)]
     assert reads == []
+
+
+def arrays_in(value):
+    """The ndarrays of a value, looking inside tuples and lists."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (tuple, list)):
+        return [a for item in value for a in arrays_in(item)]
+    return []
+
+
+def test_cached_zero_argument_functions_return_read_only_arrays():
+    """A cached function hands every caller the same object, so one
+    caller's write would change every later result."""
+    returned = {}
+    for info in pkgutil.iter_modules(nullag.__path__):
+        module = importlib.import_module(f"nullag.{info.name}")
+        for name, obj in vars(module).items():
+            if (hasattr(obj, "cache_info") and obj.__module__ == module.__name__
+                    and not inspect.signature(obj).parameters):
+                returned[f"{info.name}.{name}"] = arrays_in(obj())
+    assert {f"micropolar.coupling_{kind}" for kind in
+            ("direct_rows", "entrywise_rows", "direct_projector", "entrywise_projector")} <= set(returned)
+    writable = [name for name, arrays in returned.items() if any(a.flags.writeable for a in arrays)]
+    assert writable == []

@@ -223,6 +223,22 @@ def test_coupling_equivalence_probe():
         assert np.max(np.abs(mp.coupling_direct_rows() @ via2.reshape(81))) <= 1e-13
 
 
+COUPLING_ARRAYS = ("coupling_direct_rows", "coupling_entrywise_rows",
+                   "coupling_direct_projector", "coupling_entrywise_projector")
+
+
+@pytest.mark.parametrize("name", COUPLING_ARRAYS)
+def test_cached_coupling_arrays_refuse_writes(name):
+    """Every caller shares one cached array, so a write by one caller
+    must not change what the probe reads for the next."""
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(mp, name)()[:] = 0.0
+    rng = np.random.default_rng(21)
+    t = rng.uniform(-1, 1, 81)
+    for d in (t, mp.coupling_direct_projector() @ t):
+        assert mp.coupling_equivalence_probe(d.reshape(3, 3, 3, 3))
+
+
 def reference_coupling_rows(entrywise):
     """The constraint rows written out index by index: swap24 antisymmetry,
     then either the alternating balance per (m, i, n) or the entrywise
@@ -442,6 +458,37 @@ def test_positive_definite_cases():
     assert not mp.positive_definite(mp.HemitropicParams(1.0, 1.0, 1.0, 1.0, 3.0, 1.0, 5.0, 5.0, 5.0))
     # weakly chiral: least eigenvalue 0.382
     assert mp.positive_definite(mp.HemitropicParams(1.0, 1.0, 1.0, 1.0, 3.0, 1.0, 1.0, 1.0, 1.0))
+
+
+class SixConstantParams:
+    """The centrosymmetric isotropic constants as their own class, which
+    `IsotropicParams` was before it became the hemitropic class with zero
+    chiral constants; kept as its oracle."""
+
+    def __init__(self, lam, mu, kappa, beta1, beta2, beta3):
+        self.lam, self.mu, self.kappa = lam, mu, kappa
+        self.beta1, self.beta2, self.beta3 = beta1, beta2, beta3
+
+    def moduli(self):
+        a = iso_b(self.lam, self.mu + self.kappa, self.mu)
+        return mp.MicropolarModuli(a, iso_b(self.beta1, self.beta2, self.beta3), Z4)
+
+
+def test_isotropic_constants_are_the_hemitropic_ones_without_chirality():
+    assert mp.IsotropicParams is mp.HemitropicParams
+    rng = np.random.default_rng(22)
+    for constants in rng.uniform(-2, 2, (50, 6)):
+        got, want = mp.IsotropicParams(*constants).moduli(), SixConstantParams(*constants).moduli()
+        for name in ("a", "b", "d"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert not np.any(np.signbit(got.d))
+
+
+@pytest.mark.parametrize("c", [1.0, -2.5, 1e-3])
+def test_hemitropic_null_family_passes_the_isotropic_null_constants(c):
+    report = mp.hemitropic_null_family(mp.IsotropicParams(0.0, 0.0, 0.0, c, 0.0, -c))
+    assert report.passed
+    assert (report.extra["lambda_eff"], report.extra["beta1_eff"], report.extra["zeta_eff"]) == (0.0, c, 0.0)
 
 
 def isotropic_positive_definite(p):

@@ -7,7 +7,7 @@ import pytest
 from nullag import quasicrystal as qc
 from nullag import verifier as vf
 from nullag.polyfield import PolyField, constant_field, random_polyfield
-from nullag.tensors import MINOR_LEFT, SWAP13_ANTI, combine, project
+from nullag.tensors import MAJOR, MINOR_LEFT, SWAP13_ANTI, combine, project
 
 Z4 = np.zeros((3, 3, 3, 3))
 
@@ -205,3 +205,34 @@ def test_qc_state_from_fields():
     pts = rng.uniform(0, 1, (4, 3))
     assert np.allclose(state.gamma.eval(pts).reshape(-1, 3, 3), u_p.eval_grad(pts), rtol=0, atol=1e-15)
     assert np.allclose(state.kappa.eval(pts).reshape(-1, 3, 3), u_s.eval_grad(pts), rtol=0, atol=1e-15)
+
+
+def contraction_residual(m, u_p, u_s, f_p, f_s, x):
+    """The C/D/E contraction that computed `qc_equilibrium_residual` before
+    it became the density's Euler residual; kept as its oracle."""
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    hp = u_p.eval_hess(pts)[0]
+    hs = u_s.eval_hess(pts)[0]
+    r_p = np.einsum("ijkl,klj->i", m.c, hp) + np.einsum("ijkl,klj->i", m.d, hs)
+    r_s = np.einsum("klij,klj->i", m.d, hp) + np.einsum("ijkl,klj->i", m.e, hs)
+    if f_p is not None:
+        r_p = r_p + f_p.eval(pts)[0]
+    if f_s is not None:
+        r_s = r_s + f_s.eval(pts)[0]
+    return r_p, r_s
+
+
+def test_equilibrium_residual_matches_the_moduli_contraction():
+    rng = np.random.default_rng(22)
+    for t in range(24):
+        d, e = (project(rng.uniform(-1, 1, (3, 3, 3, 3)), cls) for cls in (MINOR_LEFT, MAJOR))
+        m = qc.QcModuli(random_phonon(rng), d, e)
+        u_p, u_s = random_polyfield(rng, 3, 3), random_polyfield(rng, 3, 3)
+        f_p = random_polyfield(rng, 3, 2) if t % 2 else None
+        f_s = random_polyfield(rng, 3, 2) if t % 3 else None
+        x = rng.uniform(0, 1, 3)
+        got = qc.qc_equilibrium_residual(m, u_p, u_s, f_p, f_s, x)
+        want = contraction_residual(m, u_p, u_s, f_p, f_s, x)
+        for g, w in zip(got, want):
+            assert g.shape == (3,)
+            assert np.max(np.abs(g - w)) <= 1e-12

@@ -21,7 +21,7 @@ from nullag.polyfield import (
     stack_fields,
 )
 from nullag.quadrature import boundary_rule, cube_rule, required_order
-from nullag.tensors import project
+from nullag.tensors import MAJOR, MINOR_LEFT, TILDE, class_projector_matrix, project
 from nullag.verifier import (
     FieldSampler,
     Lagrangian,
@@ -619,3 +619,88 @@ def test_density_blocks_are_read_only():
             block[(0,) * block.ndim] = 1.0
     q[0, 0, 0] = 2.0  # the caller's array stays its own and writable
     assert lag.q[0, 0, 0] != 2.0
+
+
+# ------------------------------------- exact null criterion on admissible moduli
+
+def null_criterion(lag):
+    """The exact null criterion of a quadratic density with constant blocks
+    (Ball, Currie & Olver, J. Funct. Anal. 41, 1981): its Euler residual
+    (q_kcj - q_jck) D_c y_j + p_kcjb D_b D_c y_j - r_kj y_j vanishes for
+    every field exactly when p + p^(c<->b), q - q^(k<->j) and r are zero.
+    Returns the three, flattened and stacked."""
+    p, q, r = lag.p, lag.q, lag.r
+    return np.concatenate([(p + p.transpose(0, 3, 2, 1)).ravel(), (q - q.transpose(2, 1, 0)).ravel(), r.ravel()])
+
+
+def class_basis(cls, size):
+    """Orthonormal basis (size, k) of the flat tensors of a symmetry class,
+    or of every flat tensor for cls None."""
+    if cls is None:
+        return np.eye(size)
+    values, vectors = np.linalg.eigh(class_projector_matrix(cls))
+    return vectors[:, values > 0.5]
+
+
+T4, T3, T2 = (3, 3, 3, 3), (3, 3, 3), (3, 3)
+
+#: family -> (density of its moduli blocks, each block's shape and the
+#: symmetry class its constructor demands)
+ADMISSIBLE = {
+    "micropolar": (lambda *t: mp.lagrangian(mp.MicropolarModuli(*t)),
+                   [(T4, MAJOR), (T4, MAJOR), (T4, None)]),
+    "quasicrystal": (lambda *t: qc.lagrangian(qc.QcModuli(*t)),
+                     [(T4, qc.PHONON_CLASS), (T4, MINOR_LEFT), (T4, MAJOR)]),
+    "em_elast": (lambda *t: em.lagrangian(em.EmModuli(*t)),
+                 [(T4, em.EM_ELASTIC_CLASS), (T3, em.TRAILING_SYM3), (T3, em.TRAILING_SYM3),
+                  (T2, em.SYM2), (T2, em.SYM2), (T2, em.SYM2)]),
+}
+
+
+def criterion_kernel(family, blocks):
+    """Kernel of the null criterion on the admissible moduli of the given
+    blocks, the others zero: an orthonormal basis (rows) in the coordinates
+    of the admissible bases, the singular values of the map, and the bases."""
+    density, shapes = ADMISSIBLE[family]
+    columns, bases = [], []
+    for b in blocks:
+        shape, cls = shapes[b]
+        bases.append(class_basis(cls, int(np.prod(shape))))
+        for vector in bases[-1].T:
+            moduli = [np.zeros(zero_shape) for zero_shape, _ in shapes]
+            moduli[b] = vector.reshape(shape)
+            columns.append(null_criterion(density(*moduli)))
+    _, s, vt = np.linalg.svd(np.array(columns).T)
+    return vt[int(np.sum(s > 1e-10)):], s, bases
+
+
+@pytest.mark.parametrize("family, admissible, dim, block_dims", [
+    ("micropolar", 171, 27, (0, 9, 18)),
+    ("quasicrystal", 120, 9, (0, 0, 9)),
+    ("em_elast", 75, 0, (0, 0, 0, 0, 0, 0)),
+], ids=["micropolar", "quasicrystal", "em_elast"])
+def test_null_criterion_kernel_dimensions(family, admissible, dim, block_dims):
+    """The moduli that pass the exact criterion: as many dimensions as the
+    family's sufficient conditions admit (27, 9 and 0), so those conditions
+    are also necessary."""
+    blocks = range(len(block_dims))
+    kernel, s, _ = criterion_kernel(family, blocks)
+    assert s.size == admissible
+    assert len(kernel) == dim
+    for b, want in zip(blocks, block_dims):
+        block_kernel, block_s, _ = criterion_kernel(family, [b])
+        assert len(block_kernel) == want
+        s = np.concatenate([s, block_s])
+    # a clear gap between the kept and the dropped singular values
+    assert np.all((s >= 0.5) | (s <= 1e-10))
+
+
+@pytest.mark.parametrize("family, block, projector", [
+    ("micropolar", 1, lambda: class_projector_matrix(TILDE)),
+    ("micropolar", 2, mp.coupling_direct_projector),
+    ("quasicrystal", 2, lambda: class_projector_matrix(TILDE)),
+], ids=["micropolar-B-tilde", "micropolar-D-coupling", "quasicrystal-E-tilde"])
+def test_null_criterion_kernel_is_the_sufficient_condition_class(family, block, projector):
+    kernel, _, (basis,) = criterion_kernel(family, [block])
+    flat = basis @ kernel.T
+    assert np.max(np.abs(flat @ flat.T - projector())) <= 1e-12
