@@ -12,12 +12,10 @@ from .report import DEFAULT_TOL_ABS, ConditionReport, make_check, make_report, t
 from .tensors import (
     MAJOR,
     MINOR_LEFT,
-    SYMMETRY_TOL,
     IndexRelation,
+    Moduli,
     SymmetryClass,
     as_matrix3,
-    as_tensor3,
-    as_tensor4,
     check_symmetry,
     combine,
 )
@@ -49,7 +47,7 @@ ANTISYM2 = SymmetryClass("ANTISYM2", 2, (IndexRelation((1, 0), -1.0),))
 
 
 @dataclass(frozen=True)
-class EmModuli:
+class EmModuli(Moduli):
     """Elastic (c), piezoelectric (p), piezomagnetic (q), dielectric,
     permeability and electromagnetic coupling constants.
 
@@ -65,31 +63,14 @@ class EmModuli:
     bperm: np.ndarray
     acpl: np.ndarray
 
-    def __init__(self, c, p, q, ediel, bperm, acpl):
-        c = as_tensor4(c)
-        p, q = as_tensor3(p), as_tensor3(q)
-        ediel, bperm, acpl = as_matrix3(ediel), as_matrix3(bperm), as_matrix3(acpl)
-        if (gap := check_symmetry(c, EM_ELASTIC_CLASS)) > SYMMETRY_TOL:
-            raise ValueError(f"elastic modulus violates its symmetries by {gap:.3e}")
-        for name, t3 in (("piezoelectric", p), ("piezomagnetic", q)):
-            if (gap := check_symmetry(t3, TRAILING_SYM3)) > SYMMETRY_TOL:
-                raise ValueError(f"{name} coupling must be symmetric in its trailing pair ({gap:.3e})")
-        for name, m2 in (("dielectric", ediel), ("permeability", bperm), ("coupling", acpl)):
-            if (gap := check_symmetry(m2, SYM2)) > SYMMETRY_TOL:
-                raise ValueError(f"{name} matrix must be symmetric ({gap:.3e})")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "ediel", ediel)
-        object.__setattr__(self, "bperm", bperm)
-        object.__setattr__(self, "acpl", acpl)
-
-    @classmethod
-    def zero(cls) -> "EmModuli":
-        z4 = np.zeros((3, 3, 3, 3))
-        z3 = np.zeros((3, 3, 3))
-        z2 = np.zeros((3, 3))
-        return cls(z4, z3, z3, z2, z2, z2)
+    FIELDS = {
+        "c": (EM_ELASTIC_CLASS, "elastic modulus violates its symmetries by {gap:.3e}"),
+        "p": (TRAILING_SYM3, "piezoelectric coupling must be symmetric in its trailing pair ({gap:.3e})"),
+        "q": (TRAILING_SYM3, "piezomagnetic coupling must be symmetric in its trailing pair ({gap:.3e})"),
+        "ediel": (SYM2, "dielectric matrix must be symmetric ({gap:.3e})"),
+        "bperm": (SYM2, "permeability matrix must be symmetric ({gap:.3e})"),
+        "acpl": (SYM2, "coupling matrix must be symmetric ({gap:.3e})"),
+    }
 
 
 def em_enthalpy(m: EmModuli, eps, e, h) -> float:

@@ -24,9 +24,10 @@ from .tensors import (
     MINOR_RIGHT,
     SWAP13_ANTI,
     SWAP24_ANTI,
-    SYMMETRY_TOL,
     TILDE,
     ZERO_IF_IK_OR_JL,
+    Moduli,
+    SymmetryClass,
     as_matrix3,
     as_tensor4,
     combine,
@@ -91,7 +92,7 @@ _ISO_TR, _ISO_ID, _ISO_SWAP = (
 
 
 @dataclass(frozen=True)
-class MicropolarModuli:
+class MicropolarModuli(Moduli):
     """Elastic moduli (a, b, d) acting on stretch and wryness tensors.
 
     The stretch-stretch and wryness-wryness moduli must carry the major
@@ -102,20 +103,11 @@ class MicropolarModuli:
     b: np.ndarray
     d: np.ndarray
 
-    def __init__(self, a, b, d):
-        a, b, d = as_tensor4(a), as_tensor4(b), as_tensor4(d)
-        for name, t in (("a", a), ("b", b)):
-            gap = tensors.check_symmetry(t, MAJOR)
-            if gap > SYMMETRY_TOL:
-                raise ValueError(f"modulus {name} violates major symmetry by {gap:.3e}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
-
-    @classmethod
-    def zero(cls) -> "MicropolarModuli":
-        z = np.zeros((3, 3, 3, 3))
-        return cls(z, z, z)
+    FIELDS = {
+        "a": (MAJOR, "modulus a violates major symmetry by {gap:.3e}"),
+        "b": (MAJOR, "modulus b violates major symmetry by {gap:.3e}"),
+        "d": (SymmetryClass("UNCONSTRAINED", 4, ()), None),
+    }
 
 
 def _iso_tensor(c_tr: float, c_id: float, c_swap: float) -> np.ndarray:

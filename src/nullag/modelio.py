@@ -7,11 +7,10 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import em, micropolar, quasicrystal
 from .report import ConditionReport
 from .rund import GeneratorSet, generator_set_from_json
+from .tensors import Moduli, floats_from_json
 from .verifier import QuadraticLagrangian
 
 __all__ = ["LoadedModel", "load_model", "load_input_file"]
@@ -33,22 +32,22 @@ def _constants_moduli(*values: float) -> micropolar.MicropolarModuli:
     return micropolar.HemitropicParams(*values).moduli()
 
 
+def _tensor_tag(family: str, moduli: type[Moduli]) -> tuple:
+    """The tag of a family's moduli tensors: each field is read from the key
+    of its capitalized name as a flat list of 3**order numbers."""
+    return family, {name.capitalize(): 3**cls.order for name, (cls, _) in moduli.FIELDS.items()}, moduli
+
+
 #: model tag -> (family, fields, constructor).  Fields map each key to the
 #: flat length of its tensor, or to None for a number; the constructor takes
 #: the parsed fields in order and returns the family's moduli.
 _MODEL_TAGS = {
-    "micropolar": ("micropolar", {"A": 81, "B": 81, "D": 81}, micropolar.MicropolarModuli),
+    "micropolar": _tensor_tag("micropolar", micropolar.MicropolarModuli),
     "micropolar_isotropic": ("micropolar", dict.fromkeys(_ISO_KEYS), _constants_moduli),
     "micropolar_hemitropic": ("micropolar", dict.fromkeys((*_ISO_KEYS, "zeta", "nu", "rho")), _constants_moduli),
-    "quasicrystal": ("quasicrystal", {"C": 81, "D": 81, "E": 81}, quasicrystal.QcModuli),
-    "em_elast": (
-        "em_elast",
-        {"C": 81, "P": 27, "Q": 27, "Ediel": 9, "Bperm": 9, "Acpl": 9},
-        em.EmModuli,
-    ),
+    "quasicrystal": _tensor_tag("quasicrystal", quasicrystal.QcModuli),
+    "em_elast": _tensor_tag("em_elast", em.EmModuli),
 }
-
-_SHAPES = {81: (3, 3, 3, 3), 27: (3, 3, 3), 9: (3, 3)}
 
 
 @dataclass(frozen=True)
@@ -67,27 +66,11 @@ class LoadedModel:
         return _FAMILIES[self.family][0].lagrangian(self.moduli)
 
 
-def _floats(key: str, value) -> np.ndarray:
-    """JSON numbers as floats; an integer beyond the double range is a ValueError."""
-    try:
-        return np.asarray(value, dtype=float)
-    except OverflowError:
-        raise ValueError(f"field {key!r} holds a number outside the double range") from None
-
-
-def _array(obj: dict, key: str, length: int) -> np.ndarray:
-    value = obj[key]
-    # Exact types: JSON gives bool for true/false, which must not read as 1/0.
-    if not isinstance(value, list) or len(value) != length or not set(map(type, value)) <= {int, float}:
-        raise ValueError(f"field {key!r} must be a flat list of {length} numbers")
-    return _floats(key, value).reshape(_SHAPES[length])
-
-
 def _scalar(obj: dict, key: str) -> float:
     value = obj[key]
     if type(value) not in (int, float):
         raise ValueError(f"field {key!r} must be a number")
-    return float(_floats(key, value))
+    return float(floats_from_json([value], 1, f"field {key!r}")[0])
 
 
 def load_model(obj: dict) -> LoadedModel:
@@ -109,7 +92,7 @@ def load_model(obj: dict) -> LoadedModel:
             parts.append(f"missing keys {sorted(missing)}")
         raise ValueError(f"model {kind!r}: " + "; ".join(parts))
     values = [
-        _scalar(obj, key) if length is None else _array(obj, key, length)
+        _scalar(obj, key) if length is None else floats_from_json(obj[key], length, f"field {key!r}")
         for key, length in fields.items()
     ]
     return LoadedModel(kind, build(*values), family)

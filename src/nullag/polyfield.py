@@ -48,6 +48,13 @@ __all__ = [
 _BLOCK_ROWS = 2048
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: cached results are shared by every caller."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 def monomial_plan(expos: np.ndarray):
     """Evaluation plan of an exponent table (T, V): the number of terms, each
     variable's highest power, and per count k of variables a term uses, those
@@ -60,8 +67,8 @@ def monomial_plan(expos: np.ndarray):
     groups = []
     for k in sorted(set(count.tolist())):
         terms = np.flatnonzero(count == k)
-        groups.append((terms, row[terms][used[terms]].reshape(len(terms), k).T.copy()))
-    return len(expos), top.tolist(), groups
+        groups.append(_read_only(terms, row[terms][used[terms]].reshape(len(terms), k).T.copy()))
+    return len(expos), tuple(top.tolist()), tuple(groups)
 
 
 def _monomials(points: np.ndarray, plan) -> np.ndarray:
@@ -181,14 +188,14 @@ class _Table:
                     if e[a]:
                         shifted[a].append((j, e[:a] + (e[a] - 1,) + e[a + 1:], e[a]))
             child = _table(tuple(sorted({s[1] for rows in shifted for s in rows})))
-            maps = [
-                (
+            maps = tuple(
+                _read_only(
                     np.array([j for j, _, _ in rows], dtype=np.int64),
                     np.array([child.index[s] for _, s, _ in rows], dtype=np.int64),
                     np.array([f for _, _, f in rows], dtype=float),
                 )
                 for rows in shifted
-            ]
+            )
             self._derivative = (child, maps)
         return self._derivative
 
@@ -214,7 +221,9 @@ def _dense(degree: int):
     graded = monomials_upto(3, degree)
     table = _table(tuple(sorted(graded)))
     position = {e: i for i, e in enumerate(graded)}
-    return table, np.array([position[e] for e in table.keys], dtype=np.int64)
+    draw = np.array([position[e] for e in table.keys], dtype=np.int64)
+    draw.flags.writeable = False
+    return table, draw
 
 
 def _points(points) -> np.ndarray:
@@ -226,7 +235,7 @@ def _union(tables: tuple) -> tuple[_Table, tuple]:
     """Sorted union of tables and, per table, the union column of each of
     its monomials."""
     union = _table(tuple(sorted(set().union(*(t.keys for t in tables)))))
-    return union, tuple(np.array([union.index[e] for e in t.keys], dtype=np.int64) for t in tables)
+    return union, _read_only(*(np.array([union.index[e] for e in t.keys], dtype=np.int64) for t in tables))
 
 
 # Hessian entry (a, b) -> row of its a <= b pair (0,0),(0,1),(0,2),(1,1),(1,2),(2,2).
@@ -398,6 +407,7 @@ def _product(left: _Table, right: _Table) -> tuple[_Table, np.ndarray]:
     keys = [[(a[0] + b[0], a[1] + b[1], a[2] + b[2]) for b in right.keys] for a in left.keys]
     table = _table(tuple(sorted({k for row in keys for k in row})))
     columns = np.array([[table.index[k] for k in row] for row in keys], dtype=np.int64)
+    columns.flags.writeable = False
     return table, columns.reshape(len(left), len(right))
 
 

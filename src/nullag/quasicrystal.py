@@ -20,9 +20,9 @@ from .tensors import (
     MINOR_RIGHT,
     SWAP13_ANTI,
     SWAP24_ANTI,
-    SYMMETRY_TOL,
     TILDE,
     ZERO_IF_IK_OR_JL,
+    Moduli,
     as_matrix3,
     as_tensor4,
     combine,
@@ -47,7 +47,7 @@ PHASON_NULL_CLASS = TILDE
 
 
 @dataclass(frozen=True)
-class QcModuli:
+class QcModuli(Moduli):
     """Phonon (c), coupling (d) and phason (e) moduli with the symmetries
     c full, d left-minor, e major; construction rejects violations."""
 
@@ -55,22 +55,11 @@ class QcModuli:
     d: np.ndarray
     e: np.ndarray
 
-    def __init__(self, c, d, e):
-        c, d, e = as_tensor4(c), as_tensor4(d), as_tensor4(e)
-        if (gap := tensors.check_symmetry(c, PHONON_CLASS)) > SYMMETRY_TOL:
-            raise ValueError(f"phonon modulus violates its symmetries by {gap:.3e}")
-        if (gap := tensors.check_symmetry(d, MINOR_LEFT)) > SYMMETRY_TOL:
-            raise ValueError(f"coupling modulus violates left minor symmetry by {gap:.3e}")
-        if (gap := tensors.check_symmetry(e, MAJOR)) > SYMMETRY_TOL:
-            raise ValueError(f"phason modulus violates major symmetry by {gap:.3e}")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "e", e)
-
-    @classmethod
-    def zero(cls) -> "QcModuli":
-        z = np.zeros((3, 3, 3, 3))
-        return cls(z, z, z)
+    FIELDS = {
+        "c": (PHONON_CLASS, "phonon modulus violates its symmetries by {gap:.3e}"),
+        "d": (MINOR_LEFT, "coupling modulus violates left minor symmetry by {gap:.3e}"),
+        "e": (MAJOR, "phason modulus violates major symmetry by {gap:.3e}"),
+    }
 
 
 @dataclass(frozen=True)

@@ -22,13 +22,7 @@ class ConditionCheck:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "max_violation": self.max_violation,
-            "max_violation_rel": self.max_violation_rel,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)

@@ -85,7 +85,10 @@ def _partial_tuples(nvars: int, order: int) -> tuple:
     index = np.empty((3,) + (nvars,) * order, dtype=np.int64)
     columns = np.arange(3 * len(tuples)).reshape(3, -1)
     index[(slice(None), *tuples.T)] = index[(slice(None), *tuples.T[::-1])] = columns
-    return tuples, offsets, np.sum(tuples[:, :, None] == np.arange(nvars), axis=1), index
+    counts = np.sum(tuples[:, :, None] == np.arange(nvars), axis=1)
+    for array in (tuples, offsets, counts, index):
+        array.flags.writeable = False
+    return tuples, offsets, counts, index
 
 
 class GeneratorSet:

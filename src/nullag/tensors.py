@@ -32,6 +32,7 @@ __all__ = [
     "ZERO_IF_IK_OR_JL",
     "TILDE",
     "SYMMETRY_TOL",
+    "Moduli",
     "combine",
     "check_symmetry",
     "project",
@@ -40,6 +41,7 @@ __all__ = [
     "nullspace_projector",
     "tensor_to_json",
     "tensor_from_json",
+    "floats_from_json",
 ]
 
 _SHAPES = {2: (3, 3), 3: (3, 3, 3), 4: (3, 3, 3, 3)}
@@ -235,6 +237,32 @@ def check_symmetry(t: np.ndarray, cls: SymmetryClass) -> float:
         return float(np.abs(flat[index] - signs * flat).max(initial=0.0))
 
 
+class Moduli:
+    """Base of the frozen moduli dataclasses of the model families.
+
+    `FIELDS` maps each dataclass field, in constructor order, to its symmetry
+    class, whose order gives the tensor's shape, and the message for a
+    violation above `SYMMETRY_TOL`, formatted with the violation `gap`; a
+    field without a symmetry condition has message None.  Construction first
+    validates and freezes every field, then checks the symmetries in order,
+    so a non-finite entry is reported before any asymmetry.
+    """
+
+    FIELDS: dict[str, tuple[SymmetryClass, str | None]] = {}
+
+    def __post_init__(self) -> None:
+        for name, (cls, _) in self.FIELDS.items():
+            object.__setattr__(self, name, _validated(getattr(self, name), cls.order))
+        for name, (cls, message) in self.FIELDS.items():
+            if message is not None and (gap := check_symmetry(getattr(self, name), cls)) > SYMMETRY_TOL:
+                raise ValueError(message.format(gap=gap))
+
+    @classmethod
+    def zero(cls):
+        """The moduli whose every field is zero."""
+        return cls(*(np.zeros((3,) * sym.order) for sym, _ in cls.FIELDS.values()))
+
+
 def project(t: np.ndarray, cls: SymmetryClass) -> np.ndarray:
     """Orthogonal projection onto the class subspace by orbit averaging.
 
@@ -284,15 +312,28 @@ def tensor_to_json(t: np.ndarray) -> dict:
     return {"order": t.ndim, "data": np.asarray(t, dtype=float).reshape(-1).tolist()}
 
 
+def floats_from_json(values, length: int, what: str) -> np.ndarray:
+    """A flat JSON list of `length` numbers as floats.  Entries must be of
+    exact type int or float (JSON true/false load as bool, which must not
+    read as 1/0) and within the double range; otherwise a ValueError names
+    `what`."""
+    if not isinstance(values, list) or len(values) != length or not set(map(type, values)) <= {int, float}:
+        raise ValueError(f"{what} must be a flat list of {length} numbers")
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{what} holds a number outside the double range") from None
+
+
 def tensor_from_json(obj: dict) -> np.ndarray:
-    """Decode the JSON tensor encoding with strict length validation."""
+    """Decode the JSON tensor encoding strictly: exactly the keys order/data,
+    an int order of 2, 3 or 4 and data by the rule of `floats_from_json`;
+    any other input is a ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError("a tensor must be a JSON object")
     if set(obj) != {"order", "data"}:
         raise ValueError(f"tensor object must have exactly keys order/data, got {sorted(obj)}")
     order = obj["order"]
-    if order not in _SHAPES:
-        raise ValueError(f"unsupported tensor order {order}")
-    data = obj["data"]
-    expected = int(np.prod(_SHAPES[order]))
-    if len(data) != expected:
-        raise ValueError(f"order-{order} tensor needs {expected} entries, got {len(data)}")
-    return _validated(data, order)
+    if type(order) is not int or order not in _SHAPES:
+        raise ValueError(f"unsupported tensor order {order!r}")
+    return _validated(floats_from_json(obj["data"], 3**order, f"order-{order} tensor data"), order)

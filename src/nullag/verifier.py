@@ -238,17 +238,7 @@ class NullCertificate:
     path: str
 
     def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "max_normalized_residual": self.max_normalized_residual,
-            "boundary_action_deltas": list(self.boundary_action_deltas),
-            "residual_tolerance": self.residual_tolerance,
-            "action_tolerance": self.action_tolerance,
-            "trials": self.trials,
-            "degree": self.degree,
-            "seed": self.seed,
-            "path": self.path,
-        }
+        return {**vars(self), "boundary_action_deltas": list(self.boundary_action_deltas)}
 
 
 def certify_null(
@@ -259,7 +249,6 @@ def certify_null(
     *,
     sampler: FieldSampler | None = None,
     residual_tol: float | None = None,
-    action_tol_rel: float = ACTION_TOL_REL,
     points_per_trial: int = 3,
     order: int = 8,
     boundary_pairs: int = 3,
@@ -288,9 +277,8 @@ def certify_null(
         raise ValueError(f"boundary pairs must be an integer >= 0, got {boundary_pairs}")
     if residual_tol is None:
         residual_tol = CLOSED_FORM_RESIDUAL_TOL
-    for name, tol in (("residual", residual_tol), ("action", action_tol_rel)):
-        if not (np.isfinite(tol) and tol >= 0.0):
-            raise ValueError(f"{name} tolerance must be a finite number >= 0, got {tol}")
+    if not (np.isfinite(residual_tol) and residual_tol >= 0.0):
+        raise ValueError(f"residual tolerance must be a finite number >= 0, got {residual_tol}")
     sampler = sampler or FieldSampler(lag.n)
 
     children = np.random.SeedSequence(seed).spawn(trials + boundary_pairs)
@@ -325,13 +313,13 @@ def certify_null(
         base, shifted = next(actions[use_order]), next(actions[use_order])
         deltas.append(abs(shifted - base) / max(1.0, abs(base)))
 
-    passed = max_resid <= residual_tol and all(d <= action_tol_rel for d in deltas)
+    passed = max_resid <= residual_tol and all(d <= ACTION_TOL_REL for d in deltas)
     return NullCertificate(
         passed=passed,
         max_normalized_residual=max_resid,
         boundary_action_deltas=tuple(deltas),
         residual_tolerance=residual_tol,
-        action_tolerance=action_tol_rel,
+        action_tolerance=ACTION_TOL_REL,
         trials=trials,
         degree=degree,
         seed=seed,

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import nullag
 from nullag import micropolar as mp
+from nullag import modelio
 from nullag.cli import _build_parser, _json_text, main
 from nullag.rund import GenPoly, GeneratorSet, generator_set_to_json
 
@@ -320,6 +321,19 @@ def test_every_model_tag_checks_and_certifies(tmp_path, capsys, model, check_exi
     for argv, code in ((["check", path], check_exit), (["certify", path, "--trials", "2"], certify_exit)):
         assert main(argv) == code
         assert json.loads(capsys.readouterr().out)["model"] == model["model"]
+
+
+def test_model_file_schema_is_the_one_of_the_moduli_fields():
+    """Each tag's keys, in constructor order, and flat lengths (None for a
+    number), as model files have always spelled them."""
+    iso = ["lambda", "mu", "kappa", "beta1", "beta2", "beta3"]
+    assert {tag: (family, list(fields.items())) for tag, (family, fields, _) in modelio._MODEL_TAGS.items()} == {
+        "micropolar": ("micropolar", [("A", 81), ("B", 81), ("D", 81)]),
+        "micropolar_isotropic": ("micropolar", [(key, None) for key in iso]),
+        "micropolar_hemitropic": ("micropolar", [(key, None) for key in iso + ["zeta", "nu", "rho"]]),
+        "quasicrystal": ("quasicrystal", [("C", 81), ("D", 81), ("E", 81)]),
+        "em_elast": ("em_elast", [("C", 81), ("P", 27), ("Q", 27), ("Ediel", 9), ("Bperm", 9), ("Acpl", 9)]),
+    }
 
 
 def assert_one_error_line(main_argv, capsys):

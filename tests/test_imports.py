@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 import nullag
+from nullag import polyfield, tensors
 
 TEST_ONLY = ("hypothesis", "pytest", "scipy", "sympy")
 
@@ -77,3 +78,47 @@ def test_cached_zero_argument_functions_return_read_only_arrays():
             ("direct_rows", "entrywise_rows", "direct_projector", "entrywise_projector")} <= set(returned)
     writable = [name for name, arrays in returned.items() if any(a.flags.writeable for a in arrays)]
     assert writable == []
+
+
+def lists_in(value) -> bool:
+    """Whether a value holds a list, which a caller could change in place."""
+    return isinstance(value, list) or isinstance(value, tuple) and any(map(lists_in, value))
+
+
+def table_arrays(table):
+    """The arrays a cached exponent table shares with every field over it."""
+    return table.expos, table.plan, table.derivative()[1]
+
+
+#: Every cached function of the package that takes parameters, with a call
+#: on small arguments that returns what it shares with later callers.
+CACHED_CALLS = {
+    "polyfield._table": lambda f: table_arrays(f(((0, 0, 0), (0, 1, 2), (2, 0, 1)))),
+    "polyfield._dense": lambda f: (table_arrays(f(2)[0]), f(2)),
+    "polyfield._union": lambda f: f((polyfield._table(((0, 0, 1),)), polyfield._table(((1, 0, 0), (0, 0, 1))))),
+    "polyfield._product": lambda f: f(polyfield._table(((0, 0, 1),)), polyfield._table(((1, 0, 0), (0, 2, 0)))),
+    "quadrature.gauss_points_01": lambda f: f(2),
+    "quadrature.cube_rule": lambda f: f(2),
+    "quadrature.face_rules": lambda f: f(2),
+    "quadrature.boundary_rule": lambda f: f(2),
+    "rund._partial_tuples": lambda f: (f(2, 1), f(2, 2)),
+    "tensors._index_tuples": lambda f: f(2),
+    "tensors.combine": lambda f: (f("MAJOR_MINOR", tensors.MAJOR, tensors.MINOR_LEFT).orbits,
+                                  f("MAJOR_MINOR", tensors.MAJOR, tensors.MINOR_LEFT)._check_plan),
+}
+
+
+def test_cached_functions_with_parameters_return_read_only_arrays():
+    """As for the zero-argument ones, every array a cached function returns
+    is shared, and so is every container: tuples, not lists.  A cached
+    function missing from `CACHED_CALLS` fails here."""
+    cached = {f"{info.name}.{name}": obj
+              for info in pkgutil.iter_modules(nullag.__path__)
+              for name, obj in vars(importlib.import_module(f"nullag.{info.name}")).items()
+              if hasattr(obj, "cache_info") and obj.__module__ == f"nullag.{info.name}"
+              and inspect.signature(obj).parameters}
+    assert sorted(cached) == sorted(CACHED_CALLS)
+    shared = {name: call(cached[name]) for name, call in CACHED_CALLS.items()}
+    writable = [name for name, value in shared.items() if any(a.flags.writeable for a in arrays_in(value))]
+    assert writable == []
+    assert [name for name, value in shared.items() if lists_in(value)] == []

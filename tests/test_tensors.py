@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import json
@@ -456,6 +457,71 @@ def test_json_strict_validation():
         tensor_from_json({"order": 4, "data": [0.0] * 81, "extra": 1})
     with pytest.raises(ValueError):
         tensor_from_json({"order": 5, "data": [0.0] * 81})
+
+
+@pytest.mark.parametrize("obj", [
+    {"order": 2, "data": [True] + [0.0] * 8},
+    {"order": 2, "data": ["1"] + [0.0] * 8},
+    {"order": 2, "data": [[0.0]] * 9},
+    {"order": 2.0, "data": [0.0] * 9},
+    [["order", 2], ["data", [0.0] * 9]],
+    {"order": [2], "data": [0.0] * 9},
+    {"order": 2, "data": 0},
+    {"order": 2, "data": [10**400] + [0.0] * 8},
+], ids=["bool-entry", "string-entry", "nested-data", "float-order", "list-object", "list-order",
+        "int-data", "huge-int-entry"])
+def test_json_takes_numbers_by_the_model_file_rule(obj):
+    """Exact int or float entries within the double range, an int order and
+    a JSON object: anything else is one ValueError, never a coercion."""
+    with pytest.raises(ValueError):
+        tensor_from_json(obj)
+
+
+#: The constructor message of every moduli field with a symmetry condition,
+#: for a tensor whose one nonzero entry, 1, has zero partners.
+MODULI_MESSAGES = [
+    (micropolar.MicropolarModuli, "a", "modulus a violates major symmetry by 1.000e+00"),
+    (micropolar.MicropolarModuli, "b", "modulus b violates major symmetry by 1.000e+00"),
+    (quasicrystal.QcModuli, "c", "phonon modulus violates its symmetries by 1.000e+00"),
+    (quasicrystal.QcModuli, "d", "coupling modulus violates left minor symmetry by 1.000e+00"),
+    (quasicrystal.QcModuli, "e", "phason modulus violates major symmetry by 1.000e+00"),
+    (em.EmModuli, "c", "elastic modulus violates its symmetries by 1.000e+00"),
+    (em.EmModuli, "p", "piezoelectric coupling must be symmetric in its trailing pair (1.000e+00)"),
+    (em.EmModuli, "q", "piezomagnetic coupling must be symmetric in its trailing pair (1.000e+00)"),
+    (em.EmModuli, "ediel", "dielectric matrix must be symmetric (1.000e+00)"),
+    (em.EmModuli, "bperm", "permeability matrix must be symmetric (1.000e+00)"),
+    (em.EmModuli, "acpl", "coupling matrix must be symmetric (1.000e+00)"),
+]
+
+
+@pytest.mark.parametrize("moduli, name, message", MODULI_MESSAGES,
+                         ids=[f"{m.__name__}.{name}" for m, name, _ in MODULI_MESSAGES])
+def test_moduli_name_the_violated_symmetry(moduli, name, message):
+    bad = np.zeros(getattr(moduli.zero(), name).shape)
+    bad[(0, 1, 2, 0)[:bad.ndim]] = 1.0
+    with pytest.raises(ValueError) as info:
+        dataclasses.replace(moduli.zero(), **{name: bad})
+    assert str(info.value) == message
+
+
+def test_moduli_report_a_non_finite_entry_before_any_asymmetry():
+    bad_a = np.zeros((3, 3, 3, 3))
+    bad_a[0, 1, 2, 0] = 1.0
+    with pytest.raises(ValueError, match="^tensor entries must be finite$"):
+        micropolar.MicropolarModuli(bad_a, np.zeros((3, 3, 3, 3)), np.full((3, 3, 3, 3), np.nan))
+
+
+@pytest.mark.parametrize("moduli", [micropolar.MicropolarModuli, quasicrystal.QcModuli, em.EmModuli],
+                         ids=lambda m: m.__name__)
+def test_moduli_declare_each_field_once(moduli):
+    """`FIELDS` lists the dataclass fields in order; `zero()` gives
+    read-only zeros of each declared order."""
+    assert list(moduli.FIELDS) == [f.name for f in dataclasses.fields(moduli)]
+    zero = moduli.zero()
+    for name, (cls, _) in moduli.FIELDS.items():
+        value = getattr(zero, name)
+        assert value.shape == (3,) * cls.order
+        assert not value.flags.writeable and not value.any()
 
 
 def test_validators_reject_nonfinite():

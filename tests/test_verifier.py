@@ -348,14 +348,11 @@ def test_certify_validates_arguments():
 @pytest.mark.parametrize("kwargs, message", [
     ({"points_per_trial": 0, "boundary_pairs": 0}, "points per trial must be an integer >= 1, got 0"),
     ({"boundary_pairs": -1}, "boundary pairs must be an integer >= 0, got -1"),
-    ({"action_tol_rel": float("nan")}, "action tolerance must be a finite number >= 0, got nan"),
-    ({"action_tol_rel": float("inf")}, "action tolerance must be a finite number >= 0, got inf"),
-    ({"action_tol_rel": -1e-12}, "action tolerance must be a finite number >= 0, got -1e-12"),
     ({"residual_tol": float("nan")}, "residual tolerance must be a finite number >= 0, got nan"),
 ])
 def test_certify_rejects_degenerate_sampling(kwargs, message):
     """Without these checks a non-null model passed a certificate that
-    sampled no point, and an infinite action tolerance passed every action."""
+    sampled no point."""
     lag = mp.lagrangian(mp.IsotropicParams(1.0, 1.0, 1.0, 0.0, 0.0, 0.0).moduli())
     with pytest.raises(ValueError, match=f"^{message}$"):
         certify_null(lag, trials=3, seed=9, **kwargs)
