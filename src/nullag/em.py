@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .report import DEFAULT_TOL_ABS, ConditionReport, make_check, make_report, tensor_scale
+from .report import DEFAULT_TOL_ABS, ConditionReport, check_conditions
 from .tensors import (
     MAJOR,
     MINOR_LEFT,
@@ -16,7 +16,6 @@ from .tensors import (
     Moduli,
     SymmetryClass,
     as_matrix3,
-    check_symmetry,
     combine,
 )
 from .verifier import QuadraticLagrangian
@@ -46,7 +45,7 @@ ZERO_IF_OUTER_EQUAL = SymmetryClass(
 ANTISYM2 = SymmetryClass("ANTISYM2", 2, (IndexRelation((1, 0), -1.0),))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmModuli(Moduli):
     """Elastic (c), piezoelectric (p), piezomagnetic (q), dielectric,
     permeability and electromagnetic coupling constants.
@@ -110,18 +109,16 @@ def em_constitutive(m: EmModuli, eps, e, h) -> tuple[np.ndarray, np.ndarray, np.
 def check_em_null(m: EmModuli, tol_abs: float = DEFAULT_TOL_ABS) -> ConditionReport:
     """Null conditions for the enthalpy; with the constructor symmetries
     they admit only the all-zero material."""
-    sp, sq = tensor_scale(m.p), tensor_scale(m.q)
-    checks = [
-        make_check("C zero", np.max(np.abs(m.c)), tensor_scale(m.c), tol_abs),
-        make_check("Ediel zero", np.max(np.abs(m.ediel)), tensor_scale(m.ediel), tol_abs),
-        make_check("Bperm zero", np.max(np.abs(m.bperm)), tensor_scale(m.bperm), tol_abs),
-        make_check("P alternating antisym", check_symmetry(m.p, OUTER_SWAP_ANTI), sp, tol_abs),
-        make_check("P zero on matching outer index", check_symmetry(m.p, ZERO_IF_OUTER_EQUAL), sp, tol_abs),
-        make_check("Q alternating antisym", check_symmetry(m.q, OUTER_SWAP_ANTI), sq, tol_abs),
-        make_check("Q zero on matching outer index", check_symmetry(m.q, ZERO_IF_OUTER_EQUAL), sq, tol_abs),
-        make_check("A antisym", check_symmetry(m.acpl, ANTISYM2), tensor_scale(m.acpl), tol_abs),
-    ]
-    return make_report(checks)
+    return check_conditions(vars(m), (
+        ("C zero", "c", np.asarray),
+        ("Ediel zero", "ediel", np.asarray),
+        ("Bperm zero", "bperm", np.asarray),
+        ("P alternating antisym", "p", OUTER_SWAP_ANTI.defect),
+        ("P zero on matching outer index", "p", ZERO_IF_OUTER_EQUAL.defect),
+        ("Q alternating antisym", "q", OUTER_SWAP_ANTI.defect),
+        ("Q zero on matching outer index", "q", ZERO_IF_OUTER_EQUAL.defect),
+        ("A antisym", "acpl", ANTISYM2.defect),
+    ), tol_abs)
 
 
 def lagrangian(m: EmModuli) -> QuadraticLagrangian:

@@ -50,7 +50,7 @@ _MODEL_TAGS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LoadedModel:
     kind: str
     moduli: object

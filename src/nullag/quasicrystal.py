@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensors
 from .polyfield import PolyField, join
-from .report import DEFAULT_TOL_ABS, ConditionReport, make_check, make_report, tensor_scale
+from .report import DEFAULT_TOL_ABS, ConditionReport, check_conditions
 from .tensors import (
     MAJOR,
     MINOR_LEFT,
@@ -46,7 +45,7 @@ PHONON_CLASS = combine("PHONON", MAJOR, MINOR_LEFT, MINOR_RIGHT)
 PHASON_NULL_CLASS = TILDE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QcModuli(Moduli):
     """Phonon (c), coupling (d) and phason (e) moduli with the symmetries
     c full, d left-minor, e major; construction rejects violations."""
@@ -62,7 +61,7 @@ class QcModuli(Moduli):
     }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QcState:
     """Phonon/phason displacement fields with their distortion tensors."""
 
@@ -113,21 +112,14 @@ def qc_equilibrium_residual(m: QcModuli, u_p: PolyField, u_s: PolyField, f_p: Po
 def check_qc_null(m: QcModuli, tol_abs: float = DEFAULT_TOL_ABS) -> ConditionReport:
     """Null conditions: phonon and coupling moduli vanish, phason modulus
     lies in the admissible (major, doubly swap-antisymmetric) class."""
-    se = tensor_scale(m.e)
-    checks = [
-        make_check("C zero", np.max(np.abs(m.c)), tensor_scale(m.c), tol_abs),
-        make_check("D zero", np.max(np.abs(m.d)), tensor_scale(m.d), tol_abs),
-        make_check("E major symmetry", tensors.check_symmetry(m.e, MAJOR), se, tol_abs),
-        make_check("E swap13 antisym", tensors.check_symmetry(m.e, SWAP13_ANTI), se, tol_abs),
-        make_check("E swap24 antisym", tensors.check_symmetry(m.e, SWAP24_ANTI), se, tol_abs),
-        make_check(
-            "E zero on repeated odd/even index",
-            tensors.check_symmetry(m.e, ZERO_IF_IK_OR_JL),
-            se,
-            tol_abs,
-        ),
-    ]
-    return make_report(checks)
+    return check_conditions(vars(m), (
+        ("C zero", "c", np.asarray),
+        ("D zero", "d", np.asarray),
+        ("E major symmetry", "e", MAJOR.defect),
+        ("E swap13 antisym", "e", SWAP13_ANTI.defect),
+        ("E swap24 antisym", "e", SWAP24_ANTI.defect),
+        ("E zero on repeated odd/even index", "e", ZERO_IF_IK_OR_JL.defect),
+    ), tol_abs)
 
 
 def admissible_phason_modulus(seeds: dict[tuple[int, int, int, int], float]) -> np.ndarray:

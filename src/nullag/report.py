@@ -72,3 +72,18 @@ def make_check(name: str, violation: float, scale: float, tol_abs: float = DEFAU
 
 def make_report(checks: list[ConditionCheck], extra: dict | None = None) -> ConditionReport:
     return ConditionReport(tuple(checks), all(c.passed for c in checks), extra or {})
+
+
+def check_conditions(tensors: dict, conditions, tol_abs: float) -> ConditionReport:
+    """Report an ordered condition system on named tensors.
+
+    Each condition is (check name, tensor key, linear map), and the map of
+    the tensor vanishes exactly when the condition holds: its largest
+    absolute entry is the violation, measured against `tensor_scale` of
+    that tensor.  Maps of entries near the double limit can overflow; the
+    first condition, in order, whose violation is not finite raises."""
+    scales = {key: tensor_scale(t) for key, t in tensors.items()}
+    with np.errstate(over="ignore", invalid="ignore"):
+        violations = [np.abs(linear(tensors[key])).max(initial=0.0) for _, key, linear in conditions]
+    return make_report([make_check(name, v, scales[key], tol_abs)
+                        for (name, key, _), v in zip(conditions, violations)])

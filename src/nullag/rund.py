@@ -214,7 +214,7 @@ class GeneratorSet:
         return full[..., :3, :3], full[..., :3, 3:], full[..., 3:, 3:]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RundCoefficients:
     """Determinant coefficient blocks at one state (x, y).
 
@@ -316,7 +316,7 @@ def build_null_lagrangian(g: GeneratorSet) -> RundLagrangian:
     return RundLagrangian(g)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MicropolarBlocks:
     """Coefficient blocks partitioned by displacement (first three field
     components) and rotation (last three)."""

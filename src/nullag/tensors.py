@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "as_matrix3",
-    "as_tensor3",
     "as_tensor4",
     "levi_civita",
     "apply4",
@@ -71,11 +70,6 @@ def _validated(data, order: int) -> np.ndarray:
 def as_matrix3(data) -> np.ndarray:
     """Validate and freeze a 3x3 matrix (row-major flat input accepted)."""
     return _validated(data, 2)
-
-
-def as_tensor3(data) -> np.ndarray:
-    """Validate and freeze a 3x3x3 tensor."""
-    return _validated(data, 3)
 
 
 def as_tensor4(data) -> np.ndarray:
@@ -143,8 +137,8 @@ class SymmetryClass:
     @functools.cached_property
     def _check_plan(self) -> tuple[np.ndarray, np.ndarray]:
         """Gather indices and signs, both (K, 3**order), such that row k of
-        |t.flat[index] - signs * t.flat| is relation k's violation.  With
-        structural zeros, a last row reads |t| there (sign 0), 0 elsewhere."""
+        t.flat[index] - signs * t.flat is relation k's defect.  With
+        structural zeros, a last row reads t there (sign 0), 0 elsewhere."""
         cube = np.arange(3**self.order).reshape((3,) * self.order)
         index = [np.transpose(cube, r.perm) for r in self.relations]
         signs = [np.full(cube.shape, r.sign) for r in self.relations]
@@ -181,6 +175,14 @@ class SymmetryClass:
         dead = np.isin(label, label[conflict])
         label.flags.writeable = sign.flags.writeable = dead.flags.writeable = False
         return label, sign, dead
+
+    def defect(self, t: np.ndarray) -> np.ndarray:
+        """The check plan as a linear map of t, shape (K, 3**order): zero
+        exactly where t lies in the class, its largest |entry| the violation.
+        Entries near the double limit can make a difference overflow."""
+        index, signs = self._check_plan
+        flat = _flat(t, self)
+        return flat[index] - signs * flat
 
 
 @functools.cache
@@ -231,10 +233,8 @@ def check_symmetry(t: np.ndarray, cls: SymmetryClass) -> float:
 
     Entries near the double limit can make a difference overflow; the
     violation is then inf, without a floating-point warning."""
-    index, signs = cls._check_plan
-    flat = _flat(t, cls)
     with np.errstate(over="ignore"):
-        return float(np.abs(flat[index] - signs * flat).max(initial=0.0))
+        return float(np.abs(cls.defect(t)).max(initial=0.0))
 
 
 class Moduli:

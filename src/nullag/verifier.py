@@ -84,13 +84,15 @@ class QuadraticLagrangian(Lagrangian):
 
     def __init__(self, p: np.ndarray, q: np.ndarray | None = None, r: np.ndarray | None = None):
         p = np.asarray(p, dtype=float)
-        n = p.shape[0]
-        self.n = n
+        self.n = n = p.shape[0] if p.ndim else 0
+        self.q = np.zeros((n, 3, n)) if q is None else np.array(q, dtype=float)
         r = np.zeros((n, n)) if r is None else np.asarray(r, dtype=float)
+        for name, block, shape in (("p", p, (n, 3, n, 3)), ("q", self.q, (n, 3, n)), ("r", r, (n, n))):
+            if block.shape != shape:
+                raise ValueError(f"density block {name} has shape {block.shape}, expected {shape}")
         with np.errstate(over="ignore", invalid="ignore"):  # reported just below
             self.p = 0.5 * (p + np.transpose(p, (2, 3, 0, 1)))
             self.r = 0.5 * (r + r.T)
-        self.q = np.zeros((n, 3, n)) if q is None else np.array(q, dtype=float)
         for name in ("p", "q", "r"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"density block {name} must be finite after symmetrization")

@@ -1,7 +1,8 @@
 """numpy is the only runtime dependency: importing every module of the
 package loads no test or symbolic library, builds no CLI parser and keeps
 no monomial matrix at a quadrature rule.  Across the modules, no module
-reads another's private names, and no cached array can be written."""
+reads another's private names, no cached array can be written, and every
+record that holds arrays compares and hashes."""
 
 import importlib
 import inspect
@@ -13,9 +14,12 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import nullag
-from nullag import polyfield, tensors
+from nullag import em, modelio, polyfield, rund, tensors
+from nullag import micropolar as mp
+from nullag import quasicrystal as qc
 
 TEST_ONLY = ("hypothesis", "pytest", "scipy", "sympy")
 
@@ -122,3 +126,32 @@ def test_cached_functions_with_parameters_return_read_only_arrays():
     writable = [name for name, value in shared.items() if any(a.flags.writeable for a in arrays_in(value))]
     assert writable == []
     assert [name for name, value in shared.items() if lists_in(value)] == []
+
+
+def generators():
+    return rund.random_generator_set(np.random.default_rng(7), 6)
+
+
+#: Every frozen dataclass of the package that holds arrays, with a call that
+#: builds one; two calls build equal-valued records.
+ARRAY_RECORDS = {
+    "MicropolarModuli": mp.MicropolarModuli.zero,
+    "BSplit": lambda: mp.split_B(np.eye(9).reshape(3, 3, 3, 3)),
+    "QcModuli": qc.QcModuli.zero,
+    "QcState": lambda: qc.QcState.from_fields(*[polyfield.random_polyfield(np.random.default_rng(8), 3, 1)] * 2),
+    "EmModuli": em.EmModuli.zero,
+    "LoadedModel": lambda: modelio.load_model(
+        {"model": "quasicrystal", "C": [0.0] * 81, "D": [0.0] * 81, "E": [0.0] * 81}),
+    "RundCoefficients": lambda: rund.rund_coefficients(generators(), [0.1, 0.2, 0.3], np.full(6, 0.5)),
+    "MicropolarBlocks": lambda: rund.micropolar_block_view(generators(), [0.1, 0.2, 0.3], np.full(6, 0.5)),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_RECORDS)
+def test_records_holding_arrays_compare_and_hash_by_identity(name):
+    """Comparing value by value would ask numpy for the truth of an array."""
+    x, copy = ARRAY_RECORDS[name](), ARRAY_RECORDS[name]()
+    assert type(x).__name__ == name
+    assert x == x
+    assert x != copy
+    assert hash(x) == hash(x) and x in {x}

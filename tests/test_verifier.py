@@ -1,3 +1,5 @@
+import inspect
+import re
 import tracemalloc
 
 import numpy as np
@@ -607,6 +609,20 @@ def test_densities_that_read_values_get_every_level():
         assert evaluated_levels(lag) == ({0, 1}, {0, 1, 2})
 
 
+@pytest.mark.parametrize("blocks, name, shape, expected", [
+    ((np.zeros((2, 3, 3, 3)),), "p", (2, 3, 3, 3), (2, 3, 2, 3)),
+    ((np.zeros((2, 3, 2)),), "p", (2, 3, 2), (2, 3, 2, 3)),
+    ((np.zeros(()),), "p", (), (0, 3, 0, 3)),
+    ((np.zeros((2, 3, 2, 3)), np.zeros((3, 3, 3))), "q", (3, 3, 3), (2, 3, 2)),
+    ((np.zeros((2, 3, 2, 3)), np.zeros((2, 2, 3))), "q", (2, 2, 3), (2, 3, 2)),
+    ((np.zeros((2, 3, 2, 3)), None, np.zeros((3, 3))), "r", (3, 3), (2, 2)),
+    ((np.zeros((2, 3, 2, 3)), None, np.zeros(2)), "r", (2,), (2, 2)),
+], ids=["p-trailing", "p-rank3", "p-scalar", "q-n3", "q-swapped", "r-n3", "r-vector"])
+def test_density_blocks_of_the_wrong_shape_are_rejected(blocks, name, shape, expected):
+    with pytest.raises(ValueError, match=re.escape(f"density block {name} has shape {shape}, expected {expected}")):
+        QuadraticLagrangian(*blocks)
+
+
 def test_density_blocks_are_read_only():
     rng = np.random.default_rng(43)
     q = rng.uniform(-1, 1, (2, 3, 2))
@@ -701,3 +717,66 @@ def test_null_criterion_kernel_is_the_sufficient_condition_class(family, block, 
     kernel, _, (basis,) = criterion_kernel(family, [block])
     flat = basis @ kernel.T
     assert np.max(np.abs(flat @ flat.T - projector())) <= 1e-12
+
+
+def recorded_conditions(module, check, *args):
+    """The tensors and the condition list that `check` passes to
+    `check_conditions`, recorded by replacing that name in `module`."""
+    calls = []
+
+    def record(tensors, conditions, tol_abs):
+        calls.append((tensors, conditions))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "check_conditions", record)
+        check(*args)
+    (call,) = calls
+    return call
+
+
+def condition_kernel(tensors, conditions, bases):
+    """Kernel of a coded condition system, its maps evaluated on the given
+    orthonormal bases (tensor key -> (size, k)) of the tensors, all zero but
+    one at a time: as `criterion_kernel`, rows in the bases' coordinates,
+    and the singular values."""
+    columns = []
+    for key, basis in bases.items():
+        for vector in basis.T:
+            moduli = {**tensors, key: vector.reshape(tensors[key].shape)}
+            columns.append(np.concatenate([np.ravel(linear(moduli[k])) for _, k, linear in conditions]))
+    _, s, vt = np.linalg.svd(np.array(columns).T)
+    return vt[int(np.sum(s > 1e-10)):], s
+
+
+@pytest.mark.parametrize("family, check, moduli, dim", [
+    ("micropolar", mp.check_null_sufficient, mp.MicropolarModuli, 27),
+    ("quasicrystal", qc.check_qc_null, qc.QcModuli, 9),
+    ("em_elast", em.check_em_null, em.EmModuli, 0),
+], ids=["micropolar", "quasicrystal", "em_elast"])
+def test_coded_null_conditions_pass_exactly_the_null_criterion(family, check, moduli, dim):
+    """The condition list each family check runs, on the admissible moduli,
+    has the kernel of the exact criterion: the coded sufficient conditions
+    are also necessary."""
+    tensors, conditions = recorded_conditions(inspect.getmodule(check), check, moduli.zero())
+    assert all(not t.any() for t in tensors.values())
+    shapes = ADMISSIBLE[family][1]
+    assert [t.shape for t in tensors.values()] == [shape for shape, _ in shapes]
+    bases = {key: class_basis(cls, int(np.prod(shape))) for key, (shape, cls) in zip(tensors, shapes)}
+    kernel, s = condition_kernel(tensors, conditions, bases)
+    assert len(kernel) == dim
+    assert np.all((s >= 0.5) | (s <= 1e-10))
+    criterion, _, _ = criterion_kernel(family, range(len(shapes)))
+    assert np.max(np.abs(kernel.T @ kernel - criterion.T @ criterion)) <= 1e-12
+
+
+@pytest.mark.parametrize("check, keys, dim, projector", [
+    (mp.check_centrosymmetric_null, "ab", 9,
+     lambda: np.block([[np.zeros((81, 81)), np.zeros((81, 81))], [np.zeros((81, 81)), class_projector_matrix(TILDE)]])),
+    (mp.check_coupling_entrywise, "d", 18, mp.coupling_direct_projector),
+], ids=["centrosymmetric", "coupling-entrywise"])
+def test_coded_raw_tensor_conditions_have_the_class_kernel(check, keys, dim, projector):
+    tensors, conditions = recorded_conditions(mp, check, *[np.zeros((3, 3, 3, 3))] * len(keys))
+    assert list(tensors) == list(keys)
+    kernel, _ = condition_kernel(tensors, conditions, dict.fromkeys(keys, np.eye(81)))
+    assert len(kernel) == dim
+    assert np.max(np.abs(kernel.T @ kernel - projector())) <= 1e-12
