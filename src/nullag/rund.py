@@ -111,17 +111,26 @@ class GeneratorSet:
             raise ValueError("field dimension must be positive")
         if any(poly.nvars != 3 + n for poly in polys):
             raise ValueError(f"generator polynomials must use {3 + n} variables")
-        self._fill(n, {(a, e): c for a, poly in enumerate(polys) for e, c in poly._terms.items()})
+        self._fill(n, {(a, e): (c.numerator, c.denominator) for a, poly in enumerate(polys)
+                       for e, c in poly._terms.items()})
         self._polys = polys
 
+    @classmethod
+    def _from_table(cls, n: int, terms: dict) -> GeneratorSet:
+        g = cls.__new__(cls)
+        g._fill(n, terms)
+        return g
+
     def _fill(self, n: int, terms: dict) -> None:
-        """Set the table to the {(generator index, exponents): nonzero Fraction} terms."""
+        """Set the table to the {(generator index, exponents): (numerator,
+        denominator)} terms, each reduced, nonzero and with den > 0."""
         self.n, self._polys, self._grad, self._hess = n, None, None, None
-        self._degree = max((sum(e) for _, e in terms), default=0)
+        expos = [e for _, e in terms]
+        self._degree = max(map(sum, expos), default=0)
         self.poly = np.array([a for a, _ in terms], dtype=np.int64)
-        self.expos = np.fromiter(chain.from_iterable(e for _, e in terms), np.int64).reshape(-1, 3 + n)
-        self.num = np.array([c.numerator for c in terms.values()], dtype=object)
-        self.den = np.array([c.denominator for c in terms.values()], dtype=object)
+        self.expos = np.fromiter(chain.from_iterable(expos), np.int64, len(expos) * (3 + n)).reshape(-1, 3 + n)
+        self.num = np.array([u for u, _ in terms.values()], dtype=object)
+        self.den = np.array([d for _, d in terms.values()], dtype=object)
         for table in (self.poly, self.expos, self.num, self.den):
             table.flags.writeable = False
 
@@ -351,7 +360,9 @@ def coefficient_identity_residuals(g: GeneratorSet, x, y) -> tuple[np.ndarray, n
 
     Both vanish identically for any generators (they are what makes the
     built density null); residuals are normalized by one plus the sum of
-    the absolute values of their product terms.
+    the absolute values of their product terms.  Each identity's product
+    terms are the rows of one array, each its own contraction of the
+    partials, and the sums run over the rows in order.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -362,74 +373,116 @@ def coefficient_identity_residuals(g: GeneratorSet, x, y) -> tuple[np.ndarray, n
     syx = np.transpose(sxy, (0, 2, 1))  # syx[a, i, c] = d2 S^a / dy_i dx_c
     tr_sx = np.trace(sx)
 
-    t1 = 2.0 * np.einsum("aia->i", syx) * tr_sx
-    t2 = 2.0 * np.einsum("ai,bba->i", sy, sxx)
-    t3 = -2.0 * np.einsum("bia,ab->i", syx, sx)
-    t4 = -2.0 * np.einsum("bi,aba->i", sy, sxx)
-    t5 = -np.einsum("aai->i", sxy) * tr_sx
-    t6 = -np.einsum("aa,bbi->i", sx, sxy)
-    t7 = np.einsum("bai,ab->i", sxy, sx)
-    t8 = np.einsum("ba,abi->i", sx, sxy)
-    lin_terms = [t1, t2, t3, t4, t5, t6, t7, t8]
-    lin = sum(lin_terms)
-    lin_scale = 1.0 + float(np.max(sum(np.abs(t) for t in lin_terms)))
+    # each row is one product term before its factor (trailing comment),
+    # applied below in the order the term is written, e.g. (-e) * tr(Sx)
+    lin = np.empty((8, g.n))
+    np.einsum("aia->i", syx, out=lin[0])  # * 2 tr(Sx)
+    np.einsum("ai,bba->i", sy, sxx, out=lin[1])  # * 2
+    np.einsum("bia,ab->i", syx, sx, out=lin[2])  # * -2
+    np.einsum("bi,aba->i", sy, sxx, out=lin[3])  # * -2
+    np.einsum("aai->i", sxy, out=lin[4])  # * -tr(Sx)
+    np.einsum("aa,bbi->i", sx, sxy, out=lin[5])  # * -1
+    np.einsum("bai,ab->i", sxy, sx, out=lin[6])
+    np.einsum("ba,abi->i", sx, sxy, out=lin[7])
+    lin[:2] *= 2.0
+    lin[2:4] *= -2.0
+    np.negative(lin[4:6], out=lin[4:6])
+    lin[::4] *= tr_sx
 
-    u1 = np.einsum("gkg,ai->kai", syx, sy)
-    u2 = np.einsum("gk,aig->kai", sy, syx)
-    u3 = -np.einsum("akg,gi->kai", syx, sy)
-    u4 = -np.einsum("ak,gig->kai", sy, syx)
-    v1 = np.einsum("aki->kai", syy) * tr_sx
-    v2 = np.einsum("ak,bbi->kai", sy, sxy)
-    v3 = -np.einsum("bki,ab->kai", syy, sx)
-    v4 = -np.einsum("bk,abi->kai", sy, sxy)
-    w1 = -np.einsum("aik->kai", syy) * tr_sx
-    w2 = -np.einsum("ai,bbk->kai", sy, sxy)
-    w3 = np.einsum("bik,ab->kai", syy, sx)
-    w4 = np.einsum("bi,abk->kai", sy, sxy)
-    quad_terms = [u1, u2, u3, u4, v1, v2, v3, v4, w1, w2, w3, w4]
-    quad = sum(quad_terms)
-    quad_scale = 1.0 + float(np.max(sum(np.abs(t) for t in quad_terms)))
+    quad = np.empty((12, g.n, 3, g.n))
+    np.einsum("gkg,ai->kai", syx, sy, out=quad[0])
+    np.einsum("gk,aig->kai", sy, syx, out=quad[1])
+    np.einsum("akg,gi->kai", syx, sy, out=quad[2])  # * -1
+    np.einsum("ak,gig->kai", sy, syx, out=quad[3])  # * -1
+    np.einsum("aki->kai", syy, out=quad[4])  # * tr(Sx)
+    np.einsum("ak,bbi->kai", sy, sxy, out=quad[5])
+    np.einsum("bki,ab->kai", syy, sx, out=quad[6])  # * -1
+    np.einsum("bk,abi->kai", sy, sxy, out=quad[7])  # * -1
+    np.einsum("aik->kai", syy, out=quad[8])  # * -tr(Sx)
+    np.einsum("ai,bbk->kai", sy, sxy, out=quad[9])  # * -1
+    np.einsum("bik,ab->kai", syy, sx, out=quad[10])
+    np.einsum("bi,abk->kai", sy, sxy, out=quad[11])
+    np.negative(quad[2:4], out=quad[2:4])
+    np.negative(quad[6:10], out=quad[6:10])
+    quad[4::4] *= tr_sx
 
-    return lin / lin_scale, quad / quad_scale
+    return _normalized_sum(lin), _normalized_sum(quad)
+
+
+def _normalized_sum(terms: np.ndarray) -> np.ndarray:
+    """The sum of the rows of `terms` over one plus the largest entry of the
+    sum of their absolute values, each sum running over the rows in order as
+    `sum()` over the terms does; overwrites `terms`."""
+    terms[0] += 0.0  # as sum() starts from 0: a -0.0 first term reads +0.0
+    total = np.add.accumulate(terms, axis=0)[-1]
+    scale = 1.0 + float(np.max(np.add.accumulate(np.abs(terms, out=terms), axis=0)[-1]))
+    return total / scale
 
 
 def random_generator_set(rng: np.random.Generator, n: int, degree: int = 2) -> GeneratorSet:
     """Random sparse generators with small exact rational coefficients."""
-    nvars = 3 + n
-    monomials = sorted(monomials_upto(nvars, degree))
-    polys = []
-    for _ in range(3):
-        terms = {}
+    if n < 1:
+        raise ValueError("field dimension must be positive")
+    monomials = sorted(monomials_upto(3 + n, degree))
+    terms = {}
+    for a in range(3):
         for expo in monomials:
             if rng.uniform() < 0.35:
                 num = int(rng.integers(-8, 9))
                 den = int(rng.integers(1, 5))
                 if num:
-                    terms[expo] = Fraction(num, den)
-        polys.append(GenPoly(nvars, terms))
-    return GeneratorSet(polys, n)
+                    common = math.gcd(num, den)
+                    terms[a, expo] = (num // common, den // common)
+    return GeneratorSet._from_table(n, terms)
 
 
-def _parse_term(term) -> tuple[tuple[int, ...], Fraction]:
-    """One {"exponents": [...], "coeff": "p/q"} term, strictly validated."""
-    if not isinstance(term, dict) or set(term) != {"exponents", "coeff"}:
-        keys = sorted(term) if isinstance(term, dict) else type(term).__name__
-        raise ValueError(f"generator term must have exactly keys exponents/coeff, got {keys}")
-    expo = term["exponents"]
-    if not isinstance(expo, list) or not all(type(e) is int and e >= 0 for e in expo):
-        raise ValueError(f"generator exponents must be a list of non-negative integers, got {expo!r}")
-    if max(expo, default=0) >= 2**63:
-        raise ValueError(f"generator exponent {max(expo)} is too large for a 64-bit integer")
-    if not isinstance(text := term["coeff"], str):
-        raise ValueError(f"generator coefficient must be a string such as \"1/2\", got {text!r}")
+def _parse_coeff(text: str) -> tuple[int, int]:
+    """A coefficient string as its reduced (numerator, denominator > 0), by
+    the grammar of `Fraction(text)`.  Plain ASCII p, +p, -p and +-p/q are read
+    with `int` and `math.gcd`; every other string goes through `Fraction`,
+    which also names every rejected one."""
+    head, slash, tail = text.partition("/")
+    digits = head[1:] if head[:1] in ("+", "-") else head
+    if text.isascii() and digits.isdigit() and (tail.isdigit() or not slash):
+        try:
+            num, den = int(head), int(tail) if slash else 1
+        except ValueError:  # more digits than `int` converts
+            pass
+        else:
+            if den:
+                common = math.gcd(num, den)
+                return num // common, den // common
     try:
         coeff = Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"generator coefficient {text!r} has a zero denominator") from None
     except ValueError:
         raise ValueError(f"generator coefficient {text!r} is not a rational number") from None
-    _to_float(coeff.numerator, coeff.denominator, "generator coefficient")
-    return tuple(expo), coeff
+    return coeff.numerator, coeff.denominator
+
+
+#: The one exponent type of a generator file: JSON true/false load as bool.
+_INT = frozenset([int])
+
+
+def _parse_term(term) -> tuple[tuple[int, ...], int, int]:
+    """One {"exponents": [...], "coeff": "p/q"} term, strictly validated, as
+    (exponents, reduced numerator, denominator > 0)."""
+    if not isinstance(term, dict) or len(term) != 2 or "exponents" not in term or "coeff" not in term:
+        keys = sorted(term) if isinstance(term, dict) else type(term).__name__
+        raise ValueError(f"generator term must have exactly keys exponents/coeff, got {keys}")
+    expo = term["exponents"]
+    if not isinstance(expo, list) or not _INT.issuperset(map(type, expo)) or (expo and min(expo) < 0):
+        raise ValueError(f"generator exponents must be a list of non-negative integers, got {expo!r}")
+    if expo and max(expo) >= 2**63:
+        raise ValueError(f"generator exponent {max(expo)} is too large for a 64-bit integer")
+    if not isinstance(text := term["coeff"], str):
+        raise ValueError(f"generator coefficient must be a string such as \"1/2\", got {text!r}")
+    num, den = _parse_coeff(text)
+    # below 2**53 both convert exactly, so a nonzero quotient is in range
+    if abs(num) >= 2**53 or den >= 2**53:
+        _to_float(num, den, "generator coefficient")
+    return tuple(expo), num, den
 
 
 def generator_set_from_json(obj) -> GeneratorSet:
@@ -449,7 +502,7 @@ def generator_set_from_json(obj) -> GeneratorSet:
         if not isinstance(poly_terms, list):
             raise ValueError("each generator polynomial must be a list of terms")
         for term in poly_terms:
-            expo, coeff = _parse_term(term)
+            expo, num, den = _parse_term(term)
             if nvars is None:
                 nvars = len(expo)
                 if nvars < 4:
@@ -457,21 +510,21 @@ def generator_set_from_json(obj) -> GeneratorSet:
             elif len(expo) != nvars:
                 raise ValueError("inconsistent exponent tuple lengths")
             key = (a, expo)
-            terms[key] = terms[key] + coeff if key in terms else coeff
+            if key in terms:
+                old_num, old_den = terms[key]
+                num, den = old_num * den + num * old_den, old_den * den
+                common = math.gcd(num, den)
+                num, den = num // common, den // common
+            terms[key] = (num, den)
     if nvars is None:
         raise ValueError("generator file has no terms; field dimension is undetermined")
-    g = GeneratorSet.__new__(GeneratorSet)
-    g._fill(nvars - 3, {key: c for key, c in terms.items() if c})
-    return g
+    return GeneratorSet._from_table(nvars - 3, {key: c for key, c in terms.items() if c[0]})
 
 
 def generator_set_to_json(g: GeneratorSet) -> list:
-    out = []
-    for poly in g.polys:
-        out.append(
-            [
-                {"exponents": list(expo), "coeff": str(coeff)}
-                for expo, coeff in sorted(poly.terms.items())
-            ]
-        )
+    """The generator file of `g`: each polynomial's terms sorted by exponents,
+    each coefficient written "p" or "p/q" as `str(Fraction)` writes it."""
+    out = [[], [], []]
+    for a, expo, num, den in sorted(zip(g.poly.tolist(), g.expos.tolist(), g.num.tolist(), g.den.tolist())):
+        out[a].append({"exponents": expo, "coeff": str(num) if den == 1 else f"{num}/{den}"})
     return out

@@ -306,10 +306,17 @@ def nullspace_projector(rows: np.ndarray, dim: int) -> np.ndarray:
 
 
 def tensor_to_json(t: np.ndarray) -> dict:
-    """Encode as {"order": n, "data": [...]} with row-major flattening."""
-    if t.ndim not in _SHAPES:
-        raise ValueError(f"unsupported tensor order {t.ndim}")
-    return {"order": t.ndim, "data": np.asarray(t, dtype=float).reshape(-1).tolist()}
+    """Encode as {"order": n, "data": [...]} with row-major flattening, the
+    encoding `tensor_from_json` reads back: a (3,) * n tensor of order 2, 3
+    or 4 with finite entries; any other is a ValueError."""
+    arr = np.asarray(t, dtype=float)
+    if arr.ndim not in _SHAPES:
+        raise ValueError(f"unsupported tensor order {arr.ndim}")
+    if arr.shape != _SHAPES[arr.ndim]:
+        raise ValueError(f"an order-{arr.ndim} tensor must have shape {_SHAPES[arr.ndim]}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("tensor entries must be finite")
+    return {"order": arr.ndim, "data": arr.reshape(-1).tolist()}
 
 
 def floats_from_json(values, length: int, what: str) -> np.ndarray:

@@ -8,6 +8,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fd_oracle import fd_point_residual, fd_residual
+from rund_oracle import (
+    reference_coefficient_identity_residuals,
+    reference_generator_set_from_json,
+    reference_generator_set_to_json,
+    reference_random_generator_set,
+    table_of,
+)
+from nullag import rund
 from nullag import verifier as vf
 from nullag.polyfield import field_states, random_polyfield
 from nullag.quadrature import cube_rule, required_order
@@ -506,3 +514,133 @@ def test_certify_generator_sizes_quadrature_per_coordinate(monkeypatch, degree, 
     lag = build_null_lagrangian(random_generator_set(np.random.default_rng(degree), 3, degree))
     assert vf.certify_null(lag, trials=1, degree=2, seed=1).passed
     assert orders == [order] * 6
+
+
+def _one_term(coeff, exponents=(1, 0, 0, 1, 0)):
+    return [[{"exponents": list(exponents), "coeff": coeff}], [], []]
+
+
+#: Files whose table or error text the loader must share with the reference:
+#: coefficients that take the integer path, that `Fraction` alone accepts,
+#: that it rejects or that leave the double range, and exponents of the
+#: wrong type, sign or size.
+LOADER_CASES = {
+    "6/4": _one_term("6/4"),
+    "+3": _one_term("+3"),
+    "-0": _one_term("-0"),
+    "-12/8": _one_term("-12/8"),
+    "0/5": _one_term("0/5"),
+    "padded-3/4": _one_term(" 3/4 "),
+    "1.5": _one_term("1.5"),
+    "1e3": _one_term("1e3"),
+    "1_000": _one_term("1_000"),
+    "arabic-indic-3": _one_term("\u0663"),
+    "arabic-indic-1/2": _one_term("\u0661/\u0662"),
+    "superscript-2": _one_term("\u00b2"),
+    "1/0": _one_term("1/0"),
+    "abc": _one_term("abc"),
+    "nan": _one_term("nan"),
+    "empty": _one_term(""),
+    "+-3": _one_term("+-3"),
+    "3/+4": _one_term("3/+4"),
+    "1/2/3": _one_term("1/2/3"),
+    "2**53+1": _one_term(str(2**53 + 1)),
+    "4300-digit": _one_term("9" * 4300),
+    "5000-digit-numerator": _one_term("7" * 5000 + "/3"),
+    "1e400": _one_term("1e400"),
+    "1e-400": _one_term("1e-400"),
+    "1/10**400": _one_term("1/" + "1" + "0" * 400),
+    "duplicates-sum-to-zero": [[{"exponents": [1, 0, 0, 1, 0], "coeff": "1/2"},
+                                {"exponents": [1, 0, 0, 1, 0], "coeff": "-2/4"}],
+                               [{"exponents": [0, 0, 0, 0, 2], "coeff": "3"}], []],
+    "duplicates-after-zero": [[{"exponents": [1, 0, 0, 1, 0], "coeff": "-0"},
+                               {"exponents": [1, 0, 0, 1, 0], "coeff": "5/6"},
+                               {"exponents": [1, 0, 0, 1, 0], "coeff": "1/6"}], [], []],
+    "exponent-true": _one_term("1", [0, 0, 0, True, 0]),
+    "exponent-1.0": _one_term("1", [0, 0, 0, 1.0, 0]),
+    "exponent-minus-1": _one_term("1", [0, 0, 0, -1, 0]),
+    "exponent-2**63": _one_term("1", [0, 0, 0, 2**63, 0]),
+    "exponent-2**63-1": _one_term("1", [0, 0, 0, 2**63 - 1, 0]),
+    "exponent-minus-1-and-2**63": _one_term("1", [0, 0, 0, -1, 2**63]),
+    "empty-exponents": _one_term("1", []),
+    "empty-exponents-bad-coeff": _one_term("x", []),
+}
+
+
+def _loaded(loader, convert, obj):
+    """The table `loader` gives for `obj`, or the text of its ValueError."""
+    try:
+        return convert(loader(obj))
+    except ValueError as error:
+        return f"ValueError: {error}"
+
+
+def assert_loads_as_reference(obj):
+    assert _loaded(generator_set_from_json, table_of, obj) == _loaded(
+        reference_generator_set_from_json, lambda table: table, obj)
+
+
+@pytest.mark.parametrize("obj", LOADER_CASES.values(), ids=LOADER_CASES.keys())
+def test_loader_gives_the_reference_table_or_error_text(obj):
+    assert_loads_as_reference(obj)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.text(alphabet="0123456789+-/_.e \t\u0663", max_size=8),
+       st.lists(st.one_of(st.integers(-2, 2**64), st.booleans(), st.just(1.0)), min_size=4, max_size=6))
+def test_loader_matches_the_reference_on_any_coefficient_text(text, exponents):
+    assert_loads_as_reference(_one_term(text, exponents))
+
+
+@pytest.mark.parametrize("n, degree", [(1, 0), (2, 1), (3, 2), (6, 2), (3, 3), (6, 3)])
+def test_random_sets_and_their_json_equal_the_reference(n, degree):
+    """Same draws in the same order, the same table, and JSON byte-identical
+    to the reference writer's, as perfbench writes its pools with them."""
+    for seed in range(20):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        g, ref = random_generator_set(rng, n, degree), reference_random_generator_set(ref_rng, n, degree)
+        assert table_of(g) == ref
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert json.dumps(generator_set_to_json(g)) == json.dumps(reference_generator_set_to_json(ref))
+
+
+@pytest.mark.parametrize("g", _reference_sets() + _edge_sets(), ids=lambda g: f"n{g.n}d{g.degree()}")
+def test_json_of_built_and_loaded_sets_equals_the_reference(g):
+    assert json.dumps(generator_set_to_json(g)) == json.dumps(reference_generator_set_to_json(table_of(g)))
+
+
+@pytest.mark.parametrize("shape", [(8, 1), (8, 2), (8, 6), (12, 1, 3, 1), (12, 6, 3, 6)])
+def test_normalized_sum_adds_the_rows_in_order_as_sum_does(shape):
+    """Magnitudes 1e-3..1e3, where the association shows in the bits (a
+    pairwise sum over the rows of an (8, 1) stack differs in most draws),
+    and all -0.0, which `sum()` turns into +0.0."""
+    def reference(terms):
+        return sum(terms) / (1.0 + float(np.max(sum(np.abs(t) for t in terms))))
+
+    rng = np.random.default_rng(sum(shape))
+    for terms in [np.full(shape, -0.0)] + [rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+                                           for _ in range(10)]:
+        assert rund._normalized_sum(terms.copy()).tobytes() == reference(terms).tobytes()
+
+
+def _assert_identities_equal_reference_bits(g, rng, points):
+    for _ in range(points):
+        x, y = rng.uniform(0, 1, 3), rng.uniform(-1, 1, g.n)
+        got = coefficient_identity_residuals(g, x, y)
+        for mine, ref in zip(got, reference_coefficient_identity_residuals(g, x, y)):
+            assert mine.shape == ref.shape and mine.tobytes() == ref.tobytes()
+
+
+def test_identity_residuals_equal_the_reference_bits_on_acceptance_07_sets():
+    """The first 10 of acceptance 07's 50 points per set."""
+    for s in range(100):
+        g = random_generator_set(np.random.default_rng(20_000 + s), 6, 2)
+        _assert_identities_equal_reference_bits(g, np.random.default_rng(30_000 + s), 10)
+
+
+@pytest.mark.parametrize("g", _reference_sets() + _edge_sets()[:1], ids=lambda g: f"n{g.n}d{g.degree()}")
+def test_identity_residuals_equal_the_reference_bits_on_sparse_and_constant_sets(g):
+    """Sets whose partials vanish in whole blocks, where terms are signed
+    zeros, and one-component fields, whose term stacks are single columns.
+    (The second edge set has an exponent of 2**62, too large to evaluate.)"""
+    _assert_identities_equal_reference_bits(g, np.random.default_rng(g.n + 10 * g.degree()), 5)

@@ -450,6 +450,23 @@ def test_json_round_trip_bit_exact():
         assert np.array_equal(back, t)
 
 
+@pytest.mark.parametrize("t, message", [
+    (np.zeros((2, 2)), "shape"),
+    (np.zeros((3, 9)), "shape"),
+    (np.zeros((9, 3, 3)), "shape"),
+    (np.zeros(3), "order 1"),
+    (np.zeros((3,) * 5), "order 5"),
+    (np.full((3, 3), np.nan), "finite"),
+    (np.pad(np.full((1, 1, 1, 1), np.inf), ((0, 2),) * 4), "finite"),
+    (np.full((3, 3, 3), -np.inf), "finite"),
+], ids=["2x2", "3x9", "9x3x3", "order-1", "order-5", "nan", "one-inf", "minus-inf"])
+def test_json_encoder_rejects_what_the_decoder_rejects(t, message):
+    """`tensor_to_json` writes only what `tensor_from_json` reads back: a
+    (3,) * order tensor of order 2, 3 or 4 with finite entries."""
+    with pytest.raises(ValueError, match=message):
+        tensor_to_json(t)
+
+
 def test_json_strict_validation():
     with pytest.raises(ValueError, match="81"):
         tensor_from_json({"order": 4, "data": [0.0] * 80})
