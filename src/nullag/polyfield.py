@@ -78,7 +78,12 @@ def _monomials(points: np.ndarray, plan) -> np.ndarray:
     variable: the unit factors skipped are exact.  Terms are products along
     rows of points, transposed into the layout `mono @ coeffs` sums in."""
     nterms, top, groups = plan
-    powers = np.empty((sum(top), points.shape[0]))
+    try:
+        powers = np.empty((sum(top), points.shape[0]))
+    except (MemoryError, ValueError):  # numpy's text names neither the variable nor the exponent
+        v = max(range(len(top)), key=top.__getitem__)
+        name = f"x{v + 1}" if v < 3 else f"y{v - 2}"
+        raise ValueError(f"cannot allocate a power table of {name}**{top[v]} at {len(points)} points") from None
     row = 0
     for v, e in enumerate(top):
         for j in range(row, row + e):

@@ -17,7 +17,9 @@ oracle kept under `tests/`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -243,6 +245,51 @@ class NullCertificate:
         return {**vars(self), "boundary_action_deltas": list(self.boundary_action_deltas)}
 
 
+# numpy's seeding constants (NEP 19): SeedSequence's hash and mix, and PCG64's multiplier.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R, _PCG_MULT = 0xCA01F9DD, 0x4973F715, 0x2360ED051FC65DA44385DF649FCCF645
+_SEED_BLOCK = 1024  # children seeded per pass, so seeding memory is bounded
+_POOL_ROWS = [0, 1, 2, 3, 0, 1, 2, 3]  # generate_state(4, uint64) hashes 8 words from the pool of 4
+
+
+def _hashmix(value: np.ndarray, init: int, mult: int, hashes) -> np.ndarray:
+    """SeedSequence's hash k of uint32 `value`, per row k of `hashes`, by the constants init * mult**k."""
+    const = np.uint32(init) * np.power(np.uint32(mult), np.array(hashes, dtype=np.uint32)[:, None])
+    value = (value ^ const) * (const * np.uint32(mult))
+    return value ^ value >> 16
+
+
+def _trial_generators(seed: int, count: int):
+    """Yield one Generator `count` times, in the state of `np.random.default_rng(c)` for each child c of
+    `np.random.SeedSequence(seed).spawn(count)` in turn.  A child's entropy is the seed's words, zero-padded
+    to the pool size 4, then its key; the parent hashes zeros past its last word too, so a child's pool is
+    the parent's mixed with its key's hashes.  That mix, and generate_state's hashes into PCG64's
+    (initstate, initseq), are uint32 array ops on a block of children at a time."""
+    if count > 1 << 32:  # a spawn key from 2**32 on has two words
+        raise ValueError(f"trials plus boundary pairs must be at most 2**32, got {count}")
+    parent = np.random.SeedSequence(seed)
+    pool = parent.pool[_POOL_ROWS, None] * np.uint32(_MIX_MULT_L)
+    first = 4 * max(4, -(-seed.bit_length() // 32))  # the parent's hashes: 4 per word, of at least 4 words
+    rng = np.random.Generator(np.random.PCG64(parent))  # its state is replaced before each yield
+    for start in range(0, count, _SEED_BLOCK):
+        keys = np.arange(start, min(start + _SEED_BLOCK, count), dtype=np.uint32)
+        child = pool - _hashmix(keys, _INIT_A, _MULT_A, [first + r for r in _POOL_ROWS]) * np.uint32(_MIX_MULT_R)
+        words = _hashmix(child ^ child >> 16, _INIT_B, _MULT_B, range(8))
+        # uint32 words paired low first, as generate_state's '<u4' -> '<u8' view does
+        for hi, lo, seq_hi, seq_lo in np.ascontiguousarray(words.T, dtype="<u4").view("<u8").tolist():
+            inc = ((seq_hi << 64 | seq_lo) << 1 | 1) % (1 << 128)
+            state = {"state": (((hi << 64 | lo) + inc) * _PCG_MULT + inc) % (1 << 128), "inc": inc}
+            rng.bit_generator.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+            yield rng
+
+
+def _integer(value, name: str, least: int, why: str = "") -> int:
+    """`value` as a plain int, if it is an integer other than a bool and >= least."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__") or operator.index(value) < least:
+        raise ValueError(f"{name} must be an integer >= {least}{why}, got {value}")
+    return operator.index(value)
+
+
 def certify_null(
     lag: Lagrangian,
     trials: int = 64,
@@ -258,36 +305,30 @@ def certify_null(
     """Randomized certificate that the density has identically vanishing
     Euler residual and boundary-only action dependence.
 
-    Deterministic for a fixed seed: each trial draws its field, then its
-    points, from its own child of the seed sequence.  The states of all
-    trials are then evaluated in one batch and reduced in one residual
-    evaluation.  `order` is a minimum: each boundary action is raised to the
-    order that the density's per-coordinate degree bound needs, and all
-    actions of one order share one quadrature pass.
+    Deterministic for a fixed seed: trial t, then boundary pair b, draws
+    from `default_rng` of child t, then trials + b, of `SeedSequence(seed)
+    .spawn(trials + boundary_pairs)`, at most 2**32 children; a sampler's
+    Generator is valid only during its call.  Counts, degree and seed are
+    ints, not bools.  All trial states are evaluated in one batch and
+    reduced in one residual evaluation.  `order` is a minimum: each boundary
+    action is raised to the order its density's per-coordinate degree bound
+    needs, and all actions of one order share one quadrature pass.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if degree < 2:
-        raise ValueError("degree must be >= 2 to exercise second derivatives")
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed}")
-    if points_per_trial < 1:
-        raise ValueError(f"points per trial must be an integer >= 1, got {points_per_trial}")
-    if boundary_pairs < 0:
-        raise ValueError(f"boundary pairs must be an integer >= 0, got {boundary_pairs}")
+    trials = _integer(trials, "trials", 1)
+    degree = _integer(degree, "degree", 2, " to exercise second derivatives")
+    order = _integer(order, "order", 1)
+    seed = _integer(seed, "seed", 0)
+    points_per_trial = _integer(points_per_trial, "points per trial", 1)
+    boundary_pairs = _integer(boundary_pairs, "boundary pairs", 0)
     if residual_tol is None:
         residual_tol = CLOSED_FORM_RESIDUAL_TOL
     if not (np.isfinite(residual_tol) and residual_tol >= 0.0):
         raise ValueError(f"residual tolerance must be a finite number >= 0, got {residual_tol}")
     sampler = sampler or FieldSampler(lag.n)
 
-    children = np.random.SeedSequence(seed).spawn(trials + boundary_pairs)
-
+    streams = _trial_generators(seed, trials + boundary_pairs)
     fields, points = [], []
-    for t in range(trials):
-        rng = np.random.default_rng(children[t])
+    for rng in islice(streams, trials):
         fields.append(sampler.field(rng, degree))
         points.append(rng.uniform(0.0, 1.0, size=(points_per_trial, 3)))
     x = np.stack(points)
@@ -301,8 +342,7 @@ def certify_null(
     # Every pair's base and perturbed fields join the group of its order;
     # each group is integrated on one rule in one call.
     pair_orders, groups = [], {}
-    for b in range(boundary_pairs):
-        rng = np.random.default_rng(children[trials + b])
+    for rng in streams:
         field = sampler.field(rng, degree)
         perturbed = field + sampler.boundary_delta(rng, degree)
         degree_bound = lag.integrand_degree(max(field.axis_degree(), perturbed.axis_degree()))

@@ -426,6 +426,48 @@ def test_generator_exponent_beyond_int64_is_named_at_load(tmp_path, capsys, comm
     assert err == f"error: generator exponent {2**63} is too large for a 64-bit integer\n"
 
 
+def huge_exponent_generator(exponent, slot=0):
+    expo = [0, 0, 0, 1, 0]
+    expo[slot] += exponent
+    return [[{"exponents": [3, 0, 1, 2, 0], "coeff": "1"}], [{"exponents": expo, "coeff": "3/7"}], []]
+
+
+def power_table_error(exponent, name="x1"):
+    return f"error: cannot allocate a power table of {name}**{exponent} at 3 points\n"
+
+
+@pytest.mark.parametrize("slot, name", [(0, "x1"), (4, "y2")])
+def test_power_table_too_big_for_numpy_is_named(tmp_path, capsys, slot, name):
+    """numpy refuses the shape before allocating anything."""
+    path = write(tmp_path, "gen.json", huge_exponent_generator(2**62, slot))
+    err = assert_one_error_line(["certify", path, "--trials", "1", "--degree", "2"], capsys)
+    assert err == power_table_error(2**62, name)
+
+
+CAPPED_CHILD = """
+import contextlib, io, json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+from nullag.cli import main
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    code = main(sys.argv[1:])
+print(json.dumps([code, err.getvalue()]))
+"""
+
+
+def test_power_table_beyond_memory_is_a_usage_error(tmp_path):
+    """A table of 2**40 rows fails to allocate; in a child whose address
+    space is capped at 4 GiB, so that no overcommit setting lets it touch
+    memory.  Without the check it ended in a traceback with exit code 1."""
+    path = write(tmp_path, "gen.json", huge_exponent_generator(2**40))
+    src = str(Path(nullag.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", CAPPED_CHILD, "certify", path, "--trials", "1", "--degree", "2"],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == [2, power_table_error(2**40)]
+
+
 @pytest.mark.parametrize(
     "text, key",
     [

@@ -8,9 +8,14 @@ boundary actions: a refactor that reorders a sum changes a digit here.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import nullag
 from nullag import micropolar as mp
 from nullag import quasicrystal as qc
 from nullag import rund
@@ -198,3 +203,57 @@ def test_check_and_split_output_digests_are_pinned(tmp_path, capsys):
                 text = f"{code}\n{capsys.readouterr().out}"
                 got[f"{command}/{name}/{fmt}"] = hashlib.sha256(text.encode()).hexdigest()
     assert got == CLI_DIGESTS
+
+
+KERNEL_CHILD = """
+import contextlib, io, json, sys
+from nullag.cli import main
+outputs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        outputs.append([main(argv), out.getvalue()])
+print(json.dumps(outputs))
+"""
+
+
+def test_verdicts_agree_across_blas_kernels(tmp_path):
+    """One corpus through `main` under the default OpenBLAS kernel and two
+    older ones, each in its own child: the same exit codes, the same `check`
+    and `split` bytes, and `certify` numbers within 1e-12 (residual) and
+    1e-14 (boundary deltas) of the default kernel's; the largest gaps seen
+    are 8.1e-16 and 1.2e-15.  Only the child's environment names the kernel."""
+    models = cli_models()
+    paths = []
+    for name in ("mp-null", "hemi-random", "qc-random"):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(models[name]))
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps(rund.generator_set_to_json(rund.random_generator_set(np.random.default_rng(11), 3, 2))))
+    corpus = [[command, str(path)] for path in paths for command in ("check", "split")]
+    corpus += [["certify", str(path), "--trials", "4"] for path in (*paths, gen)]
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = str(Path(nullag.__file__).resolve().parents[1])
+    children = {
+        core: subprocess.Popen([sys.executable, "-c", KERNEL_CHILD, json.dumps(corpus)], stdout=subprocess.PIPE,
+                               text=True, env={**env, **({"OPENBLAS_CORETYPE": core} if core else {})})
+        for core in (None, "Sandybridge", "Prescott")
+    }
+    outputs = {core: json.loads(child.communicate(timeout=120)[0]) for core, child in children.items()}
+    assert all(child.returncode == 0 for child in children.values())
+    default = outputs.pop(None)
+    assert {code for code, _ in default} == {0, 1, 2}
+    for got in outputs.values():
+        for argv, (code, out), (code0, out0) in zip(corpus, got, default, strict=True):
+            assert code == code0, argv
+            if argv[0] != "certify":
+                assert out == out0, argv
+                continue
+            payload, payload0 = json.loads(out), json.loads(out0)
+            cert, cert0 = payload.pop("certificate"), payload0.pop("certificate")
+            assert payload == payload0
+            residual, residual0 = cert.pop("max_normalized_residual"), cert0.pop("max_normalized_residual")
+            assert abs(residual - residual0) <= 1e-12, argv
+            deltas, deltas0 = cert.pop("boundary_action_deltas"), cert0.pop("boundary_action_deltas")
+            assert np.max(np.abs(np.subtract(deltas, deltas0))) <= 1e-14, argv
+            assert cert == cert0, argv

@@ -13,6 +13,7 @@ from nullag import polyfield
 from nullag import quasicrystal as qc
 from nullag import rund
 from nullag import verifier as vf
+from nullag.cli import _json_text
 from nullag.polyfield import (
     PolyField,
     bubble,
@@ -358,6 +359,111 @@ def test_certify_rejects_degenerate_sampling(kwargs, message):
     lag = mp.lagrangian(mp.IsotropicParams(1.0, 1.0, 1.0, 0.0, 0.0, 0.0).moduli())
     with pytest.raises(ValueError, match=f"^{message}$"):
         certify_null(lag, trials=3, seed=9, **kwargs)
+
+
+ISO_FAILING = mp.IsotropicParams(1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"seed": True}, "seed must be an integer >= 0, got True"),
+    ({"seed": 1.0}, "seed must be an integer >= 0, got 1.0"),
+    ({"seed": "3"}, "seed must be an integer >= 0, got 3"),
+    ({"trials": True}, "trials must be an integer >= 1, got True"),
+    ({"trials": 2.0}, "trials must be an integer >= 1, got 2.0"),
+    ({"degree": 3.0}, "degree must be an integer >= 2 to exercise second derivatives, got 3.0"),
+    ({"order": 8.5}, "order must be an integer >= 1, got 8.5"),
+    ({"points_per_trial": np.float64(3.0)}, "points per trial must be an integer >= 1, got 3.0"),
+    ({"boundary_pairs": False}, "boundary pairs must be an integer >= 0, got False"),
+    ({"boundary_pairs": None}, "boundary pairs must be an integer >= 0, got None"),
+])
+def test_certify_arguments_are_integers_only(kwargs, message):
+    """A bool or a float is not read as the integer it equals."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        certify_null(mp.lagrangian(ISO_FAILING.moduli()), **{"trials": 2, **kwargs})
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8])
+def test_certify_stores_numpy_integers_as_int(kind):
+    lag = mp.lagrangian(ISO_FAILING.moduli())
+    kwargs = {"trials": 3, "degree": 2, "seed": 3, "order": 4, "points_per_trial": 2, "boundary_pairs": 2}
+    cert = certify_null(lag, **{k: kind(v) for k, v in kwargs.items()})
+    assert type(cert.trials) is type(cert.degree) is type(cert.seed) is int
+    assert cert == certify_null(lag, **kwargs)
+    assert _json_text(cert.as_dict()) == _json_text(certify_null(lag, **kwargs).as_dict())
+
+
+def numpy_streams(seed, count):
+    """The reference streams: one `default_rng` per child of numpy's spawn."""
+    for child in np.random.SeedSequence(seed).spawn(count):
+        yield np.random.default_rng(child)
+
+
+@pytest.mark.parametrize("count", [1, 2, 67, 300])
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 7, 3**126])
+def test_trial_generators_are_numpy_spawned_streams(seed, count):
+    got = [rng.bit_generator.state for rng in vf._trial_generators(seed, count)]
+    assert got == [rng.bit_generator.state for rng in numpy_streams(seed, count)]
+
+
+def test_trial_generators_cross_seeding_blocks():
+    count = 2 * vf._SEED_BLOCK + 3
+    for rng, ref in zip(vf._trial_generators(7, count), numpy_streams(7, count)):
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.random() == ref.random()
+
+
+def test_trial_generator_memory_does_not_grow_with_the_count():
+    def peak(count):
+        tracemalloc.start()
+        try:
+            for _ in vf._trial_generators(5, count):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4 * vf._SEED_BLOCK) <= 1.5 * peak(vf._SEED_BLOCK)
+
+
+def test_more_than_2_32_children_are_rejected_before_any_work():
+    message = "trials plus boundary pairs must be at most 2**32, got 4294967297"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        next(vf._trial_generators(0, 2**32 + 1))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        certify_null(mp.iso_null_evaluator(1.0), trials=2**32, boundary_pairs=1)
+    first = next(vf._trial_generators(9, 2**32))
+    assert first.bit_generator.state == np.random.default_rng(np.random.SeedSequence(9).spawn(1)[0]).bit_generator.state
+
+
+class RecordingSampler(FieldSampler):
+    """Records the bit generator's state at every call, then samples as `base`."""
+
+    def __init__(self, base):
+        super().__init__(base.n)
+        self.base, self.calls = base, []
+
+    def field(self, rng, degree):
+        self.calls.append(("field", rng.bit_generator.state))
+        return self.base.field(rng, degree)
+
+    def boundary_delta(self, rng, degree):
+        self.calls.append(("delta", rng.bit_generator.state))
+        return self.base.boundary_delta(rng, degree)
+
+
+@pytest.mark.parametrize("base", [FieldSampler(6), mp.CurlFreeRotationSampler()], ids=["dense", "curl-free"])
+@pytest.mark.parametrize("lag", [mp.iso_null_evaluator(1.3), mp.lagrangian(ISO_FAILING.moduli())],
+                         ids=["null", "failing"])
+def test_certificates_keep_the_bits_of_numpy_spawned_streams(monkeypatch, base, lag):
+    """Every sampler call sees the state numpy's spawn gives, and the
+    certificate has the bits of the per-child streams."""
+    runs = []
+    for streams in (vf._trial_generators, numpy_streams):
+        monkeypatch.setattr(vf, "_trial_generators", streams)
+        sampler = RecordingSampler(base)
+        runs.append((certify_null(lag, trials=7, seed=2**40 + 3, sampler=sampler, boundary_pairs=4), sampler.calls))
+    assert runs[0] == runs[1]
+    assert [kind for kind, _ in runs[0][1]] == ["field"] * 7 + ["field", "delta"] * 4
 
 
 class EvaluateOnly(Lagrangian):
