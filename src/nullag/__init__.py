@@ -18,7 +18,7 @@ from .quasicrystal import QcModuli, admissible_phason_modulus, check_qc_null
 from .em import EmModuli, check_em_null
 from .report import ConditionCheck, ConditionReport
 from .rund import GeneratorSet, build_null_lagrangian, rund_coefficients
-from .tensors import apply4, invariants2, levi_civita
+from .tensors import invariants2, levi_civita
 from .verifier import (
     NullCertificate,
     QuadraticLagrangian,
@@ -58,7 +58,6 @@ __all__ = [
     "GeneratorSet",
     "build_null_lagrangian",
     "rund_coefficients",
-    "apply4",
     "invariants2",
     "levi_civita",
     "NullCertificate",

@@ -120,7 +120,7 @@ def _cmd_check(args) -> int:
     model = load_input_file(args.model_file)
     if isinstance(model, GeneratorSet):
         raise ValueError("check needs a model file, not a generator file")
-    report = model.check(args.tol_abs)
+    report = model.moduli.check(args.tol_abs)
     _emit({"command": "check", "model": model.kind, "report": report.as_dict()}, args.format)
     return _report_exit(report)
 
@@ -151,7 +151,7 @@ def _cmd_certify(args) -> int:
     if isinstance(loaded, GeneratorSet):
         lag, kind = build_null_lagrangian(loaded), "generator"
     else:
-        lag, kind = loaded.lagrangian(), loaded.kind
+        lag, kind = loaded.moduli.lagrangian(), loaded.kind
     cert = certify_null(
         lag,
         trials=args.trials,

@@ -1,4 +1,4 @@
-"""Linear electro-magneto-elastic enthalpy, constitutive law and the
+"""Linear electro-magneto-elastic enthalpy, as a quadratic density, and the
 (computationally confirmed) triviality of its null-Lagrangian conditions."""
 
 from __future__ import annotations
@@ -15,15 +15,12 @@ from .tensors import (
     IndexRelation,
     Moduli,
     SymmetryClass,
-    as_matrix3,
     combine,
 )
 from .verifier import QuadraticLagrangian
 
 __all__ = [
     "EmModuli",
-    "em_enthalpy",
-    "em_constitutive",
     "check_em_null",
     "lagrangian",
     "EM_ELASTIC_CLASS",
@@ -70,40 +67,13 @@ class EmModuli(Moduli):
         "bperm": (SYM2, "permeability matrix must be symmetric ({gap:.3e})"),
         "acpl": (SYM2, "coupling matrix must be symmetric ({gap:.3e})"),
     }
+    FAMILY = "em_elast"
 
+    def check(self, tol_abs: float = DEFAULT_TOL_ABS) -> ConditionReport:
+        return check_em_null(self, tol_abs)
 
-def em_enthalpy(m: EmModuli, eps, e, h) -> float:
-    """Enthalpy density: elastic energy minus field energies minus the
-    piezo and electromagnetic coupling terms."""
-    eps = as_matrix3(eps)
-    e = np.asarray(e, dtype=float)
-    h = np.asarray(h, dtype=float)
-    out = 0.5 * np.einsum("ijkl,ij,kl->", m.c, eps, eps)
-    out -= 0.5 * float(e @ m.ediel @ e)
-    out -= 0.5 * float(h @ m.bperm @ h)
-    out -= np.einsum("kij,ij,k->", m.p, eps, e)
-    out -= np.einsum("kij,ij,k->", m.q, eps, h)
-    out -= float(e @ m.acpl @ h)
-    return float(out)
-
-
-def em_constitutive(m: EmModuli, eps, e, h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stress, electric displacement and magnetic induction.
-
-    The rank-3 adjoint convention is (P^T e)_ij = P_kij e_k, so that
-    eps . (P^T e) = (P eps) . e.
-    """
-    eps = as_matrix3(eps)
-    e = np.asarray(e, dtype=float)
-    h = np.asarray(h, dtype=float)
-    sigma = (
-        np.einsum("ijkl,kl->ij", m.c, eps)
-        - np.einsum("kij,k->ij", m.p, e)
-        - np.einsum("kij,k->ij", m.q, h)
-    )
-    d = np.einsum("kij,ij->k", m.p, eps) + m.ediel @ e + m.acpl @ h
-    b = np.einsum("kij,ij->k", m.q, eps) + m.acpl @ e + m.bperm @ h
-    return sigma, d, b
+    def lagrangian(self) -> QuadraticLagrangian:
+        return lagrangian(self)
 
 
 def check_em_null(m: EmModuli, tol_abs: float = DEFAULT_TOL_ABS) -> ConditionReport:
@@ -122,8 +92,9 @@ def check_em_null(m: EmModuli, tol_abs: float = DEFAULT_TOL_ABS) -> ConditionRep
 
 
 def lagrangian(m: EmModuli) -> QuadraticLagrangian:
-    """Quadratic density in y = (u1, u2, u3, varphi, psi), N = 5, written in
-    potential gradients (e = -grad varphi, h = -grad psi)."""
+    """The enthalpy G.C[G]/2 - e.Ediel e/2 - h.Bperm h/2 - e.P[G] - h.Q[G] - e.Acpl h
+    in y = (u, varphi, psi), N = 5, with G = grad u, e = -grad varphi and
+    h = -grad psi; the symmetries of C, P and Q let G stand for the strain."""
     n = 5
     p = np.zeros((n, 3, n, 3))
     p[:3, :, :3, :] = m.c

@@ -1,10 +1,10 @@
-"""Micropolar (Cosserat) kinematics, energetics and null-Lagrangian checks.
+"""Micropolar (Cosserat) stored energy and null-Lagrangian checks.
 
-Covers the full anisotropic condition system for the three elastic moduli,
-the equivalent entrywise form of the coupling-tensor conditions, the
-hat/tilde/ring split of the rotation-gradient modulus with its 18
-Cauchy-analogue relations and surface potential, and the isotropic /
-hemitropic specializations.
+Covers the stored energy as a quadratic density, the full anisotropic
+condition system for the three elastic moduli, the equivalent entrywise
+form of the coupling-tensor conditions, the hat/tilde/ring split of the
+rotation-gradient modulus with its 18 Cauchy-analogue relations and
+surface potential, and the isotropic / hemitropic specializations.
 """
 
 from __future__ import annotations
@@ -41,12 +41,8 @@ __all__ = [
     "IsotropicParams",
     "HemitropicParams",
     "BSplit",
-    "strain_wryness",
-    "energy_density",
-    "constitutive",
     "check_null_sufficient",
     "check_coupling_entrywise",
-    "coupling_equivalence_probe",
     "check_centrosymmetric_null",
     "split_B",
     "cauchy_analogue",
@@ -109,6 +105,13 @@ class MicropolarModuli(Moduli):
         "b": (MAJOR, "modulus b violates major symmetry by {gap:.3e}"),
         "d": (SymmetryClass("UNCONSTRAINED", 4, ()), None),
     }
+    FAMILY = "micropolar"
+
+    def check(self, tol_abs: float = DEFAULT_TOL_ABS) -> ConditionReport:
+        return check_null_sufficient(self, tol_abs)
+
+    def lagrangian(self) -> QuadraticLagrangian:
+        return lagrangian(self)
 
 
 def _iso_tensor(c_tr: float, c_id: float, c_swap: float) -> np.ndarray:
@@ -160,31 +163,6 @@ class BSplit:
     b_ring: np.ndarray
 
 
-def strain_wryness(u: PolyField, phi: PolyField) -> tuple[PolyField, PolyField]:
-    """Stretch eps_ij = u_{i,j} + e_kij phi_k and wryness kap_ij = phi_{i,j}
-    as exact 9-component fields, component 3i + j holding entry (i, j)."""
-    if u.n != 3 or phi.n != 3:
-        raise ValueError("displacement and rotation fields must have 3 components")
-    return u.diff() + phi.map(levi_civita().reshape(3, 9).T), phi.diff()
-
-
-def energy_density(m: MicropolarModuli, eps, kap) -> float:
-    """Stored energy eps.A[eps]/2 + kap.B[kap]/2 + eps.D[kap]."""
-    eps, kap = as_matrix3(eps), as_matrix3(kap)
-    out = 0.5 * np.einsum("ijkl,ij,kl->", m.a, eps, eps)
-    out += 0.5 * np.einsum("ijkl,ij,kl->", m.b, kap, kap)
-    out += np.einsum("ijkl,ij,kl->", m.d, eps, kap)
-    return float(out)
-
-
-def constitutive(m: MicropolarModuli, eps, kap) -> tuple[np.ndarray, np.ndarray]:
-    """Stress and couple stress conjugate to stretch and wryness."""
-    eps, kap = as_matrix3(eps), as_matrix3(kap)
-    sigma = np.einsum("ijkl,kl->ij", m.a, eps) + np.einsum("ijkl,kl->ij", m.d, kap)
-    mu = np.einsum("ijkl,kl->ij", m.b, kap) + np.einsum("klij,kl->ij", m.d, eps)
-    return sigma, mu
-
-
 def _alternating_balance(d: np.ndarray) -> np.ndarray:
     """e_mkl D_klin - e_ijk D_jkmn, indexed (m, i, n)."""
     lc = levi_civita()
@@ -222,8 +200,8 @@ def check_null_sufficient(m: MicropolarModuli, tol_abs: float = DEFAULT_TOL_ABS)
 def check_coupling_entrywise(d: np.ndarray) -> ConditionReport:
     """Entrywise form of the coupling-modulus null conditions.
 
-    Equivalent to {swap24 antisymmetry, alternating balance}; the
-    equivalence is probed by `coupling_equivalence_probe`.
+    Equivalent to {swap24 antisymmetry, alternating balance}: the rows of
+    the two systems, `coupling_*_rows`, have one null space.
     """
     return check_conditions({"d": as_tensor4(d)}, (
         ("D swap24 antisym", "d", SWAP24_ANTI.defect),
@@ -267,18 +245,6 @@ def coupling_direct_projector() -> np.ndarray:
 @functools.lru_cache(maxsize=1)
 def coupling_entrywise_projector() -> np.ndarray:
     return _read_only(tensors.nullspace_projector(coupling_entrywise_rows(), 81))
-
-
-def coupling_equivalence_probe(d: np.ndarray) -> bool:
-    """Check that the direct and entrywise coupling condition systems agree
-    on the given tensor: both hold or both fail, each within 1e-10 of its
-    largest entry.  A theorem probe; must return True for every input."""
-    d = as_tensor4(d)
-    flat = d.reshape(81)
-    tol = 1e-10 * tensor_scale(flat)
-    direct = float(np.max(np.abs(coupling_direct_rows() @ flat)))
-    entrywise = float(np.max(np.abs(coupling_entrywise_rows() @ flat)))
-    return (direct <= tol) == (entrywise <= tol)
 
 
 def check_centrosymmetric_null(a: np.ndarray, b: np.ndarray) -> ConditionReport:
@@ -383,8 +349,9 @@ def hemitropic_null_family(p: HemitropicParams) -> ConditionReport:
 
 
 def lagrangian(m: MicropolarModuli) -> QuadraticLagrangian:
-    """Quadratic density of the stored energy in the combined field
-    y = (displacement, rotation), N = 6."""
+    """The stored energy eps.A[eps]/2 + kap.B[kap]/2 + eps.D[kap] as a
+    quadratic density in the combined field y = (u, phi), N = 6, with
+    stretch eps_ij = u_{i,j} + e_kij phi_k and wryness kap_ij = phi_{i,j}."""
     lc = levi_civita()
     n = 6
     p = np.zeros((n, 3, n, 3))

@@ -8,21 +8,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import em, micropolar, quasicrystal
-from .report import ConditionReport
 from .rund import GeneratorSet, generator_set_from_json
 from .tensors import Moduli, floats_from_json
-from .verifier import QuadraticLagrangian
 
 __all__ = ["LoadedModel", "load_model", "load_input_file"]
-
-#: family -> (module, name of its null-condition check).  Each module also
-#: defines `lagrangian(moduli)`.  Both are looked up on the module at call
-#: time, so a replaced module attribute takes effect.
-_FAMILIES = {
-    "micropolar": (micropolar, "check_null_sufficient"),
-    "quasicrystal": (quasicrystal, "check_qc_null"),
-    "em_elast": (em, "check_em_null"),
-}
 
 _ISO_KEYS = ("lambda", "mu", "kappa", "beta1", "beta2", "beta3")
 
@@ -32,38 +21,26 @@ def _constants_moduli(*values: float) -> micropolar.MicropolarModuli:
     return micropolar.HemitropicParams(*values).moduli()
 
 
-def _tensor_tag(family: str, moduli: type[Moduli]) -> tuple:
-    """The tag of a family's moduli tensors: each field is read from the key
-    of its capitalized name as a flat list of 3**order numbers."""
-    return family, {name.capitalize(): 3**cls.order for name, (cls, _) in moduli.FIELDS.items()}, moduli
-
-
-#: model tag -> (family, fields, constructor).  Fields map each key to the
-#: flat length of its tensor, or to None for a number; the constructor takes
-#: the parsed fields in order and returns the family's moduli.
+#: model tag -> (fields, constructor).  Fields map each key to the flat
+#: length of its tensor, or to None for a number; the constructor takes the
+#: parsed fields in order and returns the moduli.  A moduli class's tag is
+#: its FAMILY, with a key per field, its capitalized name.
 _MODEL_TAGS = {
-    "micropolar": _tensor_tag("micropolar", micropolar.MicropolarModuli),
-    "micropolar_isotropic": ("micropolar", dict.fromkeys(_ISO_KEYS), _constants_moduli),
-    "micropolar_hemitropic": ("micropolar", dict.fromkeys((*_ISO_KEYS, "zeta", "nu", "rho")), _constants_moduli),
-    "quasicrystal": _tensor_tag("quasicrystal", quasicrystal.QcModuli),
-    "em_elast": _tensor_tag("em_elast", em.EmModuli),
+    **{moduli.FAMILY: ({name.capitalize(): 3**cls.order for name, (cls, _) in moduli.FIELDS.items()}, moduli)
+       for moduli in (micropolar.MicropolarModuli, quasicrystal.QcModuli, em.EmModuli)},
+    "micropolar_isotropic": (dict.fromkeys(_ISO_KEYS), _constants_moduli),
+    "micropolar_hemitropic": (dict.fromkeys((*_ISO_KEYS, "zeta", "nu", "rho")), _constants_moduli),
 }
 
 
 @dataclass(frozen=True, eq=False)
 class LoadedModel:
     kind: str
-    moduli: object
-    family: str  # a key of _FAMILIES
+    moduli: Moduli
 
-    def check(self, tol_abs: float) -> ConditionReport:
-        """Run the family's null-condition check on the moduli."""
-        module, name = _FAMILIES[self.family]
-        return getattr(module, name)(self.moduli, tol_abs=tol_abs)
-
-    def lagrangian(self) -> QuadraticLagrangian:
-        """The family's quadratic density for the moduli."""
-        return _FAMILIES[self.family][0].lagrangian(self.moduli)
+    @property
+    def family(self) -> str:
+        return self.moduli.FAMILY
 
 
 def _scalar(obj: dict, key: str) -> float:
@@ -80,7 +57,7 @@ def load_model(obj: dict) -> LoadedModel:
     kind = obj.get("model")
     if not isinstance(kind, str) or kind not in _MODEL_TAGS:
         raise ValueError(f"unknown model tag {kind!r}; expected one of {sorted(_MODEL_TAGS)}")
-    family, fields, build = _MODEL_TAGS[kind]
+    fields, build = _MODEL_TAGS[kind]
     keys = {"model", *fields}
     if set(obj) != keys:
         unknown = set(obj) - keys
@@ -95,7 +72,7 @@ def load_model(obj: dict) -> LoadedModel:
         _scalar(obj, key) if length is None else floats_from_json(obj[key], length, f"field {key!r}")
         for key, length in fields.items()
     ]
-    return LoadedModel(kind, build(*values), family)
+    return LoadedModel(kind, build(*values))
 
 
 def _unique_keys(pairs: list) -> dict:

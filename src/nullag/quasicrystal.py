@@ -1,4 +1,4 @@
-"""Phonon-phason energetics and null-Lagrangian conditions for quasicrystals.
+"""Phonon-phason energy and null-Lagrangian conditions for quasicrystals.
 
 Only the six-component case (3 phonon + 3 phason displacements) is
 implemented.  Admissible phason moduli are built by closing user seeds
@@ -22,7 +22,6 @@ from .tensors import (
     TILDE,
     ZERO_IF_IK_OR_JL,
     Moduli,
-    as_matrix3,
     as_tensor4,
     combine,
 )
@@ -30,9 +29,6 @@ from .verifier import QuadraticLagrangian, euler_residual
 
 __all__ = [
     "QcModuli",
-    "QcState",
-    "qc_energy",
-    "qc_constitutive",
     "qc_equilibrium_residual",
     "check_qc_null",
     "admissible_phason_modulus",
@@ -59,39 +55,13 @@ class QcModuli(Moduli):
         "d": (MINOR_LEFT, "coupling modulus violates left minor symmetry by {gap:.3e}"),
         "e": (MAJOR, "phason modulus violates major symmetry by {gap:.3e}"),
     }
+    FAMILY = "quasicrystal"
 
+    def check(self, tol_abs: float = DEFAULT_TOL_ABS) -> ConditionReport:
+        return check_qc_null(self, tol_abs)
 
-@dataclass(frozen=True, eq=False)
-class QcState:
-    """Phonon/phason displacement fields with their distortion tensors."""
-
-    u_p: PolyField
-    u_s: PolyField
-    gamma: PolyField  # 9 components, 3i + j holding d(u_p)_i / dx_j
-    kappa: PolyField  # 9 components, 3i + j holding d(u_s)_i / dx_j
-
-    @classmethod
-    def from_fields(cls, u_p: PolyField, u_s: PolyField) -> "QcState":
-        if u_p.n != 3 or u_s.n != 3:
-            raise ValueError("phonon and phason fields must have 3 components")
-        return cls(u_p, u_s, u_p.diff(), u_s.diff())
-
-
-def qc_energy(m: QcModuli, gamma, kappa) -> float:
-    """g.C[g]/2 + k.E[k]/2 + g.D[k] on distortion tensors."""
-    gamma, kappa = as_matrix3(gamma), as_matrix3(kappa)
-    out = 0.5 * np.einsum("ijkl,ij,kl->", m.c, gamma, gamma)
-    out += 0.5 * np.einsum("ijkl,ij,kl->", m.e, kappa, kappa)
-    out += np.einsum("ijkl,ij,kl->", m.d, gamma, kappa)
-    return float(out)
-
-
-def qc_constitutive(m: QcModuli, gamma, kappa) -> tuple[np.ndarray, np.ndarray]:
-    """Phonon and phason stresses conjugate to the distortions."""
-    gamma, kappa = as_matrix3(gamma), as_matrix3(kappa)
-    sigma_p = np.einsum("ijkl,kl->ij", m.c, gamma) + np.einsum("ijkl,kl->ij", m.d, kappa)
-    sigma_s = np.einsum("klij,kl->ij", m.d, gamma) + np.einsum("ijkl,kl->ij", m.e, kappa)
-    return sigma_p, sigma_s
+    def lagrangian(self) -> QuadraticLagrangian:
+        return lagrangian(self)
 
 
 def qc_equilibrium_residual(m: QcModuli, u_p: PolyField, u_s: PolyField, f_p: PolyField | None,
@@ -151,7 +121,8 @@ def admissible_phason_modulus(seeds: dict[tuple[int, int, int, int], float]) -> 
 
 
 def lagrangian(m: QcModuli) -> QuadraticLagrangian:
-    """Quadratic density in the combined field y = (phonon, phason), N = 6."""
+    """The energy g.C[g]/2 + k.E[k]/2 + g.D[k] in y = (u_p, u_s), N = 6, with
+    the phonon and phason distortions g = grad u_p and k = grad u_s."""
     n = 6
     p = np.zeros((n, 3, n, 3))
     p[:3, :, :3, :] = m.c

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,15 +54,22 @@ def tensor_scale(t) -> float:
     return float(np.max(np.abs(t))) or 1.0
 
 
+def as_tolerance(value, what: str) -> float:
+    """`value` as a float if a finite real number >= 0, not a bool; else a ValueError names `what`."""
+    # float first: the usual argument then skips the slower abstract-class check
+    if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)) or not math.isfinite(value) or value < 0:
+        raise ValueError(f"{what} must be a finite number >= 0, got {value}")
+    return float(value)
+
+
 def make_check(name: str, violation: float, scale: float, tol_abs: float = DEFAULT_TOL_ABS) -> ConditionCheck:
     """Build a check; passes when the violation is within the absolute
     tolerance or within DEFAULT_TOL_REL of the tensor magnitude.
 
-    Raises ValueError for an absolute tolerance that is negative or not
-    finite, and for a violation that is not finite (moduli so close to the
+    Raises ValueError for an absolute tolerance that `as_tolerance`
+    rejects, and for a violation that is not finite (moduli so close to the
     double limit that the violation overflowed), naming the condition."""
-    if not (math.isfinite(tol_abs) and tol_abs >= 0.0):
-        raise ValueError(f"absolute tolerance must be a finite number >= 0, got {tol_abs}")
+    tol_abs = as_tolerance(tol_abs, "absolute tolerance")
     violation = float(violation)
     if not math.isfinite(violation):
         raise ValueError(f"condition {name!r}: violation overflows the double range")

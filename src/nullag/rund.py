@@ -25,11 +25,9 @@ __all__ = [
     "GenPoly",
     "GeneratorSet",
     "RundCoefficients",
-    "MicropolarBlocks",
     "rund_coefficients",
     "build_null_lagrangian",
     "RundLagrangian",
-    "micropolar_block_view",
     "coefficient_identity_residuals",
     "random_generator_set",
     "generator_set_from_json",
@@ -323,33 +321,6 @@ class RundLagrangian(Lagrangian):
 def build_null_lagrangian(g: GeneratorSet) -> RundLagrangian:
     """Null density generated by three arbitrary functions of (x, y)."""
     return RundLagrangian(g)
-
-
-@dataclass(frozen=True, eq=False)
-class MicropolarBlocks:
-    """Coefficient blocks partitioned by displacement (first three field
-    components) and rotation (last three)."""
-
-    d2_uu: np.ndarray
-    d2_phiphi: np.ndarray
-    d2_uphi: np.ndarray
-    d1_u: np.ndarray
-    d1_phi: np.ndarray
-    d0: float
-
-
-def micropolar_block_view(g: GeneratorSet, x, y) -> MicropolarBlocks:
-    if g.n != 6:
-        raise ValueError("block view needs a six-component field")
-    coeff = rund_coefficients(g, x, y)
-    return MicropolarBlocks(
-        d2_uu=coeff.d2[:, :, :3, :3],
-        d2_phiphi=coeff.d2[:, :, 3:, 3:],
-        d2_uphi=coeff.d2[:, :, :3, 3:],
-        d1_u=coeff.d1[:, :3],
-        d1_phi=coeff.d1[:, 3:],
-        d0=coeff.d0,
-    )
 
 
 def coefficient_identity_residuals(g: GeneratorSet, x, y) -> tuple[np.ndarray, np.ndarray]:

@@ -18,9 +18,7 @@ __all__ = [
     "as_matrix3",
     "as_tensor4",
     "levi_civita",
-    "apply4",
     "invariants2",
-    "major_transpose",
     "IndexRelation",
     "SymmetryClass",
     "MAJOR",
@@ -49,7 +47,7 @@ _SHAPES = {2: (3, 3), 3: (3, 3, 3), 4: (3, 3, 3, 3)}
 SYMMETRY_TOL = 1e-12
 
 
-def _validated(data, order: int) -> np.ndarray:
+def _validated(data, order: int, where: str = "") -> np.ndarray:
     arr = np.asarray(data, dtype=float)
     shape = _SHAPES[order]
     if arr.shape != shape:
@@ -57,11 +55,11 @@ def _validated(data, order: int) -> np.ndarray:
             arr = arr.reshape(shape)
         else:
             raise ValueError(
-                f"expected {np.prod(shape)} components for an order-{order} "
+                f"{where}expected {np.prod(shape)} components for an order-{order} "
                 f"tensor, got shape {np.asarray(data).shape}"
             )
     if not np.all(np.isfinite(arr)):
-        raise ValueError("tensor entries must be finite")
+        raise ValueError(f"{where}tensor entries must be finite")
     arr = arr.copy()
     arr.flags.writeable = False
     return arr
@@ -91,16 +89,6 @@ _LEVI_CIVITA = _build_levi_civita()
 def levi_civita() -> np.ndarray:
     """The alternating tensor: +1 on even permutations of (1,2,3)."""
     return _LEVI_CIVITA
-
-
-def apply4(t4: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Action of a rank-4 tensor on a matrix: (T[M])_ij = T_ijkl M_kl."""
-    return np.einsum("ijkl,kl->ij", t4, m)
-
-
-def major_transpose(t4: np.ndarray) -> np.ndarray:
-    """Swap the leading and trailing index pairs: T_ijkl -> T_klij."""
-    return np.transpose(t4, (2, 3, 0, 1))
 
 
 def invariants2(m: np.ndarray) -> tuple[float, float, float]:
@@ -238,21 +226,22 @@ def check_symmetry(t: np.ndarray, cls: SymmetryClass) -> float:
 
 
 class Moduli:
-    """Base of the frozen moduli dataclasses of the model families.
-
-    `FIELDS` maps each dataclass field, in constructor order, to its symmetry
-    class, whose order gives the tensor's shape, and the message for a
-    violation above `SYMMETRY_TOL`, formatted with the violation `gap`; a
-    field without a symmetry condition has message None.  Construction first
-    validates and freezes every field, then checks the symmetries in order,
-    so a non-finite entry is reported before any asymmetry.
+    """Base of the frozen moduli dataclasses, each the record of its model
+    family: `FAMILY` names it, `check(tol_abs)` and `lagrangian()` give its
+    null-condition report and density.  `FIELDS` maps each dataclass field,
+    in constructor order, to its symmetry class, whose order gives the
+    tensor's shape, and the message for a violation above `SYMMETRY_TOL`,
+    formatted with the violation `gap`; a field without a symmetry condition
+    has message None.  Construction first validates and freezes every field,
+    naming the field in an error, then checks the symmetries in order, so a
+    non-finite entry is reported before any asymmetry.
     """
 
     FIELDS: dict[str, tuple[SymmetryClass, str | None]] = {}
 
     def __post_init__(self) -> None:
         for name, (cls, _) in self.FIELDS.items():
-            object.__setattr__(self, name, _validated(getattr(self, name), cls.order))
+            object.__setattr__(self, name, _validated(getattr(self, name), cls.order, f"field {name!r}: "))
         for name, (cls, message) in self.FIELDS.items():
             if message is not None and (gap := check_symmetry(getattr(self, name), cls)) > SYMMETRY_TOL:
                 raise ValueError(message.format(gap=gap))

@@ -25,6 +25,7 @@ import numpy as np
 
 from .polyfield import PolyField, bubble_damped, evaluate_on_rule, field_states, random_polyfield, stack_fields
 from .quadrature import cube_rule, required_order
+from .report import as_tolerance
 
 __all__ = [
     "Lagrangian",
@@ -309,10 +310,11 @@ def certify_null(
     from `default_rng` of child t, then trials + b, of `SeedSequence(seed)
     .spawn(trials + boundary_pairs)`, at most 2**32 children; a sampler's
     Generator is valid only during its call.  Counts, degree and seed are
-    ints, not bools.  All trial states are evaluated in one batch and
-    reduced in one residual evaluation.  `order` is a minimum: each boundary
-    action is raised to the order its density's per-coordinate degree bound
-    needs, and all actions of one order share one quadrature pass.
+    ints and the residual tolerance a real number, none of them a bool.
+    All trial states are evaluated in one batch and reduced in one residual
+    evaluation.  `order` is a minimum: each boundary action is raised to
+    the order its density's per-coordinate degree bound needs, and all
+    actions of one order share one quadrature pass.
     """
     trials = _integer(trials, "trials", 1)
     degree = _integer(degree, "degree", 2, " to exercise second derivatives")
@@ -320,10 +322,8 @@ def certify_null(
     seed = _integer(seed, "seed", 0)
     points_per_trial = _integer(points_per_trial, "points per trial", 1)
     boundary_pairs = _integer(boundary_pairs, "boundary pairs", 0)
-    if residual_tol is None:
-        residual_tol = CLOSED_FORM_RESIDUAL_TOL
-    if not (np.isfinite(residual_tol) and residual_tol >= 0.0):
-        raise ValueError(f"residual tolerance must be a finite number >= 0, got {residual_tol}")
+    residual_tol = as_tolerance(CLOSED_FORM_RESIDUAL_TOL if residual_tol is None else residual_tol,
+                                "residual tolerance")
     sampler = sampler or FieldSampler(lag.n)
 
     streams = _trial_generators(seed, trials + boundary_pairs)

@@ -325,9 +325,14 @@ def test_every_model_tag_checks_and_certifies(tmp_path, capsys, model, check_exi
 
 def test_model_file_schema_is_the_one_of_the_moduli_fields():
     """Each tag's keys, in constructor order, and flat lengths (None for a
-    number), as model files have always spelled them."""
+    number), as model files have always spelled them, and the family of a
+    zero model of the tag."""
     iso = ["lambda", "mu", "kappa", "beta1", "beta2", "beta3"]
-    assert {tag: (family, list(fields.items())) for tag, (family, fields, _) in modelio._MODEL_TAGS.items()} == {
+    def family(tag, fields):
+        zeros = {key: 0.0 if length is None else [0.0] * length for key, length in fields.items()}
+        return modelio.load_model({"model": tag, **zeros}).family
+
+    assert {tag: (family(tag, fields), list(fields.items())) for tag, (fields, _) in modelio._MODEL_TAGS.items()} == {
         "micropolar": ("micropolar", [("A", 81), ("B", 81), ("D", 81)]),
         "micropolar_isotropic": ("micropolar", [(key, None) for key in iso]),
         "micropolar_hemitropic": ("micropolar", [(key, None) for key in iso + ["zeta", "nu", "rho"]]),
@@ -390,8 +395,17 @@ def near_double_limit(entries):
          "density block p must be finite"),
         # 5e307 * x1^3 loads, but its second partial 6 * 5e307 * x1 does not fit a double
         ("certify", generator_with({"exponents": [3, 0, 0, 0], "coeff": "5e307"}), "double range"),
+        # a NaN entry (JSON NaN) is named by the moduli field that holds it
+        ("check", {"model": "micropolar", "A": Z81, "B": Z81, "D": near_double_limit({40: float("nan")})},
+         "error: field 'd': tensor entries must be finite\n"),
+        ("check", {"model": "quasicrystal", "C": Z81, "D": Z81, "E": near_double_limit({0: float("nan")})},
+         "error: field 'e': tensor entries must be finite\n"),
+        ("check", {"model": "em_elast", "C": Z81, "P": [0.0] * 27, "Q": [0.0] * 27, "Ediel": [0.0] * 9,
+                   "Bperm": [0.0] * 9, "Acpl": [0.0] * 8 + [float("nan")]},
+         "error: field 'acpl': tensor entries must be finite\n"),
     ],
-    ids=["micropolar-A", "quasicrystal-E", "isotropic", "split-B", "certify-A", "certify-generator-partial"],
+    ids=["micropolar-A", "quasicrystal-E", "isotropic", "split-B", "certify-A", "certify-generator-partial",
+         "micropolar-nan-D", "quasicrystal-nan-E", "em-nan-Acpl"],
 )
 def test_moduli_beyond_double_range_are_usage_errors(tmp_path, capsys, command, model, needle):
     path = write(tmp_path, "big.json", model)

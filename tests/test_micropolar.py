@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from energy_oracle import at_rest, constitutive, coupling_equivalence_probe, energy_density, strain_wryness
 from nullag import micropolar as mp
 from nullag import verifier as vf
 from nullag.polyfield import PolyField, constant_field, join, random_polyfield
@@ -32,7 +33,7 @@ def test_strain_wryness_constant_rotation():
     # u = 0, phi = e3: eps_ij = e_kij phi_k = e_3ij, kap = 0
     u = PolyField.zero(3)
     phi = constant_field([0.0, 0.0, 1.0])
-    eps, kap = mp.strain_wryness(u, phi)
+    eps, kap = strain_wryness(u, phi)
     e0 = eps.eval(np.array([[0.2, 0.5, 0.8]])).reshape(-1, 3, 3)[0]
     lc = levi_civita()
     assert np.array_equal(e0, lc[2])
@@ -42,7 +43,7 @@ def test_strain_wryness_constant_rotation():
 
 def test_strain_wryness_shear():
     u = PolyField([{(0, 1, 0): 1.0}, {}, {}])
-    eps, kap = mp.strain_wryness(u, PolyField.zero(3))
+    eps, kap = strain_wryness(u, PolyField.zero(3))
     e0 = eps.eval(np.array([[0.3, 0.7, 0.2]])).reshape(-1, 3, 3)[0]
     expected = np.zeros((3, 3))
     expected[0, 1] = 1.0
@@ -54,7 +55,7 @@ def test_strain_wryness_linear_rotation():
     # u = 0, phi = (x1, 0, 0): kap_11 = 1; eps_ij = e_1ij x1
     u = PolyField.zero(3)
     phi = PolyField([{(1, 0, 0): 1.0}, {}, {}])
-    eps, kap = mp.strain_wryness(u, phi)
+    eps, kap = strain_wryness(u, phi)
     x = np.array([[0.4, 0.9, 0.1]])
     k0 = kap.eval(x).reshape(-1, 3, 3)[0]
     assert k0[0, 0] == 1.0 and np.count_nonzero(k0) == 1
@@ -66,36 +67,62 @@ def test_strain_wryness_linear_rotation():
 
 # ----------------------------------------------------------------- energetics
 
+def density_at(m, eps, kap):
+    """The family density at y = 0, where grad u and grad phi are the stretch and the wryness."""
+    return at_rest(mp.lagrangian(m), np.concatenate([eps, kap]))[0]
+
+
+def conjugates(m, eps, kap):
+    """The stress and the couple stress: the density's gradient in Dy."""
+    g = at_rest(mp.lagrangian(m), np.concatenate([eps, kap]))[1]
+    return g[:3], g[3:]
+
+
 def test_energy_density_zero_moduli():
     m = mp.MicropolarModuli.zero()
     rng = np.random.default_rng(0)
-    assert mp.energy_density(m, rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (3, 3))) == 0.0
+    assert density_at(m, rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (3, 3))) == 0.0
 
 
 def test_energy_density_iso_spot():
     a = mp.IsotropicParams(0.0, 1.0, 0.0, 0.0, 0.0, 0.0).a_tensor()
     m = mp.MicropolarModuli(a, Z4, Z4)
-    assert mp.energy_density(m, np.eye(3), np.zeros((3, 3))) == pytest.approx(3.0, abs=1e-14)
+    assert density_at(m, np.eye(3), np.zeros((3, 3))) == pytest.approx(3.0, abs=1e-14)
 
 
 def test_energy_density_c0_model():
     c0 = 1.3
     b = 2.0 * c0 * iso_b(1.0, 0.0, -1.0)
     m = mp.MicropolarModuli(Z4, b, Z4)
-    assert mp.energy_density(m, np.zeros((3, 3)), np.eye(3)) == pytest.approx(6.0 * c0, abs=1e-13)
+    assert density_at(m, np.zeros((3, 3)), np.eye(3)) == pytest.approx(6.0 * c0, abs=1e-13)
+
+
+def test_energy_density_is_the_stored_energy_of_stretch_and_wryness():
+    """At any field, rotations included, the density is the stored energy
+    of the stretch and wryness the field makes."""
+    rng = np.random.default_rng(4)
+    m = mp.HemitropicParams(*rng.uniform(-1, 1, 9)).moduli()
+    u, phi = random_polyfield(rng, 3, 2), random_polyfield(rng, 3, 2)
+    eps_f, kap_f = strain_wryness(u, phi)
+    y = join(u, phi)
+    pts = rng.uniform(0, 1, (8, 3))
+    got = mp.lagrangian(m).evaluate(pts, y.eval(pts), y.eval_grad(pts))
+    for x, value in zip(pts, got):
+        eps, kap = eps_f.eval(x).reshape(3, 3), kap_f.eval(x).reshape(3, 3)
+        assert value == pytest.approx(energy_density(m, eps, kap), abs=1e-12)
 
 
 def test_constitutive_iso_spot():
     a = mp.IsotropicParams(1.0, 1.0, 0.0, 0.0, 0.0, 0.0).a_tensor()
     m = mp.MicropolarModuli(a, Z4, Z4)
-    sigma, mu = mp.constitutive(m, np.eye(3), np.zeros((3, 3)))
+    sigma, mu = conjugates(m, np.eye(3), np.zeros((3, 3)))
     assert np.allclose(sigma, 5.0 * np.eye(3), rtol=0, atol=1e-14)
     assert np.array_equal(mu, np.zeros((3, 3)))
 
 
 def test_constitutive_zero():
     m = mp.MicropolarModuli.zero()
-    sigma, mu = mp.constitutive(m, np.zeros((3, 3)), np.zeros((3, 3)))
+    sigma, mu = conjugates(m, np.zeros((3, 3)), np.zeros((3, 3)))
     assert np.array_equal(sigma, np.zeros((3, 3)))
     assert np.array_equal(mu, np.zeros((3, 3)))
 
@@ -106,7 +133,7 @@ def test_constitutive_coupling_only_adjoint():
     m = mp.MicropolarModuli(Z4, Z4, d)
     eps = rng.uniform(-1, 1, (3, 3))
     kap = rng.uniform(-1, 1, (3, 3))
-    sigma, mu = mp.constitutive(m, eps, kap)
+    sigma, mu = conjugates(m, eps, kap)
     # sigma = D[kap]; mu = majorTranspose(D)[eps], checked by hand contraction
     sig_expect = np.zeros((3, 3))
     mu_expect = np.zeros((3, 3))
@@ -214,11 +241,11 @@ def test_coupling_equivalence_probe():
     p2 = mp.coupling_entrywise_projector()
     for _ in range(50):
         t = rng.uniform(-1, 1, 81)
-        assert mp.coupling_equivalence_probe(t.reshape(3, 3, 3, 3))
+        assert coupling_equivalence_probe(t.reshape(3, 3, 3, 3))
         via1 = (p1 @ t).reshape(3, 3, 3, 3)
         via2 = (p2 @ t).reshape(3, 3, 3, 3)
-        assert mp.coupling_equivalence_probe(via1)
-        assert mp.coupling_equivalence_probe(via2)
+        assert coupling_equivalence_probe(via1)
+        assert coupling_equivalence_probe(via2)
         assert mp.check_coupling_entrywise(via1).passed
         assert np.max(np.abs(mp.coupling_direct_rows() @ via2.reshape(81))) <= 1e-13
 
@@ -236,7 +263,7 @@ def test_cached_coupling_arrays_refuse_writes(name):
     rng = np.random.default_rng(21)
     t = rng.uniform(-1, 1, 81)
     for d in (t, mp.coupling_direct_projector() @ t):
-        assert mp.coupling_equivalence_probe(d.reshape(3, 3, 3, 3))
+        assert coupling_equivalence_probe(d.reshape(3, 3, 3, 3))
 
 
 def reference_coupling_rows(entrywise):
@@ -526,7 +553,7 @@ def test_positive_definite_matches_the_energy_at_the_least_eigenvector():
         _, vectors = np.linalg.eigh(np.block([[a, d], [d.T, b]]))
         eps, kap = vectors[:9, 0].reshape(3, 3), vectors[9:, 0].reshape(3, 3)
         verdicts.append(mp.positive_definite(p))
-        assert verdicts[-1] == (mp.energy_density(m, eps, kap) > 0.0)
+        assert verdicts[-1] == (energy_density(m, eps, kap) > 0.0)
     assert 0 < sum(verdicts) < len(verdicts)
 
 
@@ -581,7 +608,7 @@ def test_residual_matches_equilibrium_equations():
     u = random_polyfield(rng, 3, 3)
     phi = random_polyfield(rng, 3, 3)
     y = join(u, phi)
-    eps_f, kap_f = mp.strain_wryness(u, phi)
+    eps_f, kap_f = strain_wryness(u, phi)
     lc = levi_civita()
     for x0 in rng.uniform(0.2, 0.8, (3, 3)):
         res = vf.euler_residual(lag, y, x0)
@@ -593,11 +620,11 @@ def test_residual_matches_equilibrium_equations():
             xp[j] += h
             xm = x0.copy()
             xm[j] -= h
-            sp, mup = mp.constitutive(m, eps_f.eval(xp).reshape(3, 3), kap_f.eval(xp).reshape(3, 3))
-            sm, mum = mp.constitutive(m, eps_f.eval(xm).reshape(3, 3), kap_f.eval(xm).reshape(3, 3))
+            sp, mup = constitutive(m, eps_f.eval(xp).reshape(3, 3), kap_f.eval(xp).reshape(3, 3))
+            sm, mum = constitutive(m, eps_f.eval(xm).reshape(3, 3), kap_f.eval(xm).reshape(3, 3))
             div_sigma += (sp[:, j] - sm[:, j]) / (2 * h)
             div_mu += (mup[:, j] - mum[:, j]) / (2 * h)
-        sigma0, _ = mp.constitutive(m, eps_f.eval(x0).reshape(3, 3), kap_f.eval(x0).reshape(3, 3))
+        sigma0, _ = constitutive(m, eps_f.eval(x0).reshape(3, 3), kap_f.eval(x0).reshape(3, 3))
         expected = np.concatenate([div_sigma, div_mu - np.einsum("ijk,jk->i", lc, sigma0)])
         assert np.max(np.abs(res - expected)) <= 1e-7
 

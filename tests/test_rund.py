@@ -26,7 +26,6 @@ from nullag.rund import (
     build_null_lagrangian,
     generator_set_from_json,
     generator_set_to_json,
-    micropolar_block_view,
     random_generator_set,
     rund_coefficients,
 )
@@ -140,33 +139,23 @@ def test_euler_residual_vanishes_at_random_points():
 
 
 def test_block_view_partitions():
+    """The coefficient blocks of displacement (field components 0-2) and
+    rotation (3-5): a generator set that reads only one kind of component
+    leaves only that kind's block."""
     g_phi = minor_example()  # depends only on rotation components
     rng = np.random.default_rng(7)
     x, y = rng.uniform(0, 1, 3), rng.uniform(-1, 1, N)
-    blocks = micropolar_block_view(g_phi, x, y)
-    assert np.array_equal(blocks.d2_uu, np.zeros((3, 3, 3, 3)))
-    assert np.array_equal(blocks.d2_uphi, np.zeros((3, 3, 3, 3)))
-    assert np.any(blocks.d2_phiphi != 0.0)
+    d2 = rund_coefficients(g_phi, x, y).d2
+    assert np.array_equal(d2[:, :, :3, :3], np.zeros((3, 3, 3, 3)))
+    assert np.array_equal(d2[:, :, :3, 3:], np.zeros((3, 3, 3, 3)))
+    assert np.any(d2[:, :, 3:, 3:] != 0.0)
 
     # S1 = y1 (= u1), S2 = -y2 (= u2): only the displacement block survives
     g_u = GeneratorSet([unit_gen(3 + 0), unit_gen(3 + 1, -1), GenPoly(NVARS)], N)
-    blocks = micropolar_block_view(g_u, x, y)
-    assert np.any(blocks.d2_uu != 0.0)
-    assert np.array_equal(blocks.d2_phiphi, np.zeros((3, 3, 3, 3)))
-    assert np.array_equal(blocks.d2_uphi, np.zeros((3, 3, 3, 3)))
-
-
-def test_block_view_reassembles():
-    g = random_generator_set(np.random.default_rng(8), N, 2)
-    rng = np.random.default_rng(9)
-    x, y = rng.uniform(0, 1, 3), rng.uniform(-1, 1, N)
-    coeff = rund_coefficients(g, x, y)
-    blocks = micropolar_block_view(g, x, y)
-    assert np.array_equal(blocks.d2_uu, coeff.d2[:, :, :3, :3])
-    assert np.array_equal(blocks.d2_phiphi, coeff.d2[:, :, 3:, 3:])
-    assert np.array_equal(blocks.d1_u, coeff.d1[:, :3])
-    assert np.array_equal(blocks.d1_phi, coeff.d1[:, 3:])
-    assert blocks.d0 == coeff.d0
+    d2 = rund_coefficients(g_u, x, y).d2
+    assert np.any(d2[:, :, :3, :3] != 0.0)
+    assert np.array_equal(d2[:, :, 3:, 3:], np.zeros((3, 3, 3, 3)))
+    assert np.array_equal(d2[:, :, :3, 3:], np.zeros((3, 3, 3, 3)))
 
 
 def test_rotation_only_generators_leave_no_displacement_block():
@@ -180,9 +169,9 @@ def test_rotation_only_generators_leave_no_displacement_block():
         filtered.append(GenPoly(NVARS, terms))
     g = GeneratorSet(filtered, N)
     for _ in range(5):
-        blocks = micropolar_block_view(g, rng.uniform(0, 1, 3), rng.uniform(-1, 1, N))
-        assert np.array_equal(blocks.d2_uu, np.zeros((3, 3, 3, 3)))
-        assert np.array_equal(blocks.d2_uphi, np.zeros((3, 3, 3, 3)))
+        d2 = rund_coefficients(g, rng.uniform(0, 1, 3), rng.uniform(-1, 1, N)).d2
+        assert np.array_equal(d2[:, :, :3, :3], np.zeros((3, 3, 3, 3)))
+        assert np.array_equal(d2[:, :, :3, 3:], np.zeros((3, 3, 3, 3)))
 
 
 def test_coefficient_identities_random_generators():

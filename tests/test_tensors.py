@@ -18,7 +18,6 @@ from nullag.tensors import (
     ZERO_IF_IK_OR_JL,
     IndexRelation,
     SymmetryClass,
-    apply4,
     as_matrix3,
     as_tensor4,
     check_symmetry,
@@ -26,7 +25,6 @@ from nullag.tensors import (
     combine,
     invariants2,
     levi_civita,
-    major_transpose,
     nullspace_projector,
     orbit_summary,
     project,
@@ -46,30 +44,6 @@ def test_levi_civita_antisymmetry():
     e = levi_civita()
     assert np.array_equal(np.transpose(e, (1, 0, 2)), -e)
     assert np.array_equal(np.transpose(e, (0, 2, 1)), -e)
-
-
-def test_apply4_identity_pairing():
-    t = np.einsum("ik,jl->ijkl", np.eye(3), np.eye(3))
-    m = np.arange(9.0).reshape(3, 3)
-    assert np.array_equal(apply4(t, m), m)
-
-
-def test_apply4_transposer():
-    t = np.einsum("il,jk->ijkl", np.eye(3), np.eye(3))
-    m = np.arange(9.0).reshape(3, 3)
-    assert np.array_equal(apply4(t, m), m.T)
-
-
-def test_apply4_trace_pairing():
-    # hand contraction: T_ijkl = d_ij d_kl acting on I gives d_ij * I_kk = 3 I
-    t = np.einsum("ij,kl->ijkl", np.eye(3), np.eye(3))
-    expected = np.zeros((3, 3))
-    m = np.eye(3)
-    for i, j in itertools.product(range(3), repeat=2):
-        for k, l in itertools.product(range(3), repeat=2):
-            expected[i, j] += t[i, j, k, l] * m[k, l]
-    assert np.array_equal(apply4(t, m), expected)
-    assert np.array_equal(expected, 3.0 * np.eye(3))
 
 
 def test_invariants2_identity():
@@ -105,8 +79,8 @@ def test_adjoint_identity_random():
         t = rng.uniform(-1, 1, (3, 3, 3, 3))
         m = rng.uniform(-1, 1, (3, 3))
         n = rng.uniform(-1, 1, (3, 3))
-        lhs = float(np.einsum("ij,ij->", m, apply4(t, n)))
-        rhs = float(np.einsum("ij,ij->", n, apply4(major_transpose(t), m)))
+        lhs = float(np.einsum("ij,ijkl,kl->", m, t, n))  # m . T[n]
+        rhs = float(np.einsum("ij,klij,kl->", n, t, m))  # n . T^T[m], T^T the major transpose
         assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(lhs))
 
 
@@ -524,8 +498,13 @@ def test_moduli_name_the_violated_symmetry(moduli, name, message):
 def test_moduli_report_a_non_finite_entry_before_any_asymmetry():
     bad_a = np.zeros((3, 3, 3, 3))
     bad_a[0, 1, 2, 0] = 1.0
-    with pytest.raises(ValueError, match="^tensor entries must be finite$"):
+    with pytest.raises(ValueError, match="^field 'd': tensor entries must be finite$"):
         micropolar.MicropolarModuli(bad_a, np.zeros((3, 3, 3, 3)), np.full((3, 3, 3, 3), np.nan))
+
+
+def test_moduli_name_the_field_of_a_wrong_size():
+    with pytest.raises(ValueError, match=r"^field 'q': expected 27 components for an order-3 tensor, got shape"):
+        dataclasses.replace(em.EmModuli.zero(), q=np.zeros(26))
 
 
 @pytest.mark.parametrize("moduli", [micropolar.MicropolarModuli, quasicrystal.QcModuli, em.EmModuli],

@@ -1,6 +1,7 @@
 import inspect
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from nullag.polyfield import (
     stack_fields,
 )
 from nullag.quadrature import boundary_rule, cube_rule, required_order
+from nullag.report import make_check
 from nullag.tensors import MAJOR, MINOR_LEFT, TILDE, class_projector_matrix, project
 from nullag.verifier import (
     FieldSampler,
@@ -390,6 +392,32 @@ def test_certify_stores_numpy_integers_as_int(kind):
     assert type(cert.trials) is type(cert.degree) is type(cert.seed) is int
     assert cert == certify_null(lag, **kwargs)
     assert _json_text(cert.as_dict()) == _json_text(certify_null(lag, **kwargs).as_dict())
+
+
+#: Each taker of a tolerance: a call that returns the tolerance it stored, and the name its errors give it.
+TOLERANCE_TAKERS = {
+    "certify_null": (lambda tol: certify_null(mp.lagrangian(ISO_FAILING.moduli()), trials=2, seed=3,
+                                              residual_tol=tol).residual_tolerance, "residual tolerance"),
+    "make_check": (lambda tol: make_check("C zero", 0.0, 1e-3, tol).tolerance, "absolute tolerance"),
+}
+
+
+@pytest.mark.parametrize("taker", TOLERANCE_TAKERS)
+@pytest.mark.parametrize("value", [True, False, "1e-10", 1e-10j, [1e-10]],
+                         ids=["true", "false", "string", "complex", "list"])
+def test_tolerances_are_real_numbers_only(taker, value):
+    """A bool is not read as 1 or 0, nor a string as the number it spells."""
+    call, what = TOLERANCE_TAKERS[taker]
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{what} must be a finite number >= 0, got {value}')}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("taker", TOLERANCE_TAKERS)
+@pytest.mark.parametrize("value", [np.float32(1e-10), np.float64(0.25), np.int64(1), Fraction(1, 4)],
+                         ids=["float32", "float64", "int64", "fraction"])
+def test_tolerances_are_stored_as_float(taker, value):
+    stored = TOLERANCE_TAKERS[taker][0](value)
+    assert type(stored) is float and stored == float(value)
 
 
 def numpy_streams(seed, count):
