@@ -260,11 +260,21 @@ def check_centrosymmetric_null(a: np.ndarray, b: np.ndarray) -> ConditionReport:
     ), DEFAULT_TOL_ABS)
 
 
+def _float4(t) -> np.ndarray:
+    """`t` itself if it is a float (3, 3, 3, 3) array, as moduli fields and
+    split parts are, else `as_tensor4(t)`, which converts it or names a wrong
+    size or a non-finite entry.  The caller checks finiteness on a value that
+    every entry of `t` reaches."""
+    if type(t) is np.ndarray and t.dtype == np.float64 and t.shape == (3, 3, 3, 3):
+        return t
+    return as_tensor4(t)
+
+
 def split_B(b: np.ndarray) -> BSplit:
     """Decompose a rank-4 modulus into symmetric (hat), null-supporting
     (tilde) and major-antisymmetric (ring) parts; the parts reassemble to
     the input exactly."""
-    b = as_tensor4(b)
+    b = _float4(b)  # a non-finite entry of b makes its hat entry non-finite
     b_major = np.transpose(b, (2, 3, 0, 1))
     b_24 = np.transpose(b, (0, 3, 2, 1))
     b_13 = np.transpose(b, (2, 1, 0, 3))
@@ -278,8 +288,10 @@ def split_B(b: np.ndarray) -> BSplit:
 def cauchy_analogue(b_tilde: np.ndarray, tol_abs: float = DEFAULT_TOL_ABS) -> ConditionReport:
     """The 18 entry conditions whose joint vanishing annihilates the tilde
     part (the micropolar analogue of the classical Cauchy relations)."""
-    b_tilde = as_tensor4(b_tilde)
+    b_tilde = _float4(b_tilde)
     scale = tensor_scale(b_tilde)
+    if not np.isfinite(scale):  # the largest |entry| is non-finite: as_tensor4 names it
+        as_tensor4(b_tilde)
     values = np.abs(b_tilde.reshape(-1)[_CAUCHY_FLAT]).tolist()
     return make_report([make_check(name, v, scale, tol_abs) for name, v in zip(_CAUCHY_NAMES, values)])
 

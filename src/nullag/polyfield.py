@@ -15,10 +15,18 @@ and derivative level.  `evaluate_on_rule` keeps the monomial matrix of a
 table at a fixed Gauss rule (the cube rule or the stacked boundary rule of
 one order), evicting the least recently used first to stay within
 `_RULE_BYTES`, so repeated actions and surface integrals skip it.
+
+A monomial matrix is built in a scratch buffer that each thread keeps
+(`threading.local`) between calls, up to `_SCRATCH_BYTES`; a larger request
+allocates fresh arrays.  Repeated batches so reuse the same pages instead of
+having the allocator return and re-fault them.  The matrix is a view of the
+scratch that the next call overwrites: its callers use it at once, and
+`evaluate_on_rule` copies each block it keeps, so nothing kept aliases it.
 """
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
@@ -57,45 +65,97 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def monomial_plan(expos: np.ndarray):
     """Evaluation plan of an exponent table (T, V): the number of terms, each
-    variable's highest power, and per count k of variables a term uses, those
-    terms and the power rows (k, T_k) of their factors in variable order."""
+    variable's highest power, per count k of variables a term uses (in
+    ascending order) the power rows (k, T_k) of its terms' factors in
+    variable order, each term's row in that grouped order (None when it is
+    the table order), and the scratch floats that `_monomials` takes per
+    point.  Row (e - 1) * V + v of the power table holds x_v ** e."""
     expos = np.asarray(expos, dtype=np.int64)
     top = expos.max(axis=0, initial=0)
-    row = expos + (np.cumsum(top) - top - 1)
+    row = (expos - 1) * expos.shape[1] + np.arange(expos.shape[1])
     used = expos > 0
     count = used.sum(axis=1)
     groups = []
     for k in sorted(set(count.tolist())):
         terms = np.flatnonzero(count == k)
-        groups.append(_read_only(terms, row[terms][used[terms]].reshape(len(terms), k).T.copy()))
-    return len(expos), tuple(top.tolist()), tuple(groups)
+        groups.append(row[terms][used[terms]].reshape(len(terms), k).T.copy())
+    order = np.argsort(np.argsort(count, kind="stable"))
+    order = None if np.array_equal(order, np.arange(len(expos))) else _read_only(order)[0]
+    top = tuple(top.tolist())
+    spare = max((f.shape[1] for f in groups if len(f) > 1), default=0)
+    return len(expos), top, _read_only(*groups), order, 2 * len(expos) + len(top) * max(top, default=0) + spare
+
+
+# Bytes of the per-thread scratch that `_monomials` builds in; a larger
+# request allocates fresh arrays.  Below numpy's 4 MiB threshold for huge
+# pages, so a page is mapped only once it is used.
+_SCRATCH_BYTES = 3 << 20
+_scratch = threading.local()
+
+
+def _scratch_floats(size: int) -> np.ndarray:
+    """`size` floats of this thread's scratch, which grows by doubling, up
+    to the budget, to fit; fresh floats for a size above the budget."""
+    if 8 * size > _SCRATCH_BYTES:
+        return np.empty(size)
+    buf = getattr(_scratch, "floats", None)
+    if buf is None or buf.size < size:
+        grown = size if buf is None else min(max(size, 2 * buf.size), _SCRATCH_BYTES // 8)
+        _scratch.floats = buf = None  # freed before the larger one is allocated
+        buf = _scratch.floats = np.empty(grown)
+    return buf[:size]
 
 
 def _monomials(points: np.ndarray, plan) -> np.ndarray:
-    """C-contiguous monomial matrix (m, T) at points (m, V).  Each variable's
-    powers are built once, and each term is the product of only its own
-    factors in variable order, so it has the bits of a product over every
-    variable: the unit factors skipped are exact.  Terms are products along
-    rows of points, transposed into the layout `mono @ coeffs` sums in."""
-    nterms, top, groups = plan
+    """C-contiguous monomial matrix (m, T) at points (m, V), built in this
+    thread's scratch: the next call on the thread overwrites it, so a caller
+    that keeps it keeps a copy.  Each variable's powers are built once, the
+    e-th powers of all variables in one product, and each term is the
+    product of only its own factors in variable order, so it has the bits
+    of a product over every variable: the unit factors skipped are exact.
+    Terms are products along rows of points, one group of terms per count
+    of factors, put back in table order and transposed into the layout
+    `mono @ coeffs` sums in."""
+    nterms, top, groups, order, width = plan
+    m = points.shape[0]
     try:
-        powers = np.empty((sum(top), points.shape[0]))
+        buf = _scratch_floats(m * width)
     except (MemoryError, ValueError):  # numpy's text names neither the variable nor the exponent
         v = max(range(len(top)), key=top.__getitem__)
         name = f"x{v + 1}" if v < 3 else f"y{v - 2}"
         raise ValueError(f"cannot allocate a power table of {name}**{top[v]} at {len(points)} points") from None
+    # Per point: the T monomials, the T terms in table order, the V powers of
+    # each degree up to the highest, and one factor row per term of the
+    # largest group of two or more factors.  Terms grouped out of table order
+    # are staged in the monomials' floats, which the last copy overwrites.
+    depth = max(top, default=0)
+    size, end = nterms * m, (2 * nterms + depth * len(top)) * m
+    mono = buf[:size].reshape(m, nterms)
+    ordered = buf[size:2 * size].reshape(nterms, m)
+    grouped = ordered if order is None else buf[:size].reshape(nterms, m)
+    powers = buf[2 * size:end].reshape(depth, len(top), m)
+    spare = buf[end:]
+    if depth:
+        np.copyto(powers[0], points.T)
+    for e in range(1, depth):
+        np.multiply(powers[e - 1], powers[0], powers[e])
+    powers = powers.reshape(depth * len(top), m)
     row = 0
-    for v, e in enumerate(top):
-        for j in range(row, row + e):
-            powers[j] = points[:, v] if j == row else powers[j - 1] * points[:, v]
-        row += e
-    mono = np.empty((nterms, points.shape[0]))
-    for terms, factors in groups:
-        out = powers[factors[0]] if len(factors) else 1.0
+    for factors in groups:
+        k = factors.shape[1]
+        out = grouped[row:row + k]
+        if len(factors):
+            # "clip": the rows are in range, and "raise" would copy `out` first
+            powers.take(factors[0], 0, out, "clip")
+        else:
+            out.fill(1.0)
         for rows in factors[1:]:
-            out *= powers[rows]
-        mono[terms] = out
-    return mono.T.copy()
+            np.multiply(out, powers.take(rows, 0, spare[:k * m].reshape(k, m), "clip"), out)
+        row += k
+    if order is not None:  # the groups are not in table order
+        grouped.take(order, 0, ordered, "clip")
+    np.copyto(mono, ordered.T)
+    return mono
 
 
 def evaluate_monomials(points: np.ndarray, plan, coeffs: np.ndarray) -> np.ndarray:
@@ -109,8 +169,6 @@ def evaluate_monomials(points: np.ndarray, plan, coeffs: np.ndarray) -> np.ndarr
     """
     m = points.shape[0]
     if m <= _BLOCK_ROWS:
-        # Allocated after the monomial matrix, the result does not pin the
-        # heap below it, so freeing the matrix leaves pages for the next call.
         return _monomials(points, plan) @ coeffs
     starts = range(0, m, _BLOCK_ROWS)
     return _products((_monomials(points[i:i + _BLOCK_ROWS], plan) for i in starts), coeffs, m)
@@ -142,10 +200,8 @@ def evaluate_on_rule(table: _Table, coeffs: np.ndarray, order: int, boundary: bo
         size = points.shape[0] * len(table) * 8
         if size > _RULE_BYTES:
             return evaluate_monomials(points, table.plan, coeffs)
-        blocks = tuple(_monomials(points[i:i + _BLOCK_ROWS], table.plan)
-                       for i in range(0, points.shape[0], _BLOCK_ROWS))
-        for block in blocks:
-            block.flags.writeable = False
+        blocks = _read_only(*(_monomials(points[i:i + _BLOCK_ROWS], table.plan).copy()
+                              for i in range(0, points.shape[0], _BLOCK_ROWS)))
         while _rule_blocks and size + sum(b.nbytes for bs in _rule_blocks.values() for b in bs) > _RULE_BYTES:
             del _rule_blocks[next(iter(_rule_blocks))]
     _rule_blocks[key] = blocks

@@ -8,6 +8,7 @@ under the null symmetry group.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,6 +62,11 @@ class QcModuli(Moduli):
         return check_qc_null(self, tol_abs)
 
     def lagrangian(self) -> QuadraticLagrangian:
+        """The family density, built on first use and kept: the record is frozen."""
+        return self._density
+
+    @cached_property
+    def _density(self) -> QuadraticLagrangian:
         return lagrangian(self)
 
 
@@ -69,7 +75,7 @@ def qc_equilibrium_residual(m: QcModuli, u_p: PolyField, u_s: PolyField, f_p: Po
     """Pointwise equilibrium residuals r_p and r_s at the point x, zero at
     equilibrium: the Euler residual of the density split into its phonon
     and phason parts, plus the body forces."""
-    res = euler_residual(lagrangian(m), join(u_p, u_s), x)
+    res = euler_residual(m.lagrangian(), join(u_p, u_s), x)
     r_p, r_s = res[:3], res[3:]
     pts = np.reshape(np.asarray(x, dtype=float), (1, 3))
     if f_p is not None:
@@ -82,7 +88,7 @@ def qc_equilibrium_residual(m: QcModuli, u_p: PolyField, u_s: PolyField, f_p: Po
 def check_qc_null(m: QcModuli, tol_abs: float = DEFAULT_TOL_ABS) -> ConditionReport:
     """Null conditions: phonon and coupling moduli vanish, phason modulus
     lies in the admissible (major, doubly swap-antisymmetric) class."""
-    return check_conditions(vars(m), (
+    return check_conditions({"c": m.c, "d": m.d, "e": m.e}, (
         ("C zero", "c", np.asarray),
         ("D zero", "d", np.asarray),
         ("E major symmetry", "e", MAJOR.defect),

@@ -404,6 +404,57 @@ def test_cauchy_analogue_iff_tilde_vanishes():
         assert mp.cauchy_analogue(tilde).passed == (np.max(np.abs(tilde)) == 0.0)
 
 
+def read_only(t):
+    t = np.array(t, dtype=float)
+    t.flags.writeable = False
+    return t
+
+
+@pytest.mark.parametrize("raw", [
+    [0.5] * 80,
+    np.ones((9, 9)) * np.nan,
+    np.where(np.arange(81).reshape(3, 3, 3, 3) == 40, np.inf, 1.0),
+    read_only(np.where(np.arange(81).reshape(3, 3, 3, 3) == 7, -np.inf, 2.0)),
+    read_only(np.full((3, 3, 3, 3), np.nan)),
+    np.full((3, 3, 3, 3), np.nan, dtype=np.float32),
+    [[float("nan")] + [0.0] * 80],
+], ids=["80-entries", "nan-9x9", "inf", "read-only-inf", "read-only-nan", "float32-nan", "nested-list-nan"])
+def test_split_and_cauchy_analogue_reject_raw_input_as_the_validator_does(raw):
+    """Raw input from outside gets the checks and the error text of
+    `as_tensor4`, whether it is a list, a float array or a read-only one."""
+    with pytest.raises(ValueError) as want:
+        mp.as_tensor4(raw)
+    for call in (mp.split_B, mp.cauchy_analogue):
+        with pytest.raises(ValueError) as got:
+            call(raw)
+        assert str(got.value) == str(want.value)
+
+
+def test_split_validates_the_moduli_field_once(monkeypatch):
+    """`split_B` of a moduli record's B validates only the three parts it
+    freezes, and `cauchy_analogue` of the tilde part validates nothing
+    again; a list input is still validated itself."""
+    calls, validate = [], mp.as_tensor4
+
+    def counted(t):
+        calls.append(t)
+        return validate(t)
+
+    model = mp.MicropolarModuli(Z4, random_major_symmetric(np.random.default_rng(6)), Z4)
+    want = mp.split_B(model.b)
+    monkeypatch.setattr(mp, "as_tensor4", counted)
+    parts = mp.split_B(model.b)
+    assert len(calls) == 3
+    report = mp.cauchy_analogue(parts.b_tilde)
+    assert len(calls) == 3
+    assert report.as_dict() == mp.cauchy_analogue(want.b_tilde.tolist()).as_dict()
+    assert len(calls) == 4
+    for got, expected in zip((parts.b_hat, parts.b_tilde, parts.b_ring), (want.b_hat, want.b_tilde, want.b_ring)):
+        assert got.tobytes() == expected.tobytes() and not got.flags.writeable
+    mp.split_B(model.b.tolist())
+    assert len(calls) == 8
+
+
 def test_listed_entries_cover_every_free_orbit():
     # exhaustive: each of the 9 free orbits of the tilde class contains at
     # least one (in fact two) of the 18 listed entries

@@ -1,10 +1,19 @@
+import json
+import os
+import subprocess
+import sys
+import threading
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nullag import polyfield
+from evaluation_history import history_cases, history_digests
+from nullag import polyfield, rund
 from nullag.micropolar import CurlFreeRotationSampler
 from nullag.polyfield import (
     PolyField,
@@ -535,12 +544,21 @@ def test_rule_evaluation_equals_evaluate_monomials(order, face, cold_rules):
 
 
 def test_rule_blocks_are_read_only(cold_rules):
+    """Kept blocks refuse writes, and later evaluations, which build their
+    monomial matrices in the same scratch, leave their bytes as they were."""
     for table, coeffs in rule_tables():
         evaluate_on_rule(table, coeffs, 13)
         evaluate_on_rule(table, coeffs, 4, boundary=True)
     assert len(cold_rules) == 6
+    kept = {key: [block.tobytes() for block in blocks] for key, blocks in cold_rules.items()}
+    rng = np.random.default_rng(8)
+    for table, coeffs in rule_tables():
+        for rows in (1, 96, 2048):
+            evaluate_monomials(rng.uniform(0, 1, (rows, 3)), table.plan, coeffs)
+    assert {key: [block.tobytes() for block in blocks] for key, blocks in cold_rules.items()} == kept
     for blocks in cold_rules.values():
         for block in blocks:
+            assert block.flags.owndata
             with pytest.raises(ValueError, match="read-only"):
                 block[0, 0] = 5.0
 
@@ -578,9 +596,123 @@ def test_rule_larger_than_budget_is_evaluated_but_not_kept(cold_rules):
     assert len(cold_rules) == 0
 
 
+def test_monomials_beyond_the_scratch_budget_are_fresh():
+    """A request above `_SCRATCH_BYTES` (the 2048-row blocks of a degree-6
+    table) gets fresh arrays, leaving the scratch within its budget and
+    unchanged; smaller requests grow it up to the budget only."""
+    table = polyfield._dense(6)[0]
+    rng = np.random.default_rng(12)
+    small = rng.uniform(0, 1, (10, 3))
+    want = _monomials(small, table.plan).copy()
+    scratch = polyfield._scratch.floats
+    before = scratch.tobytes()
+    big = rng.uniform(0, 1, (polyfield._BLOCK_ROWS, 3))
+    assert 8 * len(big) * table.plan[-1] > polyfield._SCRATCH_BYTES
+    mono = _monomials(big, table.plan)
+    assert_same_bits(mono, reference_monomials(big, table.expos))
+    assert not np.shares_memory(mono, scratch)
+    assert polyfield._scratch.floats is scratch and scratch.tobytes() == before
+    assert_same_bits(_monomials(small, table.plan), want)
+    for rows in range(1, polyfield._BLOCK_ROWS + 1, 97):
+        _monomials(big[:rows], polyfield._dense(4)[0].plan)
+        assert polyfield._scratch.floats.nbytes <= polyfield._SCRATCH_BYTES
+
+
 def test_required_order():
     assert required_order(0) == 1
     assert required_order(1) == 1
     assert required_order(2) == 2
     assert required_order(15) == 8
     assert required_order(16) == 9
+
+
+HISTORY_CHILD = """
+import json, sys
+from nullag import polyfield
+from evaluation_history import history_digests
+assert not hasattr(polyfield._scratch, "floats")
+print(json.dumps(history_digests(sys.argv[1:])))
+"""
+
+
+def test_evaluations_keep_the_bits_of_a_fresh_process(cold_rules):
+    """Each evaluation, first of its process in a child, has the same bytes
+    here after calls of other row counts and tables, in reverse order, with
+    `_monomials` calls of other shapes in between and the rule blocks kept
+    from before."""
+    names = list(history_cases())
+    src = str(Path(polyfield.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, str(Path(__file__).parent)])}
+    fresh = {}
+    for name in names:
+        out = subprocess.run([sys.executable, "-c", HISTORY_CHILD, name], env=env,
+                             capture_output=True, text=True, check=True, timeout=120).stdout
+        fresh.update(json.loads(out))
+    rng = np.random.default_rng(5)
+    history = {}
+    for name in reversed(names * 2):
+        for degree, rows in ((6, 300), (1, 2048), (3, 1)):
+            _monomials(rng.uniform(-1, 1, (rows, 3)), polyfield._dense(degree)[0].plan)
+        history.update(history_digests([name]))
+    assert history == fresh
+
+
+def test_threads_evaluating_at_once_get_the_serial_bits():
+    """Four threads, more than the cores, each evaluating its own tables and
+    row counts over and over at a short switch interval, get the bytes of a
+    serial evaluation: each thread builds in its own scratch."""
+    rng = np.random.default_rng(41)
+    gens = rund.random_generator_set(rng, 6, 3)
+    x, y = rng.uniform(0, 1, (1000, 3)), rng.uniform(-1, 1, (1000, 6))
+    fields = [random_polyfield(rng, 3, 2) for _ in range(3)]
+    pts = rng.uniform(0, 1, (3, 64, 3))
+    table, coeffs = polyfield._dense(5)[0], rng.uniform(-1, 1, (56, 3))
+    many = rng.uniform(0, 1, (700, 3))
+    calls = [lambda: gens.first_partials(x, y), lambda: gens.second_partials(x[:37], y[:37]),
+             lambda: field_states(fields, pts), lambda: evaluate_monomials(many, table.plan, coeffs)]
+    serial = [[a.tobytes() for a in np.atleast_1d(*call())] for call in calls]
+    start, wrong, done = threading.Barrier(len(calls)), [], []
+
+    def work(i):
+        start.wait(timeout=30)
+        for _ in range(40):
+            if [a.tobytes() for a in np.atleast_1d(*calls[i]())] != serial[i]:
+                wrong.append(i)
+        done.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(calls))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(done) == list(range(len(calls)))
+    assert wrong == []
+
+
+def test_repeated_first_partials_allocate_only_their_result():
+    """After a warm-up call, `first_partials` at 1000 rows against the
+    55-term gradient table of a degree-3, N = 6 set allocates its (m, 3, 9)
+    result and the (m, 9) points it stacks from x and y, and nothing more:
+    the power table and monomial matrices reuse the thread's scratch."""
+    rng = np.random.default_rng(55)
+    gens = rund.random_generator_set(rng, 6, 3)
+    assert len(gens._gradient()[0]) == 55
+    x, y = rng.uniform(0, 1, (1000, 3)), rng.uniform(-1, 1, (1000, 6))
+    gens.first_partials(x, y)
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            sx, sy = gens.first_partials(x, y)
+            peak = tracemalloc.get_traced_memory()[1] - base
+            del sx, sy
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1000 * 27 * 8 + 1000 * 9 * 8 + 4096

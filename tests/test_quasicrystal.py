@@ -243,3 +243,23 @@ def test_equilibrium_residual_matches_the_moduli_contraction():
         for g, w in zip(got, want):
             assert g.shape == (3,)
             assert np.max(np.abs(g - w)) <= 1e-12
+
+
+def test_equilibrium_residual_builds_the_density_once_per_record(monkeypatch):
+    """Repeated residuals of one record build its density once and keep the
+    bits of a fresh record per call; the record's checks are unchanged."""
+    rng = np.random.default_rng(23)
+    d, e = (project(rng.uniform(-1, 1, (3, 3, 3, 3)), cls) for cls in (MINOR_LEFT, MAJOR))
+    moduli = (random_phonon(rng), d, e)
+    fields = [random_polyfield(rng, 3, 3) for _ in range(4)]
+    xs = rng.uniform(0, 1, (3, 3))
+    want = [qc.qc_equilibrium_residual(qc.QcModuli(*moduli), *fields, x) for x in xs]
+    built, build = [], qc.lagrangian
+    monkeypatch.setattr(qc, "lagrangian", lambda m: built.append(m) or build(m))
+    m = qc.QcModuli(*moduli)
+    report = m.check().as_dict()
+    got = [qc.qc_equilibrium_residual(m, *fields, x) for x in xs]
+    assert built == [m]
+    assert m.lagrangian() is m.lagrangian()
+    assert [[r.tobytes() for r in pair] for pair in got] == [[r.tobytes() for r in pair] for pair in want]
+    assert m.check().as_dict() == report == qc.QcModuli(*moduli).check().as_dict()
