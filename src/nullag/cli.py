@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii
 from . import micropolar
 from .modelio import load_input_file
 from .report import DEFAULT_TOL_ABS, ConditionReport
-from .rund import GeneratorSet, build_null_lagrangian
+from .rund import GeneratorSet, RundLagrangian
 from .tensors import orbit_summary, tensor_to_json
 from .verifier import certify_null
 
@@ -149,7 +149,7 @@ def _cmd_split(args) -> int:
 def _cmd_certify(args) -> int:
     loaded = load_input_file(args.input_file)
     if isinstance(loaded, GeneratorSet):
-        lag, kind = build_null_lagrangian(loaded), "generator"
+        lag, kind = RundLagrangian(loaded), "generator"
     else:
         lag, kind = loaded.moduli.lagrangian(), loaded.kind
     cert = certify_null(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensors
-from .polyfield import PolyField, bubble, bubble_damped, join, random_polyfield
+from .polyfield import PolyField, bubble, join, random_polyfield
 from .quadrature import boundary_rule, required_order
 from .report import (DEFAULT_TOL_ABS, DEFAULT_TOL_REL, ConditionReport, check_conditions, make_check,
                      make_report, tensor_scale)
@@ -399,7 +399,7 @@ class CurlFreeRotationSampler(FieldSampler):
         return join(u, potential.diff())
 
     def boundary_delta(self, rng: np.random.Generator, degree: int) -> PolyField:
-        du = bubble_damped(random_polyfield(rng, 3, min(degree, 1)))
+        du = bubble() * random_polyfield(rng, 3, min(degree, 1))
         # gradient of bubble^2 * g has vanishing trace AND gradient factor b
         # on the boundary, so the rotation part stays curl-free and the
         # perturbation is zero on all six faces.

@@ -37,7 +37,6 @@ from .quadrature import boundary_rule, cube_rule
 __all__ = [
     "PolyField",
     "bubble",
-    "bubble_damped",
     "constant_field",
     "evaluate_monomials",
     "evaluate_on_rule",
@@ -555,11 +554,6 @@ def bubble() -> PolyField:
     """The boundary-vanishing factor prod_a x_a (1 - x_a) on the unit cube,
     as a one-component field; built once."""
     return PolyField([{e: (-1.0) ** (sum(e) - 3) for e in product((1, 2), repeat=3)}])
-
-
-def bubble_damped(w: PolyField) -> PolyField:
-    """The field `bubble() * w`, vanishing on the cube boundary."""
-    return bubble() * w
 
 
 def random_polyfield(rng: np.random.Generator, n: int, degree: int) -> PolyField:

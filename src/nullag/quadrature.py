@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 
-__all__ = ["gauss_points_01", "cube_rule", "face_rules", "boundary_rule", "required_order"]
+__all__ = ["gauss_points_01", "cube_rule", "boundary_rule", "required_order"]
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -24,7 +24,10 @@ def gauss_points_01(order: int) -> tuple[np.ndarray, np.ndarray]:
     polynomial degree 2*order - 1."""
     if order < 1:
         raise ValueError("quadrature order must be >= 1")
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    try:
+        nodes, weights = np.polynomial.legendre.leggauss(order)
+    except MemoryError:  # numpy's text names only the array's size
+        raise ValueError(f"cannot allocate a Gauss-Legendre rule of order {order}") from None
     return _frozen(0.5 * (nodes + 1.0), 0.5 * weights)
 
 
@@ -38,35 +41,23 @@ def cube_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=None)
-def face_rules(order: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """Quadrature for the six faces of the unit cube.
-
-    Each entry is (points (n,3), weights (n,), outward_normal (3,)).
-    """
+def boundary_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The six faces of the unit cube stacked in the order x1 = 0, x1 = 1,
+    x2 = 0, ..., x3 = 1, each over the product rule of its other two axes in
+    increasing axis order: points (6n, 3) and each point's weight times its
+    face's outward normal (6n, 3)."""
     x, w = gauss_points_01(order)
     grid = np.array(list(itertools.product(x, x)))
     wts = np.array([w1 * w2 for w1, w2 in itertools.product(w, w)])
-    faces = []
-    for axis in range(3):
-        others = [a for a in range(3) if a != axis]
-        for value, orientation in ((0.0, -1.0), (1.0, 1.0)):
-            pts = np.empty((grid.shape[0], 3))
-            pts[:, axis] = value
-            pts[:, others[0]] = grid[:, 0]
-            pts[:, others[1]] = grid[:, 1]
-            normal = np.zeros(3)
-            normal[axis] = orientation
-            faces.append(_frozen(pts, wts, normal))
-    return tuple(faces)
-
-
-@functools.lru_cache(maxsize=None)
-def boundary_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """The six face rules stacked in `face_rules` order: points (6n, 3) and
-    each point's weight times its face's outward normal (6n, 3)."""
-    faces = face_rules(order)
-    return _frozen(np.concatenate([pts for pts, _, _ in faces]),
-                   np.concatenate([np.outer(wts, normal) for _, wts, normal in faces]))
+    n = len(wts)
+    pts, flux = np.empty((6 * n, 3)), np.zeros((6 * n, 3))
+    for face in range(6):
+        axis, side = divmod(face, 2)
+        rows = slice(face * n, (face + 1) * n)
+        pts[rows, axis] = side
+        pts[rows, [a for a in range(3) if a != axis]] = grid
+        flux[rows, axis] = wts if side else -wts
+    return _frozen(pts, flux)
 
 
 def required_order(degree: int) -> int:

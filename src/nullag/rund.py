@@ -26,7 +26,6 @@ __all__ = [
     "GeneratorSet",
     "RundCoefficients",
     "rund_coefficients",
-    "build_null_lagrangian",
     "RundLagrangian",
     "coefficient_identity_residuals",
     "random_generator_set",
@@ -167,15 +166,9 @@ class GeneratorSet:
             # name the first coefficient out of range, column by column in table order
             for i in np.lexsort((term, col)):
                 _to_float(num[i], den[i], "generator partial coefficient")
-        shifted = self.expos[term] - counts[part]
-        sort = np.lexsort(shifted.T[::-1])
-        new = np.ones(len(sort), dtype=bool)
-        new[1:] = np.any(shifted[sort[1:]] != shifted[sort[:-1]], axis=1)
-        row = np.empty_like(sort)
-        row[sort] = np.cumsum(new) - 1
-        expos = shifted[sort[new]]
+        expos, row = np.unique(self.expos[term] - counts[part], axis=0, return_inverse=True)
         coeffs = np.zeros((len(expos), 3 * len(tuples)))
-        coeffs[row, col] = values
+        coeffs[row.reshape(-1), col] = values
         return expos, coeffs, monomial_plan(expos)
 
     def _gradient(self) -> tuple:
@@ -316,11 +309,6 @@ class RundLagrangian(Lagrangian):
         p = max(int(field_degree), 0)
         k = max(self.generators.degree() - 1, 0)
         return 2 * (k * max(p, 1) + p)
-
-
-def build_null_lagrangian(g: GeneratorSet) -> RundLagrangian:
-    """Null density generated by three arbitrary functions of (x, y)."""
-    return RundLagrangian(g)
 
 
 def coefficient_identity_residuals(g: GeneratorSet, x, y) -> tuple[np.ndarray, np.ndarray]:

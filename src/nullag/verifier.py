@@ -23,7 +23,7 @@ from itertools import islice
 
 import numpy as np
 
-from .polyfield import PolyField, bubble_damped, evaluate_on_rule, field_states, random_polyfield, stack_fields
+from .polyfield import PolyField, bubble, evaluate_on_rule, field_states, random_polyfield, stack_fields
 from .quadrature import cube_rule, required_order
 from .report import as_tolerance
 
@@ -209,7 +209,7 @@ def action_integral(lag: Lagrangian, y: PolyField, order: int) -> float:
 def boundary_dependence_test(lag: Lagrangian, y: PolyField, w: PolyField, order: int) -> float:
     """|action(y + b*w) - action(y)| with the bubble b vanishing on the cube
     boundary; zero (to quadrature accuracy) for a null density."""
-    shifted, base = _actions(lag, [y + bubble_damped(w), y], order)
+    shifted, base = _actions(lag, [y + bubble() * w, y], order)
     return float(abs(shifted - base))
 
 
@@ -227,7 +227,7 @@ class FieldSampler:
         return random_polyfield(rng, self.n, degree)
 
     def boundary_delta(self, rng: np.random.Generator, degree: int) -> PolyField:
-        return bubble_damped(random_polyfield(rng, self.n, min(degree, 1)))
+        return bubble() * random_polyfield(rng, self.n, min(degree, 1))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import hashlib
 import numpy as np
 
 from nullag import polyfield, rund
-from nullag.polyfield import bubble_damped, evaluate_monomials, field_states, random_polyfield
+from nullag.polyfield import bubble, evaluate_monomials, field_states, random_polyfield
 
 
 def history_cases():
@@ -16,7 +16,7 @@ def history_cases():
     rng = np.random.default_rng(31)
     gens = rund.random_generator_set(rng, 6, 3)
     x, y = rng.uniform(0, 1, (1000, 3)), rng.uniform(-1, 1, (1000, 6))
-    fields = [random_polyfield(rng, 3, 3) for _ in range(4)] + [bubble_damped(random_polyfield(rng, 3, 1))]
+    fields = [random_polyfield(rng, 3, 3) for _ in range(4)] + [bubble() * random_polyfield(rng, 3, 1)]
     pts = rng.uniform(0, 1, (len(fields), 40, 3))
     table, coeffs = polyfield._dense(4)[0], rng.uniform(-1, 1, (35, 2))
     many = rng.uniform(0, 1, (2500, 3))

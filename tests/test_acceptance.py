@@ -225,7 +225,7 @@ def test_acceptance_07_rund_construction():
     all_pass = True
     for s in range(100):
         g = rund.random_generator_set(np.random.default_rng(20_000 + s), 6, 2)
-        lag = rund.build_null_lagrangian(g)
+        lag = rund.RundLagrangian(g)
         cert = vf.certify_null(lag, trials=2, seed=s, points_per_trial=2)
         all_pass &= cert.passed
         worst_resid = max(worst_resid, cert.max_normalized_residual)

@@ -482,6 +482,20 @@ def test_power_table_beyond_memory_is_a_usage_error(tmp_path):
     assert json.loads(proc.stdout) == [2, power_table_error(2**40)]
 
 
+def test_gauss_rule_beyond_memory_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    """An `--order` whose Gauss-Legendre rule numpy cannot allocate is an
+    input error that names the order; it ended in a traceback with exit
+    code 1.  numpy's refusal is simulated: the real allocation could end in
+    an out-of-memory kill on a host that overcommits memory."""
+    def out_of_memory(order):
+        raise MemoryError(f"Unable to allocate the nodes of order {order}")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", out_of_memory)
+    path = write(tmp_path, "gen.json", minor_generator_json())
+    err = assert_one_error_line(["certify", path, "--trials", "1", "--order", "100000"], capsys)
+    assert err == "error: cannot allocate a Gauss-Legendre rule of order 100000\n"
+
+
 @pytest.mark.parametrize(
     "text, key",
     [

@@ -20,7 +20,7 @@ from nullag import micropolar as mp
 from nullag import quasicrystal as qc
 from nullag import rund
 from nullag.cli import main
-from nullag.polyfield import bubble_damped, field_states, random_polyfield
+from nullag.polyfield import bubble, field_states, random_polyfield
 from nullag.tensors import MINOR_LEFT, project
 from nullag.verifier import action_integral, boundary_dependence_test, certify_null
 
@@ -40,7 +40,7 @@ def quasicrystal_failing():
 def generator_file():
     """An N = 6 degree-2 set, read back through the generator file format."""
     g = rund.random_generator_set(np.random.default_rng(11), 6, 2)
-    return rund.build_null_lagrangian(rund.generator_set_from_json(rund.generator_set_to_json(g)))
+    return rund.RundLagrangian(rund.generator_set_from_json(rund.generator_set_to_json(g)))
 
 
 def certificate(passed, residual, deltas, trials, seed):
@@ -101,7 +101,7 @@ def test_evaluation_digests_are_pinned():
 
     rng = np.random.default_rng(2025)
     fields = ([random_polyfield(rng, 6, 3) for _ in range(6)]
-              + [bubble_damped(random_polyfield(rng, 6, 2)) for _ in range(2)])
+              + [bubble() * random_polyfield(rng, 6, 2) for _ in range(2)])
     states = field_states(fields, rng.uniform(0, 1, (len(fields), 40, 3)))
     assert digest(*states) == "29b5ffa7442f5a7dd5b5d560c21873206b44deec7976dc5db53cd1d56b4715a1"
 

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from energy_oracle import at_rest, constitutive, coupling_equivalence_probe, energy_density, strain_wryness
+from face_rule_oracle import face_rules
 from nullag import micropolar as mp
 from nullag import verifier as vf
 from nullag.polyfield import PolyField, constant_field, join, random_polyfield
-from nullag.quadrature import cube_rule, face_rules
+from nullag.quadrature import cube_rule
 from nullag.tensors import check_symmetry, levi_civita, project
 
 Z4 = np.zeros((3, 3, 3, 3))
@@ -500,8 +501,9 @@ def test_surface_potential_matches_volume_integral():
 
 
 def per_face_surface_potential(tilde, phi, order):
-    """The surface potential summed face by face, each face one four-operand
-    einsum over its weights and outward normal."""
+    """The surface potential summed face by face over the reference face
+    rules, each face one four-operand einsum over its weights and outward
+    normal."""
     total = 0.0
     for pts, wts, normal in face_rules(order):
         total += float(np.einsum("ijkl,mij,mk,l->m", tilde, phi.eval_grad(pts), phi.eval(pts), normal) @ wts)

@@ -13,13 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evaluation_history import history_cases, history_digests
+from face_rule_oracle import face_rules
 from nullag import polyfield, rund
 from nullag.micropolar import CurlFreeRotationSampler
 from nullag.polyfield import (
     PolyField,
     _monomials,
     bubble,
-    bubble_damped,
     constant_field,
     evaluate_monomials,
     evaluate_on_rule,
@@ -30,7 +30,7 @@ from nullag.polyfield import (
     random_polyfield,
     stack_fields,
 )
-from nullag.quadrature import boundary_rule, cube_rule, face_rules, gauss_points_01, required_order
+from nullag.quadrature import boundary_rule, cube_rule, gauss_points_01, required_order
 
 X = sp.symbols("x1:4")
 
@@ -232,8 +232,8 @@ def test_hessian_only_states_keep_bits_and_layout(levels):
     layout, so a call that skips values or gradients must give the same
     array in the same strides, on dense and bubble-damped tables alike."""
     rng = np.random.default_rng(10)
-    fields = [random_polyfield(rng, 3, 3), bubble_damped(random_polyfield(rng, 3, 1)),
-              random_polyfield(rng, 3, 3) + bubble_damped(random_polyfield(rng, 3, 1)), random_polyfield(rng, 3, 2)]
+    fields = [random_polyfield(rng, 3, 3), bubble() * random_polyfield(rng, 3, 1),
+              random_polyfield(rng, 3, 3) + bubble() * random_polyfield(rng, 3, 1), random_polyfield(rng, 3, 2)]
     assert len({f._table for f in fields}) == 4
     pts = rng.uniform(0, 1, (4, 5, 3))
     full = field_states(fields, pts)
@@ -262,7 +262,7 @@ def test_field_states_property(n, points, degrees, shared, damped, seed):
     rng = np.random.default_rng(seed)
     fields = [random_polyfield(rng, n, degrees[0] if shared else d) for d in degrees]
     if not shared:
-        fields = [f + bubble_damped(random_polyfield(rng, n, 1)) if bump else f
+        fields = [f + bubble() * random_polyfield(rng, n, 1) if bump else f
                   for f, bump in zip(fields, damped)]
     assert_states_match_per_field(fields, rng.uniform(0, 1, (len(fields), points, 3)))
 
@@ -336,9 +336,9 @@ def test_bubble_damped_equals_poly3_product(fields):
     bub = sympy_components(bubble())[0]
     for w in fields:
         expected = sympy_terms([bub * p for p in sympy_components(w)])
-        for damped in (bubble() * w, bubble_damped(w)):
-            assert damped.terms == expected
-            assert damped._table.keys == tuple(sorted(set().union(*expected)))
+        damped = bubble() * w
+        assert damped.terms == expected
+        assert damped._table.keys == tuple(sorted(set().union(*expected)))
 
 
 def per_left_term_product(left, w):
@@ -408,7 +408,7 @@ def test_axis_degree_is_kept_and_coefficients_are_read_only():
     rng = np.random.default_rng(5)
     y, w, scalar = random_polyfield(rng, 3, 2), random_polyfield(rng, 3, 1), random_polyfield(rng, 1, 2)
     keep = np.array([1.0, 0.0] * (len(y._table) // 2) + [0.0] * (len(y._table) % 2))
-    fields = [y, y + w, y + PolyField._from_matrix(y._table, -y._coeffs), scalar * w, bubble_damped(w),
+    fields = [y, y + w, y + PolyField._from_matrix(y._table, -y._coeffs), scalar * w, bubble() * w,
               PolyField._from_matrix(y._table, y._coeffs * keep), y.diff(), PolyField([{(0, 4, 1): 2.0}])]
     for field in fields:
         used = field._table.expos[np.any(field._coeffs != 0.0, axis=0)]
@@ -459,27 +459,38 @@ def test_gauss_points_raise_on_bad_order():
         gauss_points_01(0)
 
 
-def test_face_rules_measure_and_normals():
-    faces = face_rules(3)
+def boundary_faces(order):
+    """The boundary rule's six blocks of rows, one per face: (points, flux)."""
+    return list(zip(*(np.split(array, 6) for array in boundary_rule(order))))
+
+
+def test_boundary_rule_faces_measure_and_normals():
+    """Each face block has unit measure, one unit outward normal shared by
+    its rows, and every point on that face; the six normals cancel."""
+    faces = boundary_faces(3)
     assert len(faces) == 6
     normal_sum = np.zeros(3)
-    for pts, wts, normal in faces:
+    for pts, flux in faces:
+        wts = np.abs(flux).sum(axis=1)
         assert float(np.sum(wts)) == pytest.approx(1.0, abs=1e-14)
+        normal = flux[0] / wts[0]
         assert np.linalg.norm(normal) == 1.0
+        assert np.array_equal(flux, np.outer(wts, normal))
         normal_sum += normal
         axis = int(np.argmax(np.abs(normal)))
-        assert np.all((pts[:, axis] == 0.0) | (pts[:, axis] == 1.0))
+        assert np.all(pts[:, axis] == (normal[axis] + 1.0) / 2.0)
     assert np.array_equal(normal_sum, np.zeros(3))
 
 
 @pytest.mark.parametrize("order", [1, 3, 8])
 def test_boundary_rule_stacks_face_rules(order):
-    """The boundary rule is the six face rules in order, each point's weight
-    times its face's outward normal; it is built once per order."""
+    """The boundary rule is the reference's six face rules in order, each
+    point's weight times its face's outward normal, bit for bit; it is built
+    once per order."""
     pts, flux = boundary_rule(order)
     faces = face_rules(order)
-    assert np.array_equal(pts, np.concatenate([p for p, _, _ in faces]))
-    assert np.array_equal(flux, np.concatenate([np.outer(w, n) for _, w, n in faces]))
+    assert_same_bits(pts, np.concatenate([p for p, _, _ in faces]))
+    assert_same_bits(flux, np.concatenate([np.outer(w, n) for _, w, n in faces]))
     assert np.max(np.abs(np.sum(flux, axis=0))) <= 1e-15  # opposite faces cancel
     assert float(np.sum(np.abs(flux))) == pytest.approx(6.0, abs=1e-13)
     assert boundary_rule(order)[0] is pts
@@ -487,10 +498,11 @@ def test_boundary_rule_stacks_face_rules(order):
 
 def test_quadrature_rules_are_read_only():
     """Rules are cached per order and shared by every caller, including the
-    monomial blocks kept at their points: no caller may write to them."""
+    monomial blocks kept at their points: no caller may write to them, nor
+    to any face block of the boundary rule."""
     x, w = gauss_points_01(3)
     pts, wts = cube_rule(3)
-    arrays = [x, w, pts, wts, *boundary_rule(3)] + [a for face in face_rules(3) for a in face]
+    arrays = [x, w, pts, wts, *boundary_rule(3)] + [a for face in boundary_faces(3) for a in face]
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 5.0
@@ -513,7 +525,7 @@ def rule_tables():
     """A dense table, its gradient table and a bubble-damped table."""
     rng = np.random.default_rng(21)
     y = random_polyfield(rng, 2, 3)
-    damped = bubble_damped(random_polyfield(rng, 2, 1))
+    damped = bubble() * random_polyfield(rng, 2, 1)
     return [(y._table, y._coeffs.T), (y._gradient()[0], y._gradient()[1].reshape(6, -1).T),
             (damped._table, damped._coeffs.T)]
 

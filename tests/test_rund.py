@@ -22,8 +22,8 @@ from nullag.quadrature import cube_rule, required_order
 from nullag.rund import (
     GenPoly,
     GeneratorSet,
+    RundLagrangian,
     coefficient_identity_residuals,
-    build_null_lagrangian,
     generator_set_from_json,
     generator_set_to_json,
     random_generator_set,
@@ -84,7 +84,7 @@ def test_rund_coefficients_constant_generators():
     assert np.array_equal(coeff.d2, np.zeros((3, 3, N, N)))
     assert np.array_equal(coeff.d1, np.zeros((3, N)))
     assert coeff.d0 == 0.0
-    lag = build_null_lagrangian(g)
+    lag = RundLagrangian(g)
     assert lag.evaluate(np.zeros((1, 3)), np.zeros((1, N)), np.zeros((1, N, 3)))[0] == 0.0
 
 
@@ -106,7 +106,7 @@ def test_d2_antisymmetry_exact():
 
 
 def test_minor_example_density_is_gradient_minor():
-    lag = build_null_lagrangian(minor_example())
+    lag = RundLagrangian(minor_example())
     rng = np.random.default_rng(2)
     for _ in range(10):
         dy = rng.uniform(-1, 1, (N, 3))
@@ -119,7 +119,7 @@ def test_evaluate_agrees_with_coefficient_assembly():
     rng = np.random.default_rng(3)
     for s in range(5):
         g = random_generator_set(np.random.default_rng(10 + s), N, 2)
-        lag = build_null_lagrangian(g)
+        lag = RundLagrangian(g)
         x = rng.uniform(0, 1, 3)
         y = rng.uniform(-1, 1, N)
         dy = rng.uniform(-1, 1, (N, 3))
@@ -130,7 +130,7 @@ def test_evaluate_agrees_with_coefficient_assembly():
 
 def test_euler_residual_vanishes_at_random_points():
     g = random_generator_set(np.random.default_rng(4), N, 2)
-    lag = build_null_lagrangian(g)
+    lag = RundLagrangian(g)
     field = random_polyfield(np.random.default_rng(5), N, 3)
     rng = np.random.default_rng(6)
     for x in rng.uniform(0, 1, (20, 3)):
@@ -204,7 +204,7 @@ def test_coefficient_identities_special_cases():
 def test_certify_random_generator_sets():
     for s in range(3):
         g = random_generator_set(np.random.default_rng(30 + s), N, 2)
-        cert = vf.certify_null(build_null_lagrangian(g), trials=3, seed=s)
+        cert = vf.certify_null(RundLagrangian(g), trials=3, seed=s)
         assert cert.passed, (s, cert.max_normalized_residual, cert.boundary_action_deltas)
         assert cert.path == "closed-form"
         assert cert.residual_tolerance == 1e-10
@@ -218,7 +218,7 @@ def test_closed_residual_halves_match_finite_differences():
     must vanish, and the closed and finite-difference residuals and scales
     agree."""
     for s in range(100):
-        lag = build_null_lagrangian(random_generator_set(np.random.default_rng(20_000 + s), N, 2))
+        lag = RundLagrangian(random_generator_set(np.random.default_rng(20_000 + s), N, 2))
         rng = np.random.default_rng(40_000 + s)
         x = rng.uniform(0.0, 1.0, (1, 2, 3))
         states = field_states([random_polyfield(rng, N, 3)], x)
@@ -481,7 +481,7 @@ def test_generator_action_per_coordinate_order_matches_total_degree_order():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         n, degree = (3, 6)[seed % 2], 2 + (seed // 2) % 2
-        lag = build_null_lagrangian(random_generator_set(rng, n, degree))
+        lag = RundLagrangian(random_generator_set(rng, n, degree))
         sampler = vf.FieldSampler(n)
         field = sampler.field(rng, 2) + sampler.boundary_delta(rng, 2)
         new = required_order(lag.integrand_degree(field.axis_degree()))
@@ -500,7 +500,7 @@ def test_certify_generator_sizes_quadrature_per_coordinate(monkeypatch, degree, 
     actions = vf._actions
     monkeypatch.setattr(vf, "_actions",
                         lambda lag, fields, o: orders.extend([o] * len(fields)) or actions(lag, fields, o))
-    lag = build_null_lagrangian(random_generator_set(np.random.default_rng(degree), 3, degree))
+    lag = RundLagrangian(random_generator_set(np.random.default_rng(degree), 3, degree))
     assert vf.certify_null(lag, trials=1, degree=2, seed=1).passed
     assert orders == [order] * 6
 

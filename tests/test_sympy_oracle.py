@@ -15,7 +15,7 @@ from sympy.calculus.euler import euler_equations
 from nullag import micropolar as mp
 from nullag import verifier as vf
 from nullag.polyfield import PolyField, field_states, join
-from nullag.rund import GenPoly, GeneratorSet, build_null_lagrangian
+from nullag.rund import GenPoly, GeneratorSet, RundLagrangian
 
 X = sp.symbols("x1:4")
 N = 2
@@ -74,7 +74,7 @@ def test_closed_halves_match_sympy_at_a_rational_point():
              for k in range(N)]
 
     gens = GeneratorSet([GenPoly(3 + N, terms) for terms in GENERATOR_TERMS], N)
-    lag = build_null_lagrangian(gens)
+    lag = RundLagrangian(gens)
     x = np.array([[[float(c) for c in POINT]]])
     states = field_states([PolyField(FIELD_TERMS)], x)
     got_dyp, got_y, _, _ = lag._euler_halves(x[0], *(s[0] for s in states))

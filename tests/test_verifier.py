@@ -18,7 +18,6 @@ from nullag.cli import _json_text
 from nullag.polyfield import (
     PolyField,
     bubble,
-    bubble_damped,
     constant_field,
     evaluate_monomials,
     random_polyfield,
@@ -240,7 +239,7 @@ def test_actions_same_bits_on_cold_and_warm_rule_cache(order):
     assert polyfield._rule_blocks
     assert run() == cold
     assert cold[0] == float(monomial_actions(lag, [y], order)[0])
-    shifted, base = monomial_actions(lag, [y + bubble_damped(w), y], order)
+    shifted, base = monomial_actions(lag, [y + bubble() * w, y], order)
     assert cold[1] == float(abs(shifted - base))
     assert cold[2] == monomial_surface_potential(tilde, phi, order)
 
@@ -719,7 +718,7 @@ def evaluated_levels(lag):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(vf, "evaluate_on_rule", count_on_rule)
         patch.setattr(polyfield, "_stacked_eval", count_stacked)
-        vf._actions(lag, [random_polyfield(rng, lag.n, 2), bubble_damped(random_polyfield(rng, lag.n, 1))], 8)
+        vf._actions(lag, [random_polyfield(rng, lag.n, 2), bubble() * random_polyfield(rng, lag.n, 1)], 8)
         certify_null(lag, trials=2, degree=2, seed=3, boundary_pairs=1)
         euler_residual(lag, random_polyfield(rng, lag.n, 2), [0.2, 0.3, 0.4])
     return actions, states
@@ -737,7 +736,7 @@ def test_densities_that_read_values_get_every_level():
     rng = np.random.default_rng(46)
     quasicrystal = zero_block_densities(rng)[0]
     for lag in (random_micropolar_density(rng),
-                rund.build_null_lagrangian(rund.random_generator_set(rng, 2, degree=2)),
+                rund.RundLagrangian(rund.random_generator_set(rng, 2, degree=2)),
                 ThreeBlockDensity(quasicrystal.p, quasicrystal.q, quasicrystal.r)):
         assert lag.reads_values
         assert evaluated_levels(lag) == ({0, 1}, {0, 1, 2})
