@@ -105,8 +105,9 @@ def _scratch_floats(size: int) -> np.ndarray:
     return buf[:size]
 
 
-def _monomials(points: np.ndarray, plan) -> np.ndarray:
-    """C-contiguous monomial matrix (m, T) at points (m, V), built in this
+def _monomials(points: tuple, plan) -> np.ndarray:
+    """C-contiguous monomial matrix (m, T) at points given as column blocks
+    (m, V_i) whose widths sum to V, read in place and built in this
     thread's scratch: the next call on the thread overwrites it, so a caller
     that keeps it keeps a copy.  Each variable's powers are built once, the
     e-th powers of all variables in one product, and each term is the
@@ -116,13 +117,13 @@ def _monomials(points: np.ndarray, plan) -> np.ndarray:
     of factors, put back in table order and transposed into the layout
     `mono @ coeffs` sums in."""
     nterms, top, groups, order, width = plan
-    m = points.shape[0]
+    m = points[0].shape[0]
     try:
         buf = _scratch_floats(m * width)
     except (MemoryError, ValueError):  # numpy's text names neither the variable nor the exponent
         v = max(range(len(top)), key=top.__getitem__)
         name = f"x{v + 1}" if v < 3 else f"y{v - 2}"
-        raise ValueError(f"cannot allocate a power table of {name}**{top[v]} at {len(points)} points") from None
+        raise ValueError(f"cannot allocate a power table of {name}**{top[v]} at {m} points") from None
     # Per point: the T monomials, the T terms in table order, the V powers of
     # each degree up to the highest, and one factor row per term of the
     # largest group of two or more factors.  Terms grouped out of table order
@@ -135,7 +136,7 @@ def _monomials(points: np.ndarray, plan) -> np.ndarray:
     powers = buf[2 * size:end].reshape(depth, len(top), m)
     spare = buf[end:]
     if depth:
-        np.copyto(powers[0], points.T)
+        np.concatenate([block.T for block in points], out=powers[0])
     for e in range(1, depth):
         np.multiply(powers[e - 1], powers[0], powers[e])
     powers = powers.reshape(depth * len(top), m)
@@ -157,20 +158,21 @@ def _monomials(points: np.ndarray, plan) -> np.ndarray:
     return mono
 
 
-def evaluate_monomials(points: np.ndarray, plan, coeffs: np.ndarray) -> np.ndarray:
+def evaluate_monomials(points: tuple, plan, coeffs: np.ndarray) -> np.ndarray:
     """Sum of coeffs * prod_v points[:, v] ** expos[:, v] over the terms of
-    the exponent table with `monomial_plan` plan.
+    the exponent table with `monomial_plan` plan, the points given as a
+    tuple of column blocks (m, V_i), as `_monomials` takes them.
 
     `coeffs` has one row per term and may carry trailing columns, one per
     polynomial sharing the exponents.  Products of the terms' own factors
     replace float pow, which dominates the cost of batched polynomial
     evaluation.
     """
-    m = points.shape[0]
+    m = points[0].shape[0]
     if m <= _BLOCK_ROWS:
         return _monomials(points, plan) @ coeffs
     starts = range(0, m, _BLOCK_ROWS)
-    return _products((_monomials(points[i:i + _BLOCK_ROWS], plan) for i in starts), coeffs, m)
+    return _products((_monomials(tuple(b[i:i + _BLOCK_ROWS] for b in points), plan) for i in starts), coeffs, m)
 
 
 def _products(blocks, coeffs: np.ndarray, m: int) -> np.ndarray:
@@ -198,8 +200,8 @@ def evaluate_on_rule(table: _Table, coeffs: np.ndarray, order: int, boundary: bo
     if blocks is None:
         size = points.shape[0] * len(table) * 8
         if size > _RULE_BYTES:
-            return evaluate_monomials(points, table.plan, coeffs)
-        blocks = _read_only(*(_monomials(points[i:i + _BLOCK_ROWS], table.plan).copy()
+            return evaluate_monomials((points,), table.plan, coeffs)
+        blocks = _read_only(*(_monomials((points[i:i + _BLOCK_ROWS],), table.plan).copy()
                               for i in range(0, points.shape[0], _BLOCK_ROWS)))
         while _rule_blocks and size + sum(b.nbytes for bs in _rule_blocks.values() for b in bs) > _RULE_BYTES:
             del _rule_blocks[next(iter(_rule_blocks))]
@@ -431,13 +433,13 @@ class PolyField:
 
     def eval(self, points: np.ndarray) -> np.ndarray:
         """Values, shape (n_points, N)."""
-        return evaluate_monomials(_points(points), self._table.plan, self._coeffs.T)
+        return evaluate_monomials((_points(points),), self._table.plan, self._coeffs.T)
 
     def eval_grad(self, points: np.ndarray) -> np.ndarray:
         """First derivatives, shape (n_points, N, 3)."""
         pts = _points(points)
         table, grad = self._gradient()
-        vals = evaluate_monomials(pts, table.plan, grad.reshape(3 * self.n, len(table)).T)
+        vals = evaluate_monomials((pts,), table.plan, grad.reshape(3 * self.n, len(table)).T)
         return vals.reshape(pts.shape[0], self.n, 3)
 
     def eval_on_rule(self, order: int, boundary: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -452,7 +454,7 @@ class PolyField:
         """Second derivatives, shape (n_points, N, 3, 3), exactly symmetric."""
         pts = _points(points)
         table, hess = self._hessian()
-        vals = evaluate_monomials(pts, table.plan, hess.T)
+        vals = evaluate_monomials((pts,), table.plan, hess.T)
         return vals.reshape(pts.shape[0], self.n, 6)[:, :, _PAIR]
 
 
@@ -503,7 +505,7 @@ def _stacked_eval(points: np.ndarray, table: _Table, coeffs: np.ndarray) -> np.n
     """Polynomials with coefficients (F, K, M) over `table` at points
     (F, P, 3): (F, P, K), one monomial matrix and one stacked product."""
     f, p = points.shape[:2]
-    mono = _monomials(points.reshape(f * p, 3), table.plan).reshape(f, p, len(table))
+    mono = _monomials((points.reshape(f * p, 3),), table.plan).reshape(f, p, len(table))
     return mono @ np.swapaxes(coeffs, 1, 2)
 
 

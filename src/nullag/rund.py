@@ -149,7 +149,10 @@ class GeneratorSet:
         along the i-th tuple of `_partial_tuples`, and the rows are the sorted
         union of the partials' exponents.  A partial maps each term to one
         term, so each coefficient is one exact integer product of exponent
-        factors and one correctly rounded division."""
+        factors and one correctly rounded division.  The rows are deduplicated
+        by one `np.unique` over byte keys: each row as big-endian int64, whose
+        bytes compare as the row does lexicographically, since every exponent
+        is non-negative."""
         tuples, offsets, counts, _ = _partial_tuples(3 + self.n, order)
         factors = self.expos[:, tuples] - offsets
         term, part = np.nonzero(np.all(factors > 0, axis=2))
@@ -166,9 +169,11 @@ class GeneratorSet:
             # name the first coefficient out of range, column by column in table order
             for i in np.lexsort((term, col)):
                 _to_float(num[i], den[i], "generator partial coefficient")
-        expos, row = np.unique(self.expos[term] - counts[part], axis=0, return_inverse=True)
+        keys = (self.expos[term] - counts[part]).astype(">i8").view(f"V{8 * (3 + self.n)}")
+        keys, row = np.unique(keys.reshape(-1), return_inverse=True)
+        expos = keys.view(">i8").reshape(-1, 3 + self.n).astype(np.int64)
         coeffs = np.zeros((len(expos), 3 * len(tuples)))
-        coeffs[row.reshape(-1), col] = values
+        coeffs[row, col] = values
         return expos, coeffs, monomial_plan(expos)
 
     def _gradient(self) -> tuple:
@@ -184,20 +189,18 @@ class GeneratorSet:
             self._hess = self._partial_matrix(2) + (_partial_tuples(3 + self.n, 2)[3],)
         return self._hess
 
-    def _points(self, x, y) -> np.ndarray:
-        pts = np.concatenate(
-            [np.atleast_2d(np.asarray(x, dtype=float)), np.atleast_2d(np.asarray(y, dtype=float))],
-            axis=1,
-        )
-        if pts.shape[1] != 3 + self.n:
-            raise ValueError(f"points must have {3 + self.n} columns")
-        return pts
+    def _points(self, x, y) -> tuple[np.ndarray, np.ndarray]:
+        """x (m, 3) and y (m, N) as float column blocks, read in place."""
+        x, y = np.atleast_2d(np.asarray(x, dtype=float)), np.atleast_2d(np.asarray(y, dtype=float))
+        if x.shape[1:] != (3,) or y.shape[1:] != (self.n,) or len(x) != len(y):
+            raise ValueError(f"points must be x (m, 3) and y (m, {self.n}), not x {x.shape} and y {y.shape}")
+        return x, y
 
     def first_partials(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Batched (Sx, Sy): x-partials (m,3,3) and y-partials (m,3,N)."""
         pts = self._points(x, y)
         _, coeffs, plan = self._gradient()
-        vals = evaluate_monomials(pts, plan, coeffs).reshape(pts.shape[0], 3, 3 + self.n)
+        vals = evaluate_monomials(pts, plan, coeffs).reshape(len(pts[0]), 3, 3 + self.n)
         return vals[:, :, :3], vals[:, :, 3:]
 
     def second_partials(self, x: np.ndarray, y: np.ndarray):

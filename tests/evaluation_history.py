@@ -27,9 +27,9 @@ def history_cases():
         return (vals, grads, *(b for t in tables for b in polyfield._rule_blocks[(t, order, boundary)]))
 
     return {
-        "monomials-1": lambda: evaluate_monomials(many[:1], table.plan, coeffs),
-        "monomials-700": lambda: evaluate_monomials(many[:700], table.plan, coeffs),
-        "monomials-2500": lambda: evaluate_monomials(many, table.plan, coeffs),
+        "monomials-1": lambda: evaluate_monomials((many[:1],), table.plan, coeffs),
+        "monomials-700": lambda: evaluate_monomials((many[:700],), table.plan, coeffs),
+        "monomials-2500": lambda: evaluate_monomials((many,), table.plan, coeffs),
         "field_states": lambda: field_states(fields, pts),
         "first_partials-1000": lambda: gens.first_partials(x, y),
         "first_partials-3": lambda: gens.first_partials(x[:3], y[:3]),

@@ -299,18 +299,24 @@ EXPONENT_TABLES = st.integers(1, 9).flatmap(
 def test_monomial_plan_matches_per_variable_powers(expos, m, seed):
     """Products of only each term's own factors equal the per-variable power
     table bit for bit, signed zeros and underflow included, as a C-contiguous
-    (m, T) matrix; `evaluate_monomials` keeps its 2048-row blocks."""
+    (m, T) matrix, from one column block or from two strided ones;
+    `evaluate_monomials` keeps its 2048-row blocks."""
     rng = np.random.default_rng(seed)
     shape = (m, expos.shape[1])
     special = rng.choice([0.0, -0.0, 1.0, -1.0, 1e-30, -1e-30], shape)
     points = np.where(rng.uniform(size=shape) < 0.3, special, rng.uniform(-2.0, 2.0, shape))
     plan = monomial_plan(expos)
-    mono = _monomials(points, plan)
+    want = reference_monomials(points, expos)
+    mono = _monomials((points,), plan)
     assert mono.flags.c_contiguous
-    assert_same_bits(mono, reference_monomials(points, expos))
+    assert_same_bits(mono, want)
+    cut = seed % (expos.shape[1] + 1)
+    assert_same_bits(_monomials((points[:, :cut], points[:, cut:]), plan), want)
     coeffs = rng.uniform(-1.0, 1.0, (len(expos), 3))
     blocks = [reference_monomials(points[i:i + 2048], expos) @ coeffs for i in range(0, m, 2048)]
-    assert_same_bits(evaluate_monomials(points, plan, coeffs), np.concatenate(blocks or [np.zeros((0, 3))]))
+    want = np.concatenate(blocks or [np.zeros((0, 3))])
+    assert_same_bits(evaluate_monomials((points,), plan, coeffs), want)
+    assert_same_bits(evaluate_monomials((points[:, :cut], points[:, cut:]), plan, coeffs), want)
 
 
 def test_stack_fields_union_table():
@@ -543,7 +549,7 @@ def test_rule_evaluation_equals_evaluate_monomials(order, face, cold_rules):
         rows = order * order
         assert_same_bits(pts[face * rows:(face + 1) * rows], face_rules(order)[face][0])
     for table, coeffs in rule_tables():
-        want = evaluate_monomials(pts, table.plan, coeffs)
+        want = evaluate_monomials((pts,), table.plan, coeffs)
         for _ in range(2):
             assert_same_bits(evaluate_on_rule(table, coeffs, order, boundary), want)
         blocks = cold_rules[(table, order, boundary)]
@@ -566,7 +572,7 @@ def test_rule_blocks_are_read_only(cold_rules):
     rng = np.random.default_rng(8)
     for table, coeffs in rule_tables():
         for rows in (1, 96, 2048):
-            evaluate_monomials(rng.uniform(0, 1, (rows, 3)), table.plan, coeffs)
+            evaluate_monomials((rng.uniform(0, 1, (rows, 3)),), table.plan, coeffs)
     assert {key: [block.tobytes() for block in blocks] for key, blocks in cold_rules.items()} == kept
     for blocks in cold_rules.values():
         for block in blocks:
@@ -604,7 +610,7 @@ def test_rule_larger_than_budget_is_evaluated_but_not_kept(cold_rules):
     pts = cube_rule(40)[0]
     assert len(pts) * len(table) * 8 > polyfield._RULE_BYTES
     coeffs = np.random.default_rng(4).uniform(-1.0, 1.0, (len(table), 2))
-    assert_same_bits(evaluate_on_rule(table, coeffs, 40), evaluate_monomials(pts, table.plan, coeffs))
+    assert_same_bits(evaluate_on_rule(table, coeffs, 40), evaluate_monomials((pts,), table.plan, coeffs))
     assert len(cold_rules) == 0
 
 
@@ -615,18 +621,18 @@ def test_monomials_beyond_the_scratch_budget_are_fresh():
     table = polyfield._dense(6)[0]
     rng = np.random.default_rng(12)
     small = rng.uniform(0, 1, (10, 3))
-    want = _monomials(small, table.plan).copy()
+    want = _monomials((small,), table.plan).copy()
     scratch = polyfield._scratch.floats
     before = scratch.tobytes()
     big = rng.uniform(0, 1, (polyfield._BLOCK_ROWS, 3))
     assert 8 * len(big) * table.plan[-1] > polyfield._SCRATCH_BYTES
-    mono = _monomials(big, table.plan)
+    mono = _monomials((big,), table.plan)
     assert_same_bits(mono, reference_monomials(big, table.expos))
     assert not np.shares_memory(mono, scratch)
     assert polyfield._scratch.floats is scratch and scratch.tobytes() == before
-    assert_same_bits(_monomials(small, table.plan), want)
+    assert_same_bits(_monomials((small,), table.plan), want)
     for rows in range(1, polyfield._BLOCK_ROWS + 1, 97):
-        _monomials(big[:rows], polyfield._dense(4)[0].plan)
+        _monomials((big[:rows],), polyfield._dense(4)[0].plan)
         assert polyfield._scratch.floats.nbytes <= polyfield._SCRATCH_BYTES
 
 
@@ -664,7 +670,7 @@ def test_evaluations_keep_the_bits_of_a_fresh_process(cold_rules):
     history = {}
     for name in reversed(names * 2):
         for degree, rows in ((6, 300), (1, 2048), (3, 1)):
-            _monomials(rng.uniform(-1, 1, (rows, 3)), polyfield._dense(degree)[0].plan)
+            _monomials((rng.uniform(-1, 1, (rows, 3)),), polyfield._dense(degree)[0].plan)
         history.update(history_digests([name]))
     assert history == fresh
 
@@ -681,7 +687,7 @@ def test_threads_evaluating_at_once_get_the_serial_bits():
     table, coeffs = polyfield._dense(5)[0], rng.uniform(-1, 1, (56, 3))
     many = rng.uniform(0, 1, (700, 3))
     calls = [lambda: gens.first_partials(x, y), lambda: gens.second_partials(x[:37], y[:37]),
-             lambda: field_states(fields, pts), lambda: evaluate_monomials(many, table.plan, coeffs)]
+             lambda: field_states(fields, pts), lambda: evaluate_monomials((many,), table.plan, coeffs)]
     serial = [[a.tobytes() for a in np.atleast_1d(*call())] for call in calls]
     start, wrong, done = threading.Barrier(len(calls)), [], []
 
@@ -710,8 +716,8 @@ def test_threads_evaluating_at_once_get_the_serial_bits():
 def test_repeated_first_partials_allocate_only_their_result():
     """After a warm-up call, `first_partials` at 1000 rows against the
     55-term gradient table of a degree-3, N = 6 set allocates its (m, 3, 9)
-    result and the (m, 9) points it stacks from x and y, and nothing more:
-    the power table and monomial matrices reuse the thread's scratch."""
+    result and nothing more: x and y are read in place, and the power table
+    and monomial matrices reuse the thread's scratch."""
     rng = np.random.default_rng(55)
     gens = rund.random_generator_set(rng, 6, 3)
     assert len(gens._gradient()[0]) == 55
@@ -727,4 +733,4 @@ def test_repeated_first_partials_allocate_only_their_result():
             del sx, sy
     finally:
         tracemalloc.stop()
-    assert peak <= 1000 * 27 * 8 + 1000 * 9 * 8 + 4096
+    assert peak <= 1000 * 27 * 8 + 4096

@@ -337,6 +337,20 @@ def test_partial_matrices_hold_float_of_exact_coefficients(g):
     assert np.array_equal(index, np.transpose(index, (0, 2, 1)))
 
 
+@pytest.mark.parametrize("rows", [(1, 4), (4, 1), (4, 5)])
+def test_partials_reject_x_and_y_of_different_row_counts(rows):
+    """Never a one-row x or y broadcast against m rows of the other: a
+    ValueError that names both shapes, for either partials, as for x or y
+    of the wrong width."""
+    g = random_generator_set(np.random.default_rng(3), N, 2)
+    x, y = np.zeros((rows[0], 3)), np.zeros((rows[1], N))
+    for partials in (g.first_partials, g.second_partials):
+        with pytest.raises(ValueError, match=rf"x \({rows[0]}, 3\) and y \({rows[1]}, {N}\)"):
+            partials(x, y)
+        with pytest.raises(ValueError, match=rf"x \(4, 2\) and y \(4, {N + 1}\)"):
+            partials(np.zeros((4, 2)), np.zeros((4, N + 1)))
+
+
 def test_partial_coefficient_outside_double_range_is_rejected():
     x2 = (2,) + (0,) * (NVARS - 1)
     big = GeneratorSet([GenPoly(NVARS, {x2: Fraction(10**308)}), GenPoly(NVARS), GenPoly(NVARS)], N)
@@ -383,7 +397,11 @@ def assert_matrices_equal_reference(g):
 
 def _edge_sets():
     """Loaded sets with duplicate and cancelling terms, and with numerators of
-    2**64 and more over large denominators, some from exponent factors near 2**62."""
+    2**64 and more over large denominators, some from exponent factors near 2**62;
+    a set whose partials have exponents near 2**62 in three variables and
+    rows that differ only in the last exponent, by 1, 127, 128 and 256 (a key
+    of little-endian or signed bytes would sort them out of row order); and a
+    linear set, whose table of second partials is empty."""
     x1y1, y1y2, x2 = [1, 0, 0, 1, 0], [0, 0, 0, 1, 1], [0, 2, 0, 0, 0]
     big = [2**62, 0, 0, 1, 0]
     files = [
@@ -394,6 +412,14 @@ def _edge_sets():
         [[{"exponents": [3, 0, 1, 2, 0], "coeff": f"{3**47}/{7**30}"}],
          [{"exponents": big, "coeff": "3/7"}, {"exponents": x2, "coeff": f"-{2**70 + 1}/{5**25}"}],
          [{"exponents": [0, 0, 0, 2, 2], "coeff": f"{10**30}/{3**40}"}]],
+        [[{"exponents": [2**62, 0, 0, 1, 0, 0], "coeff": "1/3"}, {"exponents": [0, 0, 1, 0, 2**62 - 1, 0], "coeff": "5"},
+          {"exponents": [0, 1, 0, 0, 0, 1], "coeff": "1"}, {"exponents": [0, 1, 0, 0, 0, 256], "coeff": "-2"}],
+         [{"exponents": [0, 0, 0, 0, 1, 127], "coeff": "7/2"}, {"exponents": [0, 0, 0, 0, 1, 128], "coeff": "-1/9"},
+          {"exponents": [1, 0, 0, 0, 0, 2], "coeff": "3"}],
+         [{"exponents": [0, 0, 2, 0, 0, 2**62], "coeff": "-4/5"}, {"exponents": [0, 0, 0, 1, 1, 1], "coeff": "2"}]],
+        [[{"exponents": [1, 0, 0, 0, 0, 0, 0], "coeff": "2"}, {"exponents": [0, 0, 0, 0, 0, 0, 1], "coeff": "-1/5"}],
+         [{"exponents": [0] * 7, "coeff": "3"}, {"exponents": [0, 0, 0, 0, 1, 0, 0], "coeff": "1/7"}],
+         [{"exponents": [0, 0, 1, 0, 0, 0, 0], "coeff": "4"}]],
     ]
     return [generator_set_from_json(f) for f in files]
 

@@ -205,8 +205,8 @@ def monomial_actions(lag, fields, order):
     table, coeffs = stack_fields(fields)
     child, grad = table.differentiate(coeffs)
     n = coeffs.shape[1]
-    density = [lag.evaluate(pts, evaluate_monomials(pts, table.plan, c.T),
-                            evaluate_monomials(pts, child.plan, g.reshape(3 * n, -1).T).reshape(-1, n, 3))
+    density = [lag.evaluate(pts, evaluate_monomials((pts,), table.plan, c.T),
+                            evaluate_monomials((pts,), child.plan, g.reshape(3 * n, -1).T).reshape(-1, n, 3))
                for c, g in zip(coeffs, grad)]
     return np.array(density) @ wts
 
