@@ -1,14 +1,17 @@
-"""Exact multivariate polynomial fields on R^3.
+"""Exact multivariate polynomial fields on R^3, over shared exponent tables.
 
-A `PolyField` is a map R^3 -> R^N with polynomial components; a scalar
-polynomial is a one-component field.  It holds one coefficient matrix over
-a shared, sorted exponent table.  The table carries integer maps to the
-tables of its partial derivatives, so derivatives are exact (degree drops by
-one, coefficients scale by integer exponents), a field's gradient and
-Hessian coefficients are built once, and each evaluation is one matrix
-product over a whole batch of points.  Each table also keeps a monomial
-plan, built once: which variables each term uses, with the terms grouped by
-that count, so a monomial costs the products of only its own factors.
+An `ExponentTable` holds the sorted, unique int64 exponent rows of a set of
+monomials in V variables and their monomial plan: which variables each term
+uses, with the terms grouped by that count, so a monomial costs the products
+of only its own factors.  `table_of` builds every table from rows (a field's
+terms; its terms shifted down one along a variable, for the first partials;
+sums of two tables' rows, for a product; their concatenation, for a union;
+the generator partials of `rund`) by one `np.unique` over byte keys, and
+keeps one instance per row set.  A `PolyField` is a map R^3 -> R^N (a scalar
+polynomial is a one-component field) held as one coefficient matrix over a
+table, so derivatives are exact (integer maps to the first-partial table),
+a field's gradient and Hessian coefficients are built once, and each
+evaluation is one matrix product over a whole batch of points.
 `field_states` stacks the fields that share a table, so a batch of fields at
 their own points costs one monomial matrix and one stacked product per table
 and derivative level.  `evaluate_on_rule` keeps the monomial matrix of a
@@ -28,24 +31,28 @@ from __future__ import annotations
 
 import threading
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, product
+from operator import index
 
 import numpy as np
 
 from .quadrature import boundary_rule, cube_rule
 
 __all__ = [
+    "ExponentTable",
     "PolyField",
     "bubble",
     "constant_field",
     "evaluate_monomials",
     "evaluate_on_rule",
+    "exponent_rows",
     "field_states",
     "join",
     "monomial_plan",
     "monomials_upto",
     "random_polyfield",
     "stack_fields",
+    "table_of",
 ]
 
 
@@ -63,13 +70,12 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def monomial_plan(expos: np.ndarray):
-    """Evaluation plan of an exponent table (T, V): the number of terms, each
+    """Evaluation plan of int64 exponent rows (T, V): the number of terms, each
     variable's highest power, per count k of variables a term uses (in
     ascending order) the power rows (k, T_k) of its terms' factors in
     variable order, each term's row in that grouped order (None when it is
     the table order), and the scratch floats that `_monomials` takes per
     point.  Row (e - 1) * V + v of the power table holds x_v ** e."""
-    expos = np.asarray(expos, dtype=np.int64)
     top = expos.max(axis=0, initial=0)
     row = (expos - 1) * expos.shape[1] + np.arange(expos.shape[1])
     used = expos > 0
@@ -190,7 +196,7 @@ _RULE_BYTES = 32 << 20
 _rule_blocks: dict = {}
 
 
-def evaluate_on_rule(table: _Table, coeffs: np.ndarray, order: int, boundary: bool = False) -> np.ndarray:
+def evaluate_on_rule(table: ExponentTable, coeffs: np.ndarray, order: int, boundary: bool = False) -> np.ndarray:
     """`evaluate_monomials` at the points of the cube rule of `order`, or of
     its `boundary_rule`, from the blocks it builds there, kept per table and
     rule while they fit `_RULE_BYTES`."""
@@ -221,71 +227,81 @@ def monomials_upto(nvars: int, degree: int) -> list[tuple[int, ...]]:
     return sorted(expos, key=lambda e: (sum(e), e))
 
 
-class _Table:
-    """Sorted exponent table, shared by every field over the same monomials.
+def exponent_rows(expos, nvars: int) -> np.ndarray:
+    """Exponent tuples as (K, nvars) int64 rows.  Each must hold nvars
+    integers in [0, 2**63): the byte keys of `table_of` order rows only when
+    no exponent is negative.  A ValueError names the first that does not."""
+    expos = list(expos)
+    try:
+        rows = np.fromiter(map(index, chain.from_iterable(expos)), np.int64, len(expos) * nvars)
+        if all(len(e) == nvars for e in expos) and rows.min(initial=0) >= 0:
+            return rows.reshape(-1, nvars)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    if len(expos) == 1:
+        raise ValueError(f"exponent tuple {expos[0]!r} must hold {nvars} integers in [0, 2**63)")
+    for expo in expos:  # the first to fail alone raises
+        exponent_rows([expo], nvars)
 
-    `derivative()` gives the table of all first partials of its monomials
-    and, per axis, the integer map (source column, target column, exponent
-    factor) that differentiates a coefficient matrix.
-    """
 
-    __slots__ = ("keys", "expos", "plan", "index", "_derivative")
+class ExponentTable:
+    """Sorted, unique, read-only exponent rows (T, V) int64 and their
+    `monomial_plan`, one instance per row set (`table_of`).  `derivative()`
+    gives the table of all first partials of its monomials and, per
+    variable, the map (source column, target column, exponent factor) that
+    differentiates a coefficient matrix."""
 
-    def __init__(self, keys: tuple):
-        self.keys = keys
-        self.expos = np.array(keys, dtype=np.int64).reshape(-1, 3)
-        self.expos.flags.writeable = False
-        self.plan = monomial_plan(self.expos)
-        self.index = {e: i for i, e in enumerate(keys)}
+    __slots__ = ("expos", "plan", "_derivative")
+
+    def __init__(self, expos: np.ndarray):
+        self.expos = expos
+        self.plan = monomial_plan(expos)
         self._derivative = None
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return len(self.expos)
 
     def derivative(self):
         if self._derivative is None:
-            shifted = [[] for _ in range(3)]
-            for j, e in enumerate(self.keys):
-                for a in range(3):
-                    if e[a]:
-                        shifted[a].append((j, e[:a] + (e[a] - 1,) + e[a + 1:], e[a]))
-            child = _table(tuple(sorted({s[1] for rows in shifted for s in rows})))
-            maps = tuple(
-                _read_only(
-                    np.array([j for j, _, _ in rows], dtype=np.int64),
-                    np.array([child.index[s] for _, s, _ in rows], dtype=np.int64),
-                    np.array([f for _, _, f in rows], dtype=float),
-                )
-                for rows in shifted
-            )
-            self._derivative = (child, maps)
+            var, src = np.nonzero(self.expos.T)
+            child, dst = table_of(self.expos[src] - np.eye(self.expos.shape[1], dtype=np.int64)[var])
+            cuts = np.cumsum(np.bincount(var, minlength=self.expos.shape[1]))[:-1]
+            maps = _read_only(src, dst, self.expos[src, var].astype(float))
+            self._derivative = (child, tuple(zip(*(np.split(m, cuts) for m in maps))))
         return self._derivative
 
     def differentiate(self, coeffs: np.ndarray):
         """Partials of the polynomials with coefficients (..., len(self)):
-        (child table, coefficients (..., 3, len(child)))."""
+        (child table, coefficients (..., V, len(child)))."""
         child, maps = self.derivative()
-        out = np.zeros(coeffs.shape[:-1] + (3, len(child)))
+        out = np.zeros(coeffs.shape[:-1] + (len(maps), len(child)))
         for a, (src, dst, factor) in enumerate(maps):
             out[..., a, dst] = coeffs[..., src] * factor
         return child, out
 
 
+def table_of(rows: np.ndarray) -> tuple[ExponentTable, np.ndarray]:
+    """The table of the distinct exponent rows (K, V), and each row's column
+    in it.  The rows are deduplicated and sorted by one `np.unique` over byte
+    keys: each row as big-endian int64, whose bytes compare as the row does
+    lexicographically, since no exponent is negative."""
+    nvars = rows.shape[1]
+    keys = rows.astype(">i8").view(f"V{8 * nvars}")
+    keys, column = np.unique(keys.reshape(-1), return_inverse=True)
+    return _table(nvars, keys.tobytes()), column
+
+
 @lru_cache(maxsize=256)
-def _table(keys: tuple) -> _Table:
-    return _Table(keys)
+def _table(nvars: int, keys: bytes) -> ExponentTable:
+    return ExponentTable(_read_only(np.frombuffer(keys, ">i8").reshape(-1, nvars).astype(np.int64))[0])
 
 
 @lru_cache(maxsize=None)
 def _dense(degree: int):
     """Table of all monomials of degree <= degree, and for each table column
     the position of its monomial in the graded draw order of `monomials_upto`."""
-    graded = monomials_upto(3, degree)
-    table = _table(tuple(sorted(graded)))
-    position = {e: i for i, e in enumerate(graded)}
-    draw = np.array([position[e] for e in table.keys], dtype=np.int64)
-    draw.flags.writeable = False
-    return table, draw
+    table, column = table_of(np.array(monomials_upto(3, degree), dtype=np.int64).reshape(-1, 3))
+    return table, _read_only(np.argsort(column))[0]
 
 
 def _points(points) -> np.ndarray:
@@ -293,11 +309,11 @@ def _points(points) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _union(tables: tuple) -> tuple[_Table, tuple]:
+def _union(tables: tuple) -> tuple[ExponentTable, tuple]:
     """Sorted union of tables and, per table, the union column of each of
     its monomials."""
-    union = _table(tuple(sorted(set().union(*(t.keys for t in tables)))))
-    return union, _read_only(*(np.array([union.index[e] for e in t.keys], dtype=np.int64) for t in tables))
+    union, column = table_of(np.concatenate([t.expos for t in tables]))
+    return union, tuple(np.split(_read_only(column)[0], np.cumsum([len(t) for t in tables])[:-1]))
 
 
 # Hessian entry (a, b) -> row of its a <= b pair (0,0),(0,1),(0,2),(1,1),(1,2),(2,2).
@@ -305,7 +321,7 @@ _PAIR = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 _UPPER = np.triu_indices(3)
 
 
-def _upper_second(table: _Table, grad: np.ndarray) -> tuple[_Table, np.ndarray]:
+def _upper_second(table: ExponentTable, grad: np.ndarray) -> tuple[ExponentTable, np.ndarray]:
     """Second partials of first-partial coefficients (..., 3, M1) over
     `table`: child table and coefficients (..., 6, M2) of the a <= b pairs."""
     child, second = table.differentiate(grad)
@@ -325,23 +341,20 @@ class PolyField:
     def __init__(self, components):
         """One {(e1, e2, e3): coeff} dict per component; the table holds the
         monomials with a nonzero coefficient in some component."""
-        clean = []
-        for terms in components:
-            clean.append({})
-            for expo, coeff in terms.items():
-                if (coeff := float(coeff)) != 0.0:
-                    clean[-1][tuple(int(e) for e in expo)] = coeff
-        table = _table(tuple(sorted(set().union(*clean))))
-        coeffs = np.zeros((len(clean), len(table)))
-        for row, terms in zip(coeffs, clean):
-            for expo, coeff in terms.items():
-                row[table.index[expo]] = coeff
+        components = list(components)
+        rows = exponent_rows([expo for terms in components for expo in terms], 3)
+        values = np.array([float(c) for terms in components for c in terms.values()])
+        row = np.repeat(np.arange(len(components)), [len(terms) for terms in components])
+        kept = values != 0.0
+        table, column = table_of(rows[kept])
+        coeffs = np.zeros((len(components), len(table)))
+        coeffs[row[kept], column] = values[kept]
         coeffs.flags.writeable = False
         self._table, self._coeffs = table, coeffs
         self._grad = self._hess = self._axis_degree = None
 
     @classmethod
-    def _from_matrix(cls, table: _Table, coeffs: np.ndarray) -> "PolyField":
+    def _from_matrix(cls, table: ExponentTable, coeffs: np.ndarray) -> "PolyField":
         field = cls.__new__(cls)
         coeffs.flags.writeable = False
         field._table, field._coeffs = table, coeffs
@@ -359,7 +372,7 @@ class PolyField:
     @property
     def terms(self) -> list[dict]:
         """One {(e1, e2, e3): coeff} dict per component, of its nonzero terms."""
-        keys = self._table.keys
+        keys = list(map(tuple, self._table.expos.tolist()))
         return [{e: c for e, c in zip(keys, row.tolist()) if c != 0.0} for row in self._coeffs]
 
     def _used_expos(self) -> np.ndarray:
@@ -368,16 +381,14 @@ class PolyField:
 
     def degree(self) -> int:
         """Largest total degree of a monomial in use; 0 for the zero field."""
-        used = self._used_expos()
-        return int(used.sum(axis=1).max()) if used.size else 0
+        return max(map(sum, self._used_expos().tolist()), default=0)
 
     def axis_degree(self) -> int:
         """Largest exponent of any single coordinate in a monomial in use;
         0 for the zero field.  A tensor-product Gauss rule is exact per
         coordinate, so this, not `degree()`, sizes it."""
         if self._axis_degree is None:
-            used = self._used_expos()
-            self._axis_degree = int(used.max()) if used.size else 0
+            self._axis_degree = int(self._used_expos().max(initial=0))
         return self._axis_degree
 
     def __add__(self, other: "PolyField") -> "PolyField":
@@ -402,8 +413,7 @@ class PolyField:
         np.add.at(coeffs, (slice(None), columns.reshape(-1)), terms.reshape(other.n, columns.size))
         used = np.any(coeffs != 0.0, axis=0)
         if not used.all():
-            table = _table(tuple(e for e, u in zip(table.keys, used.tolist()) if u))
-            coeffs = coeffs[:, used]
+            table, coeffs = table_of(table.expos[used])[0], coeffs[:, used]
         return PolyField._from_matrix(table, coeffs)
 
     def map(self, matrix) -> "PolyField":
@@ -417,13 +427,13 @@ class PolyField:
         table, grad = self._gradient()
         return PolyField._from_matrix(table, grad.reshape(3 * self.n, len(table)))
 
-    def _gradient(self) -> tuple[_Table, np.ndarray]:
+    def _gradient(self) -> tuple[ExponentTable, np.ndarray]:
         """First-partial table and coefficients (N, 3, M1)."""
         if self._grad is None:
             self._grad = self._table.differentiate(self._coeffs)
         return self._grad
 
-    def _hessian(self) -> tuple[_Table, np.ndarray]:
+    def _hessian(self) -> tuple[ExponentTable, np.ndarray]:
         """Second-partial table and coefficients (N * 6, M2) of the a <= b
         pairs, each differentiated first along a, then along b."""
         if self._hess is None:
@@ -463,14 +473,14 @@ Poly3 = PolyField
 
 
 @lru_cache(maxsize=256)
-def _product(left: _Table, right: _Table) -> tuple[_Table, np.ndarray]:
+def _product(left: ExponentTable, right: ExponentTable) -> tuple[ExponentTable, np.ndarray]:
     """Sorted table of the products of the monomials of two tables, and per
     left monomial the product column of each right monomial."""
-    keys = [[(a[0] + b[0], a[1] + b[1], a[2] + b[2]) for b in right.keys] for a in left.keys]
-    table = _table(tuple(sorted({k for row in keys for k in row})))
-    columns = np.array([[table.index[k] for k in row] for row in keys], dtype=np.int64)
-    columns.flags.writeable = False
-    return table, columns.reshape(len(left), len(right))
+    rows = (left.expos[:, None] + right.expos).reshape(-1, 3)
+    if rows.min(initial=0) < 0:  # an int64 sum of two exponents wrapped
+        raise ValueError("a product exponent exceeds 2**63 - 1")
+    table, column = table_of(rows)
+    return table, _read_only(column.reshape(len(left), len(right)))[0]
 
 
 def join(*fields: PolyField) -> PolyField:
@@ -484,7 +494,7 @@ def join(*fields: PolyField) -> PolyField:
     return PolyField._from_matrix(table, coeffs)
 
 
-def stack_fields(fields) -> tuple[_Table, np.ndarray]:
+def stack_fields(fields) -> tuple[ExponentTable, np.ndarray]:
     """Shared table and coefficients (F, N, M) of fields with N components
     each: a restack when they share one table, else over the sorted union
     of their tables."""
@@ -501,7 +511,7 @@ def stack_fields(fields) -> tuple[_Table, np.ndarray]:
     return union, coeffs
 
 
-def _stacked_eval(points: np.ndarray, table: _Table, coeffs: np.ndarray) -> np.ndarray:
+def _stacked_eval(points: np.ndarray, table: ExponentTable, coeffs: np.ndarray) -> np.ndarray:
     """Polynomials with coefficients (F, K, M) over `table` at points
     (F, P, 3): (F, P, K), one monomial matrix and one stacked product."""
     f, p = points.shape[:2]
@@ -509,7 +519,7 @@ def _stacked_eval(points: np.ndarray, table: _Table, coeffs: np.ndarray) -> np.n
     return mono @ np.swapaxes(coeffs, 1, 2)
 
 
-def _states(points: np.ndarray, table: _Table, coeffs: np.ndarray, levels) -> list:
+def _states(points: np.ndarray, table: ExponentTable, coeffs: np.ndarray, levels) -> list:
     """Values (F, P, N), first partials (F, P, 3N) and the six a <= b second
     partials (F, P, 6N) of stacked fields (F, N, M) over `table` at their
     own points (F, P, 3); None for a derivative level not in `levels`."""
@@ -535,7 +545,7 @@ def field_states(fields, points, levels=(0, 1, 2)) -> tuple:
     pts = np.asarray(points, dtype=float)
     if len({field.n for field in fields}) != 1:
         raise ValueError("component count mismatch")
-    groups: dict[_Table, list[int]] = {}
+    groups: dict[ExponentTable, list[int]] = {}
     for i, field in enumerate(fields):
         groups.setdefault(field._table, []).append(i)
     shape = pts.shape[:2] + (fields[0].n,)

@@ -5,7 +5,9 @@ of the generator partials; contracting them with the field gradient
 collapses to the second invariant of the total-derivative matrix
 J_ab = dS^a/dx_b + dS^a/dy_i * y^i_b, which is what the evaluator computes.
 Generators are polynomials with rational coefficients, so all partials are
-exact and the partial-derivative order never matters.
+exact and the partial-derivative order never matters.  Their first and
+second partials are `polyfield.ExponentTable`s, built by `table_of` as a
+field's tables are, each with one float coefficient column per partial.
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement
+from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .polyfield import evaluate_monomials, monomial_plan, monomials_upto
+from .polyfield import evaluate_monomials, exponent_rows, monomials_upto, table_of
 from .verifier import Lagrangian
 
 __all__ = [
@@ -44,12 +46,9 @@ class GenPoly:
         (exponents, coeff) pairs; the coefficients of a repeated exponent
         tuple are summed exactly, and zero sums dropped."""
         self.nvars = int(nvars)
-        merged: dict[tuple[int, ...], Fraction] = {}
+        merged: dict[tuple, Fraction] = {}
         for expo, coeff in terms.items() if isinstance(terms, dict) else terms or ():
-            expo = tuple(int(e) for e in expo)
-            if len(expo) != self.nvars:
-                raise ValueError(f"exponent tuple length {len(expo)} != {self.nvars} variables")
-            coeff = Fraction(coeff)
+            expo, coeff = tuple(expo), Fraction(coeff)
             merged[expo] = merged[expo] + coeff if expo in merged else coeff
         self._terms = {e: c for e, c in merged.items() if c != 0}
 
@@ -92,13 +91,9 @@ class GeneratorSet:
     """Three generator polynomials of (x, y), held as one exact table: term t
     is num[t] / den[t] * prod_v v^expos[t, v] of generator poly[t], with
     exponents (T, 3+N) int64, generator indices (T,), and reduced numerators
-    and denominators as Python ints in object arrays.
-
-    Their first and second partials are evaluated from float matrices built
-    from the table on first use: one exponent table with its monomial plan and
-    one coefficient column per partial, so each evaluation is one monomial
-    matrix and one product over the batch.
-    """
+    and denominators as Python ints in object arrays.  The partial tables
+    are built on first use, so each evaluation is one monomial matrix and one
+    product over the batch."""
 
     def __init__(self, polys, n: int):
         polys, n = tuple(polys), int(n)
@@ -122,10 +117,9 @@ class GeneratorSet:
         """Set the table to the {(generator index, exponents): (numerator,
         denominator)} terms, each reduced, nonzero and with den > 0."""
         self.n, self._polys, self._grad, self._hess = n, None, None, None
-        expos = [e for _, e in terms]
-        self._degree = max(map(sum, expos), default=0)
+        self.expos = exponent_rows((e for _, e in terms), 3 + n)
+        self._degree = max(map(sum, self.expos.tolist()), default=0)
         self.poly = np.array([a for a, _ in terms], dtype=np.int64)
-        self.expos = np.fromiter(chain.from_iterable(expos), np.int64, len(expos) * (3 + n)).reshape(-1, 3 + n)
         self.num = np.array([u for u, _ in terms.values()], dtype=object)
         self.den = np.array([d for _, d in terms.values()], dtype=object)
         for table in (self.poly, self.expos, self.num, self.den):
@@ -144,15 +138,11 @@ class GeneratorSet:
         return self._degree
 
     def _partial_matrix(self, order: int) -> tuple:
-        """Exponents (R, 3+N), float coefficients (R, 3 * P) and plan of all P
-        partials of the given order: column a * P + i holds the partial of S^a
-        along the i-th tuple of `_partial_tuples`, and the rows are the sorted
-        union of the partials' exponents.  A partial maps each term to one
-        term, so each coefficient is one exact integer product of exponent
-        factors and one correctly rounded division.  The rows are deduplicated
-        by one `np.unique` over byte keys: each row as big-endian int64, whose
-        bytes compare as the row does lexicographically, since every exponent
-        is non-negative."""
+        """Exponents (R, 3+N), read-only float coefficients (R, 3 * P) and table
+        of all P partials of the given order: column a * P + i holds the partial
+        of S^a along the i-th tuple of `_partial_tuples`, row r the table's row r.
+        A partial maps each term to one term, so each coefficient is one exact
+        integer product of exponent factors and one correctly rounded division."""
         tuples, offsets, counts, _ = _partial_tuples(3 + self.n, order)
         factors = self.expos[:, tuples] - offsets
         term, part = np.nonzero(np.all(factors > 0, axis=2))
@@ -169,21 +159,20 @@ class GeneratorSet:
             # name the first coefficient out of range, column by column in table order
             for i in np.lexsort((term, col)):
                 _to_float(num[i], den[i], "generator partial coefficient")
-        keys = (self.expos[term] - counts[part]).astype(">i8").view(f"V{8 * (3 + self.n)}")
-        keys, row = np.unique(keys.reshape(-1), return_inverse=True)
-        expos = keys.view(">i8").reshape(-1, 3 + self.n).astype(np.int64)
-        coeffs = np.zeros((len(expos), 3 * len(tuples)))
+        table, row = table_of(self.expos[term] - counts[part])
+        coeffs = np.zeros((len(table), 3 * len(tuples)))
         coeffs[row, col] = values
-        return expos, coeffs, monomial_plan(expos)
+        coeffs.flags.writeable = False
+        return table.expos, coeffs, table
 
     def _gradient(self) -> tuple:
-        """Exponents, coefficients (T1, 3 * (3+N)) and plan of dS^a/dv, column a*(3+N) + v."""
+        """Exponents, coefficients (T1, 3 * (3+N)) and table of dS^a/dv, column a*(3+N) + v."""
         if self._grad is None:
             self._grad = self._partial_matrix(1)
         return self._grad
 
     def _hessian(self) -> tuple:
-        """Exponents, coefficients and plan of d2S^a/dv1 dv2 for v1 <= v2, and the
+        """Exponents, coefficients and table of d2S^a/dv1 dv2 for v1 <= v2, and the
         column of every (a, v1, v2) in the full symmetric (3, 3+N, 3+N) array."""
         if self._hess is None:
             self._hess = self._partial_matrix(2) + (_partial_tuples(3 + self.n, 2)[3],)
@@ -199,8 +188,8 @@ class GeneratorSet:
     def first_partials(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Batched (Sx, Sy): x-partials (m,3,3) and y-partials (m,3,N)."""
         pts = self._points(x, y)
-        _, coeffs, plan = self._gradient()
-        vals = evaluate_monomials(pts, plan, coeffs).reshape(len(pts[0]), 3, 3 + self.n)
+        _, coeffs, table = self._gradient()
+        vals = evaluate_monomials(pts, table.plan, coeffs).reshape(len(pts[0]), 3, 3 + self.n)
         return vals[:, :, :3], vals[:, :, 3:]
 
     def second_partials(self, x: np.ndarray, y: np.ndarray):
@@ -210,8 +199,8 @@ class GeneratorSet:
         Sxx[a,b,c] = d2 S^a / dx_b dx_c, Sxy[a,b,j] = d2 S^a / dx_b dy_j,
         Syy[a,i,j] = d2 S^a / dy_i dy_j; exactly symmetric.
         """
-        _, coeffs, plan, index = self._hessian()
-        full = evaluate_monomials(self._points(x, y), plan, coeffs)[:, index]
+        _, coeffs, table, index = self._hessian()
+        full = evaluate_monomials(self._points(x, y), table.plan, coeffs)[:, index]
         if np.ndim(x) == 1:
             full = full[0]
         return full[..., :3, :3], full[..., :3, 3:], full[..., 3:, 3:]

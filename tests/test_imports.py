@@ -127,9 +127,12 @@ def test_every_exported_object_has_one_name_and_the_package_root_binds_none():
 
 
 def arrays_in(value):
-    """The ndarrays of a value, looking inside tuples and lists."""
+    """The ndarrays of a value, looking inside tuples, lists and exponent
+    tables (their rows and monomial plan)."""
     if isinstance(value, np.ndarray):
         return [value]
+    if isinstance(value, polyfield.ExponentTable):
+        return arrays_in((value.expos, value.plan))
     if isinstance(value, (tuple, list)):
         return [a for item in value for a in arrays_in(item)]
     return []
@@ -157,17 +160,23 @@ def lists_in(value) -> bool:
 
 
 def table_arrays(table):
-    """The arrays a cached exponent table shares with every field over it."""
-    return table.expos, table.plan, table.derivative()[1]
+    """What a cached exponent table shares with every field over it: itself
+    and its derivative table and maps."""
+    return table, table.derivative()
+
+
+def table(*expos):
+    """The shared table of the exponent tuples."""
+    return polyfield.table_of(np.array(expos, dtype=np.int64).reshape(-1, 3))[0]
 
 
 #: Every cached function of the package that takes parameters, with a call
 #: on small arguments that returns what it shares with later callers.
 CACHED_CALLS = {
-    "polyfield._table": lambda f: table_arrays(f(((0, 0, 0), (0, 1, 2), (2, 0, 1)))),
+    "polyfield._table": lambda f: table_arrays(f(3, np.array([[0, 0, 0], [0, 1, 2], [2, 0, 1]], ">i8").tobytes())),
     "polyfield._dense": lambda f: (table_arrays(f(2)[0]), f(2)),
-    "polyfield._union": lambda f: f((polyfield._table(((0, 0, 1),)), polyfield._table(((1, 0, 0), (0, 0, 1))))),
-    "polyfield._product": lambda f: f(polyfield._table(((0, 0, 1),)), polyfield._table(((1, 0, 0), (0, 2, 0)))),
+    "polyfield._union": lambda f: f((table((0, 0, 1)), table((1, 0, 0), (0, 0, 1)))),
+    "polyfield._product": lambda f: f(table((0, 0, 1)), table((1, 0, 0), (0, 2, 0))),
     "quadrature.gauss_points_01": lambda f: f(2),
     "quadrature.cube_rule": lambda f: f(2),
     "quadrature.boundary_rule": lambda f: f(2),
@@ -196,6 +205,17 @@ def test_cached_functions_with_parameters_return_read_only_arrays():
 
 def generators():
     return rund.random_generator_set(np.random.default_rng(7), 6)
+
+
+def test_a_generator_sets_kept_partial_tables_are_read_only():
+    """A set keeps its first- and second-partial tables for every later
+    `first_partials` and `second_partials` call, so one write to them would
+    change every later result."""
+    g = generators()
+    kept = (g._gradient(), g._hessian())
+    assert all(isinstance(part[2], polyfield.ExponentTable) and part[0] is part[2].expos for part in kept)
+    arrays = arrays_in(kept)
+    assert len(arrays) > 6 and not any(a.flags.writeable for a in arrays)
 
 
 #: Every frozen dataclass of the package that holds arrays, with a call that

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -12,6 +13,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import table_oracle
 from evaluation_history import history_cases, history_digests
 from face_rule_oracle import face_rules
 from nullag import polyfield, rund
@@ -31,6 +33,7 @@ from nullag.polyfield import (
     stack_fields,
 )
 from nullag.quadrature import boundary_rule, cube_rule, gauss_points_01, required_order
+from table_oracle import table_keys
 
 X = sp.symbols("x1:4")
 
@@ -129,7 +132,7 @@ def test_diff_product_and_join_match_sympy_on_mixed_tables():
 
     joined = join(a, b, c)
     assert joined.terms == a.terms + b.terms + c.terms
-    assert joined._table.keys == tuple(sorted(set().union(*(f._table.keys for f in (a, b, c)))))
+    assert table_keys(joined._table) == tuple(sorted(set().union(*(table_keys(f._table) for f in (a, b, c)))))
 
     for left, right, pl, pr in ((a, b, pa, pb), (a, joined, pa, pa + pb + pc)):
         assert (left * right).terms == sympy_terms([pl[0] * p for p in pr])
@@ -323,7 +326,7 @@ def test_stack_fields_union_table():
     rng = np.random.default_rng(10)
     fields = [random_polyfield(rng, 2, 1), random_polyfield(rng, 2, 3)]
     table, coeffs = stack_fields(fields)
-    assert table.keys == tuple(sorted(monomials_upto(3, 3)))
+    assert table_keys(table) == tuple(sorted(monomials_upto(3, 3)))
     pts = rng.uniform(0, 1, (6, 3))
     for field, c in zip(fields, coeffs):
         assert np.allclose(PolyField._from_matrix(table, c).eval(pts), field.eval(pts), rtol=0, atol=1e-15)
@@ -344,7 +347,7 @@ def test_bubble_damped_equals_poly3_product(fields):
         expected = sympy_terms([bub * p for p in sympy_components(w)])
         damped = bubble() * w
         assert damped.terms == expected
-        assert damped._table.keys == tuple(sorted(set().union(*expected)))
+        assert table_keys(damped._table) == tuple(sorted(set().union(*expected)))
 
 
 def per_left_term_product(left, w):
@@ -355,13 +358,13 @@ def per_left_term_product(left, w):
     for factor, cols in zip(left._coeffs[0], columns):
         coeffs[:, cols] += factor * w._coeffs
     used = np.any(coeffs != 0.0, axis=0)
-    return tuple(e for e, u in zip(table.keys, used.tolist()) if u), coeffs[:, used]
+    return tuple(e for e, u in zip(table_keys(table), used.tolist()) if u), coeffs[:, used]
 
 
 def assert_product_matches_per_term(left, w):
     keys, coeffs = per_left_term_product(left, w)
     product = left * w
-    assert product._table.keys == keys
+    assert table_keys(product._table) == keys
     assert product._coeffs.shape == coeffs.shape
     assert product._coeffs.tobytes() == coeffs.tobytes()
     return product
@@ -388,7 +391,7 @@ def test_product_of_zero_field_and_cancellation():
     left = PolyField([{(1, 0, 0): 1.0, (0, 1, 0): -1.0}])  # x - y
     w = PolyField([{(1, 0, 0): 1.0, (0, 1, 0): 1.0}, {(1, 0, 0): 0.5, (0, 1, 0): 0.5}])
     square = assert_product_matches_per_term(left, w)
-    assert square._table.keys == ((0, 2, 0), (2, 0, 0))  # the xy terms cancel
+    assert table_keys(square._table) == ((0, 2, 0), (2, 0, 0))  # the xy terms cancel
     assert square.terms == [{(0, 2, 0): -1.0, (2, 0, 0): 1.0}, {(0, 2, 0): -0.5, (2, 0, 0): 0.5}]
 
 
@@ -408,6 +411,79 @@ def test_product_property(n, left_degree, degree, density, use_bubble, seed):
     left = bubble() if use_bubble else dyadic_field(rng, 1, left_degree, density)
     assert_product_matches_per_term(left, dyadic_field(rng, n, degree, density))
     assert_product_matches_per_term(random_polyfield(rng, 1, left_degree), random_polyfield(rng, n, degree))
+
+
+def oracle_tables() -> list:
+    """The tables of the dense fields of degree 0-6, bubble products of dense
+    and sparse fields, curl-free rotation fields and joins, each with its
+    first- and second-partial tables."""
+    rng = np.random.default_rng(41)
+    sampler = CurlFreeRotationSampler()
+    sparse = [dyadic_field(rng, 1, d, density=0.4) for d in range(1, 5)]
+    fields = [bubble() * f for f in [random_polyfield(rng, 3, d) for d in range(4)] + sparse]
+    fields += [sampler.field(rng, d) for d in range(4)] + [sampler.boundary_delta(rng, d) for d in range(3)]
+    fields += [join(*fields[:3]), join(fields[9], sparse[2], PolyField.zero(1)), join(*sparse)]
+    tables = [polyfield._dense(d)[0] for d in range(7)] + [f._table for f in fields]
+    tables += [t.derivative()[0] for t in tables]
+    return list(dict.fromkeys(tables + [t.derivative()[0] for t in tables]))
+
+
+def assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def test_derivative_tables_equal_the_tuple_loop():
+    """Each table's rows are sorted and unique, and its first-partial table
+    and maps are those of the per-term loop over tuple keys, bit for bit."""
+    tables = oracle_tables()
+    assert len(tables) > 40 and min(map(len, tables)) == 0
+    for table in tables:
+        assert table_keys(table) == tuple(sorted(set(table_keys(table))))
+        child, maps = table.derivative()
+        want_child, want_maps = table_oracle.derivative(table_keys(table))
+        assert table_keys(child) == want_child
+        assert len(maps) == 3
+        for got, want in zip(maps, want_maps):
+            assert_same_arrays(got, want)
+
+
+def test_union_and_product_tables_equal_the_tuple_sorts():
+    """`_union` and `_product` give the tables and column maps of sorting
+    tuple sets and looking each tuple up, bit for bit."""
+    tables = oracle_tables()
+    for i, table in enumerate(tables):
+        for group in ((table, tables[i - 1]), (table, tables[i - 5], tables[i - 11])):
+            union, columns = polyfield._union(group)
+            want, want_columns = table_oracle.union(tuple(map(table_keys, group)))
+            assert table_keys(union) == want
+            assert_same_arrays(columns, want_columns)
+        for left in (bubble()._table, polyfield._dense(1)[0], tables[i - 3]):
+            product, columns = polyfield._product(left, table)
+            want, want_columns = table_oracle.product(table_keys(left), table_keys(table))
+            assert table_keys(product) == want
+            assert_same_arrays((columns,), (want_columns,))
+
+
+BAD_EXPONENTS = {"negative": (-1, 0, 0), "non-integral": (1.5, 0, 0), "2**63": (2**63, 0, 0), "wrong-length": (1, 0)}
+
+
+@pytest.mark.parametrize("expo", BAD_EXPONENTS.values(), ids=BAD_EXPONENTS)
+def test_polyfield_rejects_a_bad_exponent_tuple_naming_it(expo):
+    """Never read as another monomial: x**-1 as 1, x**1.5 as x."""
+    with pytest.raises(ValueError, match=re.escape(f"exponent tuple {expo!r} must hold 3 integers in [0, 2**63)")):
+        PolyField([{(0, 0, 0): 1.0}, {(1, 0, 0): 2.0, expo: 1.0}])
+
+
+def test_polyfield_accepts_integer_exponents_up_to_2_63_minus_1_and_no_product_beyond():
+    field = PolyField([{(np.int64(2), 0, True): 1.0}, {(2**63 - 1, 0, 0): 0.5}])
+    assert field.terms == [{(2, 0, 1): 1.0}, {(2**63 - 1, 0, 0): 0.5}] and field.axis_degree() == 2**63 - 1
+    assert PolyField([{(2**62, 2**62, 1): 1.0}]).degree() == 2**63 + 1  # exact, not an int64 sum
+    half = PolyField([{(0, 2**62, 0): 1.0}])
+    assert (half * PolyField([{(0, 2**62 - 1, 1): 1.0}])).terms == [{(0, 2**63 - 1, 1): 1.0}]
+    with pytest.raises(ValueError, match=re.escape("a product exponent exceeds 2**63 - 1")):
+        half * half
 
 
 def test_axis_degree_is_kept_and_coefficients_are_read_only():

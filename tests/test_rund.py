@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -262,6 +263,18 @@ def test_generator_set_validates_dimensions():
         GeneratorSet([GenPoly(9)], 6)
     with pytest.raises(ValueError, match="9 variables"):
         GeneratorSet([GenPoly(8), GenPoly(9), GenPoly(9)], 6)
+
+
+BAD_EXPONENTS = {"negative": (-1, 0, 0, 1), "non-integral": (1.5, 0, 0, 1), "2**63": (2**63, 0, 0, 1),
+                 "wrong-length": (1, 0, 1)}
+
+
+@pytest.mark.parametrize("expo", BAD_EXPONENTS.values(), ids=BAD_EXPONENTS)
+def test_generator_set_rejects_a_bad_exponent_tuple_naming_it(expo):
+    """Never read as another monomial: x1**-1 y1 as y1, x1**1.5 y1 as x1 y1."""
+    polys = [GenPoly(4, {(1, 0, 0, 0): 1, expo: 1}), GenPoly(4), GenPoly(4)]
+    with pytest.raises(ValueError, match=re.escape(f"exponent tuple {expo!r} must hold 4 integers in [0, 2**63)")):
+        GeneratorSet(polys, 1)
 
 
 def _exact_value(poly, pt):
