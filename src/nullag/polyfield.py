@@ -42,7 +42,9 @@ __all__ = [
     "ExponentTable",
     "PolyField",
     "bubble",
+    "bubble_pairs",
     "constant_field",
+    "dense_states",
     "evaluate_monomials",
     "evaluate_on_rule",
     "exponent_rows",
@@ -561,6 +563,15 @@ def field_states(fields, points, levels=(0, 1, 2)) -> tuple:
     return vals, grads, None if pairs is None else pairs[..., _PAIR]
 
 
+def dense_states(draws: np.ndarray, degree: int, points: np.ndarray, levels=(0, 1, 2)) -> tuple:
+    """`field_states`, bit for bit, of the fields that `random_polyfield`
+    makes of uniform draws (F, N, K), at points (F, P, 3): one stacked pass."""
+    table, position = _dense(degree)
+    vals, grads, pairs = _states(points, table, np.take(draws, position, axis=-1), levels)
+    return (vals, None if grads is None else grads.reshape(*points.shape[:2], -1, 3),
+            None if pairs is None else pairs.reshape(*points.shape[:2], -1, 6)[..., _PAIR])
+
+
 @lru_cache(maxsize=1)
 def bubble() -> PolyField:
     """The boundary-vanishing factor prod_a x_a (1 - x_a) on the unit cube,
@@ -576,6 +587,24 @@ def random_polyfield(rng: np.random.Generator, n: int, degree: int) -> PolyField
     # `take` keeps the row-major layout that `draws[:, position]` would turn
     # column-major; the BLAS product of an evaluation rounds by layout.
     return PolyField._from_matrix(table, np.take(draws, position, axis=1))
+
+
+def bubble_pairs(y_draws: np.ndarray, w_draws: np.ndarray, degree: int) -> list[tuple[PolyField, PolyField]]:
+    """Each (y, y + bubble() * w) of the `random_polyfield` fields of uniform
+    draws (F, N, K) of `degree` and (F, N, 4) of degree 1: all at once, with
+    the bits of `*` and `+`, or by `*` where a product column is exactly 0."""
+    (table, position), (w_table, w_position), b = _dense(degree), _dense(1), bubble()
+    ys, ws = np.take(y_draws, position, axis=-1), np.take(w_draws, w_position, axis=-1)
+    product, columns = _product(b._table, w_table)
+    prods = np.zeros(ws.shape[:2] + (len(product),))
+    np.add.at(prods, (..., columns), ws[:, :, None, :] * b._coeffs[0][:, None])  # in the order of `*`
+    union, (y_columns, product_columns) = _union((table, product))
+    sums = np.zeros(ws.shape[:2] + (len(union),))
+    sums[..., y_columns] += ys
+    sums[..., product_columns] += prods
+    fields = [PolyField._from_matrix(table, y) for y in ys]
+    return [(y, PolyField._from_matrix(union, s) if full else y + b * PolyField._from_matrix(w_table, w))
+            for y, w, s, full in zip(fields, ws, sums, np.any(prods != 0.0, axis=1).all(axis=1).tolist())]
 
 
 def constant_field(values) -> PolyField:

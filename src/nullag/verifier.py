@@ -23,7 +23,8 @@ from itertools import islice
 
 import numpy as np
 
-from .polyfield import PolyField, bubble, evaluate_on_rule, field_states, random_polyfield, stack_fields
+from .polyfield import (PolyField, bubble, bubble_pairs, dense_states, evaluate_on_rule, field_states,
+                        random_polyfield, stack_fields)
 from .quadrature import cube_rule, required_order
 from .report import as_tolerance
 
@@ -148,15 +149,14 @@ def _residuals(lag: Lagrangian, x, y0, dy0, d2y0):
     return res, 1.0 + coeff * np.max(np.abs(d2y0), axis=(-3, -2, -1))
 
 
-def _read_states(lag: Lagrangian, fields, x):
-    """`field_states` of the levels the residual reads: the Hessians alone
-    for a density that reads no values."""
-    return field_states(fields, x, (0, 1, 2) if lag.reads_values else (2,))
+def _levels(lag: Lagrangian) -> tuple:
+    """The state levels the residual reads: the Hessians alone if no values."""
+    return (0, 1, 2) if lag.reads_values else (2,)
 
 
 def _residual_and_scale(lag: Lagrangian, y: PolyField, x):
     x = np.asarray(x, dtype=float).reshape(1, 1, 3)
-    res, scale = _residuals(lag, x, *_read_states(lag, [y], x))
+    res, scale = _residuals(lag, x, *field_states([y], x, _levels(lag)))
     return res[0, 0], float(scale[0, 0])
 
 
@@ -218,6 +218,7 @@ class FieldSampler:
 
     Perturbations are bubble-damped low-degree fields, which keeps the
     perturbed integrand degree small enough for the default quadrature.
+    `certify_null` calls these methods only if a subclass replaces one.
     """
 
     def __init__(self, n: int):
@@ -314,7 +315,9 @@ def certify_null(
     All trial states are evaluated in one batch and reduced in one residual
     evaluation.  `order` is a minimum: each boundary action is raised to
     the order its density's per-coordinate degree bound needs, and all
-    actions of one order share one quadrature pass.
+    actions of one order share one quadrature pass.  Each stream of the
+    default sampler is drawn by one `Generator.random` into stacked arrays,
+    bit for bit; a subclass that replaces a method is called per stream.
     """
     trials = _integer(trials, "trials", 1)
     degree = _integer(degree, "degree", 2, " to exercise second derivatives")
@@ -322,18 +325,33 @@ def certify_null(
     seed = _integer(seed, "seed", 0)
     points_per_trial = _integer(points_per_trial, "points per trial", 1)
     boundary_pairs = _integer(boundary_pairs, "boundary pairs", 0)
+    if trials + boundary_pairs > 1 << 32:  # as in `_trial_generators`, but before any draw is allocated
+        raise ValueError(f"trials plus boundary pairs must be at most 2**32, got {trials + boundary_pairs}")
     residual_tol = as_tolerance(CLOSED_FORM_RESIDUAL_TOL if residual_tol is None else residual_tol,
                                 "residual tolerance")
     sampler = sampler or FieldSampler(lag.n)
+    n, k = sampler.n, (degree + 1) * (degree + 2) * (degree + 3) // 6  # k monomials of degree <= degree
 
     streams = _trial_generators(seed, trials + boundary_pairs)
-    fields, points = [], []
-    for rng in islice(streams, trials):
-        fields.append(sampler.field(rng, degree))
-        points.append(rng.uniform(0.0, 1.0, size=(points_per_trial, 3)))
-    x = np.stack(points)
+    if type(sampler).field is FieldSampler.field and type(sampler).boundary_delta is FieldSampler.boundary_delta:
+        try:  # a trial's row: its field's draws, then its points'; a pair's: its field's, then w's
+            rows = np.empty((trials + boundary_pairs, n * k + max(3 * points_per_trial, 4 * n)))
+        except (MemoryError, ValueError):  # numpy's text names no count
+            raise ValueError(f"cannot allocate the random draws of {trials} trials") from None
+        for row, rng in zip(rows, streams):
+            rng.random(out=row)  # the doubles `uniform` takes: uniform(-1, 1) is -1 + 2u bit for bit
+        dense, tail = -1.0 + 2.0 * rows[:, :n * k].reshape(-1, n, k), rows[:, n * k:]
+        x = tail[:trials, :3 * points_per_trial].reshape(trials, points_per_trial, 3)
+        states = dense_states(dense[:trials], degree, x, _levels(lag))
+        pairs = bubble_pairs(dense[trials:], -1.0 + 2.0 * tail[trials:, :4 * n].reshape(-1, n, 4), degree)
+    else:
+        fields, points = zip(*((sampler.field(rng, degree), rng.uniform(0.0, 1.0, size=(points_per_trial, 3)))
+                               for rng in islice(streams, trials)))
+        x = np.stack(points)
+        states = field_states(fields, x, _levels(lag))
+        pairs = [(field := sampler.field(rng, degree), field + sampler.boundary_delta(rng, degree)) for rng in streams]
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        res, scale = _residuals(lag, x, *_read_states(lag, fields, x))
+        res, scale = _residuals(lag, x, *states)
         normalized = np.max(np.abs(res), axis=-1) / scale
     if not np.all(np.isfinite(normalized)):
         raise FloatingPointError("non-finite Euler residual")
@@ -342,9 +360,7 @@ def certify_null(
     # Every pair's base and perturbed fields join the group of its order;
     # each group is integrated on one rule in one call.
     pair_orders, groups = [], {}
-    for rng in streams:
-        field = sampler.field(rng, degree)
-        perturbed = field + sampler.boundary_delta(rng, degree)
+    for field, perturbed in pairs:
         degree_bound = lag.integrand_degree(max(field.axis_degree(), perturbed.axis_degree()))
         use_order = max(order, required_order(degree_bound))
         pair_orders.append(use_order)

@@ -496,6 +496,23 @@ def test_gauss_rule_beyond_memory_is_a_usage_error(tmp_path, capsys, monkeypatch
     assert err == "error: cannot allocate a Gauss-Legendre rule of order 100000\n"
 
 
+def test_trial_draws_beyond_memory_are_a_usage_error(tmp_path, capsys, monkeypatch):
+    """A `--trials` count whose stacked draws numpy cannot allocate is an
+    input error that names the count, as above; the allocation is refused,
+    never made."""
+    empty = np.empty
+
+    def refuse_large(shape, *args, **kwargs):
+        if np.prod(shape, dtype=float) > 2**32:
+            raise MemoryError(f"Unable to allocate an array of shape {shape}")
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", refuse_large)
+    path = write(tmp_path, "m.json", {"model": "micropolar", "A": Z81, "B": Z81, "D": Z81})
+    err = assert_one_error_line(["certify", path, "--trials", "4294967293"], capsys)
+    assert err == "error: cannot allocate the random draws of 4294967293 trials\n"
+
+
 @pytest.mark.parametrize(
     "text, key",
     [

@@ -177,6 +177,30 @@ def test_check_and_split_output_digests_are_pinned(tmp_path, capsys):
     assert got == CLI_DIGESTS
 
 
+#: Captured before the default sampler drew its streams into stacked arrays.
+CERTIFY_DIGESTS = {
+    "certify/mp-null/json": "e3014f0d1dc516ab4013474af09732bb754afcfbe511b6a5f64d8bec4d866ded",
+    "certify/mp-null/text": "46619069ae40002d40137c246fffc8dbc2421469b128e7565a905f248106144d",
+    "certify/qc-random/json": "5551940d4bf58ee6ee87940a9c639080a3acde1c697b21d0e555182181fb77bc",
+    "certify/qc-random/text": "d15cdd959c5ce6196ff595c706b4aa822ff1986917cdbb189b4d83911a19f06f",
+}
+
+
+def test_default_certify_output_digests_are_pinned(tmp_path, capsys):
+    """SHA-256 of `certify` stdout, with the exit code, at the CLI's
+    defaults (64 trials, degree 3, seed 42), on a null micropolar file whose
+    density reads field values and a failing quasicrystal file whose
+    density reads gradients only."""
+    got = {}
+    for name in ("mp-null", "qc-random"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cli_models()[name]))
+        for fmt in ("json", "text"):
+            code = main(["certify", str(path), "--format", fmt])
+            got[f"certify/{name}/{fmt}"] = hashlib.sha256(f"{code}\n{capsys.readouterr().out}".encode()).hexdigest()
+    assert got == CERTIFY_DIGESTS
+
+
 KERNEL_CHILD = """
 import contextlib, io, json, sys
 from nullag.cli import main

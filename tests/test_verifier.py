@@ -493,6 +493,98 @@ def test_certificates_keep_the_bits_of_numpy_spawned_streams(monkeypatch, base, 
     assert [kind for kind, _ in runs[0][1]] == ["field"] * 7 + ["field", "delta"] * 4
 
 
+class PassThroughSampler(FieldSampler):
+    """The default sampler's fields, through methods that `certify_null`
+    calls once per stream: the oracle of its stacked draws."""
+
+    def field(self, rng, degree):
+        return super().field(rng, degree)
+
+    def boundary_delta(self, rng, degree):
+        return super().boundary_delta(rng, degree)
+
+
+def random_quadratic_density(rng, n, reads_values):
+    """A quadratic density on n fields with random blocks; q and r are zero
+    unless it reads values."""
+    sym = lambda t: 0.5 * (t + np.transpose(t, (2, 3, 0, 1)))
+    p = sym(rng.uniform(-1, 1, (n, 3, n, 3)))
+    if not reads_values:
+        return QuadraticLagrangian(p)
+    return QuadraticLagrangian(p, rng.uniform(-1, 1, (n, 3, n)), rng.uniform(-1, 1, (n, n)))
+
+
+#: (trials, points per trial, boundary pairs): every trial count, 1025
+#: across the 1024-child seeding block, and every pairing of the others.
+STACKED_RUNS = [(1, 1, 0), (2, 3, 3), (64, 1, 3), (1025, 3, 0)]
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 6])
+@pytest.mark.parametrize("degree", [2, 3, 4])
+def test_stacked_draws_give_the_per_stream_certificate(degree, n):
+    """The default sampler's streams, drawn whole into stacked arrays, give
+    the certificate of its methods called once per stream, bit for bit."""
+    rng = np.random.default_rng(100 * degree + n)
+    lag = random_quadratic_density(rng, n, reads_values=(degree + n) % 2 == 0)
+    if (degree, n) == (3, 6):
+        lag = mp.iso_null_evaluator(1.3)  # a null density: its residuals are pure rounding
+    seed = 2**128 + 7 if degree == 4 else int(rng.integers(2**32))
+    for trials, points, pairs in STACKED_RUNS:
+        kwargs = dict(trials=trials, degree=degree, seed=seed, points_per_trial=points, boundary_pairs=pairs)
+        stacked = certify_null(lag, **kwargs).as_dict()
+        assert stacked == certify_null(lag, sampler=PassThroughSampler(n), **kwargs).as_dict()
+        assert len(stacked["boundary_action_deltas"]) == pairs
+
+
+def test_stacked_draws_keep_the_bits_of_numpy_spawned_streams(monkeypatch):
+    """Also for a generator density, whose residual reads the trial points."""
+    monkeypatch.setattr(vf, "_trial_generators", numpy_streams)
+    generated = rund.RundLagrangian(rund.random_generator_set(np.random.default_rng(47), 2, degree=2))
+    for lag in (mp.iso_null_evaluator(1.3), mp.lagrangian(ISO_FAILING.moduli()), generated):
+        kwargs = dict(trials=9, seed=2**40 + 3, boundary_pairs=4)
+        stacked = certify_null(lag, **kwargs).as_dict()
+        assert stacked == certify_null(lag, sampler=PassThroughSampler(lag.n), **kwargs).as_dict()
+
+
+class GivenDoubles:
+    """A stand-in for a stream that hands out the given doubles in order,
+    to `random(out=)` and, as low + (high - low) * u, to `uniform`."""
+
+    def __init__(self, doubles):
+        self.doubles = iter(doubles)
+
+    def random(self, out):
+        out[:] = [next(self.doubles) for _ in range(out.size)]
+
+    def uniform(self, low, high, size):
+        return low + (high - low) * np.array([next(self.doubles) for _ in range(np.prod(size))]).reshape(size)
+
+
+def test_a_cancelled_product_column_takes_polyfield_arithmetic(monkeypatch):
+    """The second pair's w has equal constant and x1 coefficients in every
+    component, so the x1^2 x2 x3 column of bubble() * w, the x1 term times
+    b's x1 x2 x3 plus the constant times b's -x1^2 x2 x3, is exactly 0.0 and
+    `*` drops it.  The stacked draws give that pair, and every other field,
+    with the tables and coefficient bits of `PolyField` arithmetic."""
+    n, degree, trials, pairs = 2, 3, 3, 3
+    k = len(polyfield.monomials_upto(3, degree))
+    rows = np.random.default_rng(48).random((trials + pairs, n * k + 12))  # more than a stream takes
+    w = rows[trials + 1, n * k:n * k + 4 * n].reshape(n, 4)  # graded order: 1, x3, x2, x1
+    w[:, 3] = w[:, 0]
+    monkeypatch.setattr(vf, "_trial_generators", lambda seed, count: map(GivenDoubles, rows[:count].tolist()))
+    lag = random_quadratic_density(np.random.default_rng(49), n, True)
+    runs, actions = [], vf._actions
+    for sampler in (None, PassThroughSampler(n)):
+        groups = []
+        monkeypatch.setattr(vf, "_actions",
+                            lambda lag, fields, order: groups.append(fields) or actions(lag, fields, order))
+        cert = certify_null(lag, trials=trials, degree=degree, sampler=sampler, boundary_pairs=pairs)
+        runs.append((cert.as_dict(), [(f._table.expos.tolist(), f._coeffs.tobytes()) for g in groups for f in g]))
+    assert runs[0] == runs[1]
+    perturbed = [expos for expos, _ in runs[0][1][1::2]]
+    assert [[2, 1, 1] in expos for expos in perturbed] == [True, False, True]
+
+
 class EvaluateOnly(Lagrangian):
     """A density that gives only its values: no closed residual, no degree bound."""
 
