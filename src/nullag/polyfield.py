@@ -589,10 +589,11 @@ def random_polyfield(rng: np.random.Generator, n: int, degree: int) -> PolyField
     return PolyField._from_matrix(table, np.take(draws, position, axis=1))
 
 
-def bubble_pairs(y_draws: np.ndarray, w_draws: np.ndarray, degree: int) -> list[tuple[PolyField, PolyField]]:
-    """Each (y, y + bubble() * w) of the `random_polyfield` fields of uniform
-    draws (F, N, K) of `degree` and (F, N, 4) of degree 1: all at once, with
-    the bits of `*` and `+`, or by `*` where a product column is exactly 0."""
+def bubble_pairs(y_draws: np.ndarray, w_draws: np.ndarray, degree: int) -> list[PolyField]:
+    """[y_0, y_0 + bubble() * w_0, y_1, ...] of the `random_polyfield` fields of
+    uniform draws (F, N, K) of `degree` and (F, N, 4) of degree 1, with the bits of
+    `*` and `+`.  Each y keeps its dense table; every sum is on one union table, which
+    drops a product column only if it is 0.0 in every pair, where `*` drops it per pair."""
     (table, position), (w_table, w_position), b = _dense(degree), _dense(1), bubble()
     ys, ws = np.take(y_draws, position, axis=-1), np.take(w_draws, w_position, axis=-1)
     product, columns = _product(b._table, w_table)
@@ -602,9 +603,11 @@ def bubble_pairs(y_draws: np.ndarray, w_draws: np.ndarray, degree: int) -> list[
     sums = np.zeros(ws.shape[:2] + (len(union),))
     sums[..., y_columns] += ys
     sums[..., product_columns] += prods
-    fields = [PolyField._from_matrix(table, y) for y in ys]
-    return [(y, PolyField._from_matrix(union, s) if full else y + b * PolyField._from_matrix(w_table, w))
-            for y, w, s, full in zip(fields, ws, sums, np.any(prods != 0.0, axis=1).all(axis=1).tolist())]
+    used = np.any(sums != 0.0, axis=(0, 1))
+    if not used.all():
+        used[y_columns] = True
+        union, sums = table_of(union.expos[used])[0], sums[..., used]
+    return [f for y, s in zip(ys, sums) for f in (PolyField._from_matrix(table, y), PolyField._from_matrix(union, s))]
 
 
 def constant_field(values) -> PolyField:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -313,11 +313,12 @@ def certify_null(
     Generator is valid only during its call.  Counts, degree and seed are
     ints and the residual tolerance a real number, none of them a bool.
     All trial states are evaluated in one batch and reduced in one residual
-    evaluation.  `order` is a minimum: each boundary action is raised to
-    the order its density's per-coordinate degree bound needs, and all
-    actions of one order share one quadrature pass.  Each stream of the
-    default sampler is drawn by one `Generator.random` into stacked arrays,
-    bit for bit; a subclass that replaces a method is called per stream.
+    evaluation.  `order` is a minimum: all boundary actions share one
+    quadrature pass, at the order their fields' highest per-coordinate degree
+    bound needs, also pairs of lower degree (an exactly 0.0 draw, or a custom
+    sampler's): still exact, only their deltas' rounding can move.  The
+    default sampler draws each stream by one `Generator.random` into stacked
+    arrays, bit for bit; a subclass that replaces a method is called per stream.
     """
     trials = _integer(trials, "trials", 1)
     degree = _integer(degree, "degree", 2, " to exercise second derivatives")
@@ -349,7 +350,8 @@ def certify_null(
                                for rng in islice(streams, trials)))
         x = np.stack(points)
         states = field_states(fields, x, _levels(lag))
-        pairs = [(field := sampler.field(rng, degree), field + sampler.boundary_delta(rng, degree)) for rng in streams]
+        pairs = list(chain.from_iterable((field := sampler.field(rng, degree),
+                                          field + sampler.boundary_delta(rng, degree)) for rng in streams))
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         res, scale = _residuals(lag, x, *states)
         normalized = np.max(np.abs(res), axis=-1) / scale
@@ -357,19 +359,10 @@ def certify_null(
         raise FloatingPointError("non-finite Euler residual")
     max_resid = float(np.max(normalized, initial=0.0))
 
-    # Every pair's base and perturbed fields join the group of its order;
-    # each group is integrated on one rule in one call.
-    pair_orders, groups = [], {}
-    for field, perturbed in pairs:
-        degree_bound = lag.integrand_degree(max(field.axis_degree(), perturbed.axis_degree()))
-        use_order = max(order, required_order(degree_bound))
-        pair_orders.append(use_order)
-        groups.setdefault(use_order, []).extend((field, perturbed))
-    actions = {o: iter(_actions(lag, group, o).tolist()) for o, group in groups.items()}
     deltas = []
-    for use_order in pair_orders:
-        base, shifted = next(actions[use_order]), next(actions[use_order])
-        deltas.append(abs(shifted - base) / max(1.0, abs(base)))
+    if pairs:  # [y_0, y_0 + delta_0, y_1, ...], integrated on one rule in one call
+        use_order = max(order, required_order(max(lag.integrand_degree(f.axis_degree()) for f in pairs)))
+        deltas = [abs(s - b) / max(1.0, abs(b)) for b, s in _actions(lag, pairs, use_order).reshape(-1, 2).tolist()]
 
     passed = max_resid <= residual_tol and all(d <= ACTION_TOL_REL for d in deltas)
     return NullCertificate(

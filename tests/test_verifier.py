@@ -560,29 +560,81 @@ class GivenDoubles:
         return low + (high - low) * np.array([next(self.doubles) for _ in range(np.prod(size))]).reshape(size)
 
 
-def test_a_cancelled_product_column_takes_polyfield_arithmetic(monkeypatch):
-    """The second pair's w has equal constant and x1 coefficients in every
-    component, so the x1^2 x2 x3 column of bubble() * w, the x1 term times
-    b's x1 x2 x3 plus the constant times b's -x1^2 x2 x3, is exactly 0.0 and
-    `*` drops it.  The stacked draws give that pair, and every other field,
-    with the tables and coefficient bits of `PolyField` arithmetic."""
-    n, degree, trials, pairs = 2, 3, 3, 3
+def cancelled_column_runs(monkeypatch, pairs, cancelled):
+    """Certificates of 3 trials and `pairs` boundary pairs, from the stacked
+    draws and from `PolyField` arithmetic, whose pair `cancelled` has w with
+    equal constant and x1 coefficients in every component: the x1^2 x2 x3
+    column of its bubble() * w, the x1 term times b's x1 x2 x3 plus the
+    constant times b's -x1^2 x2 x3, is exactly 0.0.  That pair's y has a
+    zero constant term, a column of y alone.  Per run: the certificate, the
+    fields that `_actions` was given, and their stack."""
+    n, degree, trials = 2, 3, 3
     k = len(polyfield.monomials_upto(3, degree))
     rows = np.random.default_rng(48).random((trials + pairs, n * k + 12))  # more than a stream takes
-    w = rows[trials + 1, n * k:n * k + 4 * n].reshape(n, 4)  # graded order: 1, x3, x2, x1
+    w = rows[trials + cancelled, n * k:n * k + 4 * n].reshape(n, 4)  # graded order: 1, x3, x2, x1
     w[:, 3] = w[:, 0]
+    rows[trials + cancelled, :n * k:k] = 0.5  # -1 + 2 * 0.5 is 0.0
     monkeypatch.setattr(vf, "_trial_generators", lambda seed, count: map(GivenDoubles, rows[:count].tolist()))
     lag = random_quadratic_density(np.random.default_rng(49), n, True)
     runs, actions = [], vf._actions
     for sampler in (None, PassThroughSampler(n)):
-        groups = []
+        calls = []
         monkeypatch.setattr(vf, "_actions",
-                            lambda lag, fields, order: groups.append(fields) or actions(lag, fields, order))
+                            lambda lag, fields, order: calls.append(fields) or actions(lag, fields, order))
         cert = certify_null(lag, trials=trials, degree=degree, sampler=sampler, boundary_pairs=pairs)
-        runs.append((cert.as_dict(), [(f._table.expos.tolist(), f._coeffs.tobytes()) for g in groups for f in g]))
-    assert runs[0] == runs[1]
-    perturbed = [expos for expos, _ in runs[0][1][1::2]]
-    assert [[2, 1, 1] in expos for expos in perturbed] == [True, False, True]
+        [fields] = calls
+        table, coeffs = stack_fields(fields)
+        runs.append((cert.as_dict(), fields, (table.expos.tolist(), coeffs.tobytes())))
+    monkeypatch.setattr(vf, "_actions", actions)
+    return runs
+
+
+def test_a_cancelled_product_column_takes_polyfield_arithmetic(monkeypatch):
+    """Among other pairs, the stacked draws keep the cancelled column, as an
+    exact 0.0 on the one table of every perturbed field, where `*` drops it
+    from that pair alone.  In a lone pair the column is dropped, as `*`
+    drops it, and y's zero column is kept, as `+` keeps it, so both paths
+    give the same tables.  Either way the stack that `_actions` integrates,
+    and so the certificate, has the bits of `PolyField` arithmetic."""
+    (stacked, fields, stack), (cert, reference, reference_stack) = cancelled_column_runs(monkeypatch, 3, 1)
+    assert stacked == cert and stack == reference_stack
+    perturbed = fields[1::2]
+    assert len({f._table for f in perturbed}) == 1
+    expos = perturbed[0]._table.expos.tolist()
+    assert [2, 1, 1] in expos and perturbed[1]._coeffs[:, expos.index([2, 1, 1])].tolist() == [0.0, 0.0]
+    assert [[2, 1, 1] in f._table.expos.tolist() for f in reference[1::2]] == [True, False, True]
+
+    (stacked, fields, stack), (cert, reference, reference_stack) = cancelled_column_runs(monkeypatch, 1, 0)
+    assert stacked == cert and stack == reference_stack
+    expos = [f._table.expos.tolist() for f in fields]
+    assert expos == [f._table.expos.tolist() for f in reference]
+    assert [2, 1, 1] not in expos[1] and [0, 0, 0] in expos[1]
+    assert fields[1]._coeffs[:, expos[1].index([0, 0, 0])].tolist() == [0.0, 0.0]
+
+
+class MixedDegreeSampler(FieldSampler):
+    """Perturbations whose w alternates degrees 2 and 1, so the pairs'
+    integrands need different quadrature orders."""
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.calls = 0
+
+    def boundary_delta(self, rng, degree):
+        self.calls += 1
+        return bubble() * random_polyfield(rng, self.n, 1 + self.calls % 2)
+
+
+def test_pairs_of_different_orders_share_one_action_call(monkeypatch):
+    """Every pair is integrated in one `_actions` call, at the highest order
+    any of them needs: 13 here, where the degree-1 pairs alone need 10."""
+    lag = rund.RundLagrangian(rund.random_generator_set(np.random.default_rng(3), 3, 3))
+    calls, actions = [], vf._actions
+    monkeypatch.setattr(vf, "_actions",
+                        lambda lag, fields, order: calls.append((len(fields), order)) or actions(lag, fields, order))
+    cert = certify_null(lag, degree=2, seed=5, boundary_pairs=4, sampler=MixedDegreeSampler(lag.n))
+    assert calls == [(8, 13)]
+    assert cert.passed and all(d <= vf.ACTION_TOL_REL for d in cert.boundary_action_deltas)
 
 
 class EvaluateOnly(Lagrangian):
