@@ -1,10 +1,12 @@
 """Micropolar (Cosserat) stored energy and null-Lagrangian checks.
 
 Covers the stored energy as a quadratic density, the full anisotropic
-condition system for the three elastic moduli, the equivalent entrywise
-form of the coupling-tensor conditions, the hat/tilde/ring split of the
-rotation-gradient modulus with its 18 Cauchy-analogue relations and
-surface potential, and the isotropic / hemitropic specializations.
+condition system for the three elastic moduli (`check_null_sufficient`),
+the equivalent entrywise form of the coupling-tensor conditions as
+constraint rows, the hat/tilde/ring split of the rotation-gradient modulus
+with its 18 Cauchy-analogue relations and surface potential, and the
+isotropic / hemitropic constants.  The hemitropic null relations are
+derived from `check_null_sufficient` in tests/test_verifier.py.
 """
 
 from __future__ import annotations
@@ -23,10 +25,8 @@ from .report import (DEFAULT_TOL_ABS, DEFAULT_TOL_REL, ConditionReport, check_co
 from .tensors import (
     MAJOR,
     MINOR_RIGHT,
-    SWAP13_ANTI,
     SWAP24_ANTI,
     TILDE,
-    ZERO_IF_IK_OR_JL,
     Moduli,
     SymmetryClass,
     as_matrix3,
@@ -42,14 +42,11 @@ __all__ = [
     "HemitropicParams",
     "BSplit",
     "check_null_sufficient",
-    "check_coupling_entrywise",
-    "check_centrosymmetric_null",
     "split_B",
     "cauchy_analogue",
     "surface_potential",
     "positive_definite",
     "null_lagrangian_iso",
-    "hemitropic_null_family",
     "lagrangian",
     "iso_null_evaluator",
     "CurlFreeRotationSampler",
@@ -197,19 +194,6 @@ def check_null_sufficient(m: MicropolarModuli, tol_abs: float = DEFAULT_TOL_ABS)
     ), tol_abs)
 
 
-def check_coupling_entrywise(d: np.ndarray) -> ConditionReport:
-    """Entrywise form of the coupling-modulus null conditions.
-
-    Equivalent to {swap24 antisymmetry, alternating balance}: the rows of
-    the two systems, `coupling_*_rows`, have one null space.
-    """
-    return check_conditions({"d": as_tensor4(d)}, (
-        ("D swap24 antisym", "d", SWAP24_ANTI.defect),
-        ("D opposite transposed diagonals", "d", lambda t: _entrywise_pair(t)[:, 0]),
-        ("D mixed-entry sum rule", "d", lambda t: _entrywise_pair(t)[:, 1]),
-    ), DEFAULT_TOL_ABS)
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     """The array itself, frozen: a cached array is shared by every caller."""
     a.flags.writeable = False
@@ -245,19 +229,6 @@ def coupling_direct_projector() -> np.ndarray:
 @functools.lru_cache(maxsize=1)
 def coupling_entrywise_projector() -> np.ndarray:
     return _read_only(tensors.nullspace_projector(coupling_entrywise_rows(), 81))
-
-
-def check_centrosymmetric_null(a: np.ndarray, b: np.ndarray) -> ConditionReport:
-    """Necessary conditions for a null energy of the coupling-free model:
-    vanishing strain modulus together with the tilde-class relations on the
-    wryness modulus."""
-    return check_conditions({"a": as_tensor4(a), "b": as_tensor4(b)}, (
-        ("A zero", "a", np.asarray),
-        ("B swap24 antisym", "b", SWAP24_ANTI.defect),
-        ("B swap13 antisym", "b", SWAP13_ANTI.defect),
-        ("B zero on repeated odd/even index", "b", ZERO_IF_IK_OR_JL.defect),
-        ("B major symmetry", "b", MAJOR.defect),
-    ), DEFAULT_TOL_ABS)
 
 
 def _float4(t) -> np.ndarray:
@@ -333,31 +304,6 @@ def null_lagrangian_iso(c0: float, kap) -> float:
     kap = as_matrix3(kap)
     tr = float(np.trace(kap))
     return c0 * (tr * tr - float(np.einsum("ij,ji->", kap, kap)))
-
-
-def hemitropic_null_family(p: HemitropicParams) -> ConditionReport:
-    """Constraint chain reducing the chiral isotropic material to a null
-    energy and the final verdict on the two surviving constants.
-
-    The report's extra fields carry the reduced coefficients of the three
-    surviving trace-minus-transpose terms.
-    """
-    scale = max(
-        abs(p.lam), abs(p.mu), abs(p.kappa), abs(p.beta1), abs(p.beta2),
-        abs(p.beta3), abs(p.zeta), abs(p.nu), abs(p.rho), 1.0,
-    )
-    checks = [
-        make_check("mu + lambda", abs(p.mu + p.lam), scale),
-        make_check("mu + kappa", abs(p.mu + p.kappa), scale),
-        make_check("beta3 + beta1", abs(p.beta3 + p.beta1), scale),
-        make_check("beta2", abs(p.beta2), scale),
-        make_check("nu + zeta", abs(p.nu + p.zeta), scale),
-        make_check("nu + rho", abs(p.nu + p.rho), scale),
-        make_check("lambda", abs(p.lam), scale),
-        make_check("zeta", abs(p.zeta), scale),
-    ]
-    extra = {"lambda_eff": p.lam, "beta1_eff": p.beta1, "zeta_eff": p.zeta}
-    return make_report(checks, extra)
 
 
 def lagrangian(m: MicropolarModuli) -> QuadraticLagrangian:

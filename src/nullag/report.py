@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,16 +30,12 @@ class ConditionCheck:
 class ConditionReport:
     checks: tuple[ConditionCheck, ...]
     passed: bool
-    extra: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        out = {
+        return {
             "passed": self.passed,
             "checks": [c.as_dict() for c in self.checks],
         }
-        if self.extra:
-            out.update(self.extra)
-        return out
 
     def __getitem__(self, name: str) -> ConditionCheck:
         for c in self.checks:
@@ -78,8 +74,8 @@ def make_check(name: str, violation: float, scale: float, tol_abs: float = DEFAU
     return ConditionCheck(name, violation, rel, tolerance, violation <= tolerance)
 
 
-def make_report(checks: list[ConditionCheck], extra: dict | None = None) -> ConditionReport:
-    return ConditionReport(tuple(checks), all(c.passed for c in checks), extra or {})
+def make_report(checks: list[ConditionCheck]) -> ConditionReport:
+    return ConditionReport(tuple(checks), all(c.passed for c in checks))
 
 
 def check_conditions(tensors: dict, conditions, tol_abs: float) -> ConditionReport:

@@ -105,7 +105,6 @@ class GeneratorSet:
             raise ValueError(f"generator polynomials must use {3 + n} variables")
         self._fill(n, {(a, e): (c.numerator, c.denominator) for a, poly in enumerate(polys)
                        for e, c in poly._terms.items()})
-        self._polys = polys
 
     @classmethod
     def _from_table(cls, n: int, terms: dict) -> GeneratorSet:
@@ -116,7 +115,7 @@ class GeneratorSet:
     def _fill(self, n: int, terms: dict) -> None:
         """Set the table to the {(generator index, exponents): (numerator,
         denominator)} terms, each reduced, nonzero and with den > 0."""
-        self.n, self._polys, self._grad, self._hess = n, None, None, None
+        self.n, self._grad, self._hess = n, None, None
         self.expos = exponent_rows((e for _, e in terms), 3 + n)
         self._degree = max(map(sum, self.expos.tolist()), default=0)
         self.poly = np.array([a for a, _ in terms], dtype=np.int64)
@@ -124,15 +123,6 @@ class GeneratorSet:
         self.den = np.array([d for _, d in terms.values()], dtype=object)
         for table in (self.poly, self.expos, self.num, self.den):
             table.flags.writeable = False
-
-    @property
-    def polys(self) -> tuple:
-        """The generators as `GenPoly`s: those given, or built from a loaded table."""
-        if self._polys is None:
-            rows = list(zip(self.poly.tolist(), self.expos.tolist(), self.num, self.den))
-            self._polys = tuple(GenPoly(3 + self.n, [(e, Fraction(u, d)) for b, e, u, d in rows if b == a])
-                                for a in range(3))
-        return self._polys
 
     def degree(self) -> int:
         return self._degree

@@ -7,6 +7,8 @@ identity terms one array at a time, as `nullag.rund` did before its exact
 table was filled from integer pairs and its identity terms were stacked.
 They are used only by the tests, which require `nullag.rund` to give the
 same tables, the same error texts, the same JSON and the same bits.
+`polys_of` gives a set's generators as `GenPoly`s, for the tests that
+differentiate them term by term.
 
 A table here is a `ReferenceTable`: the field dimension, then each term's
 generator index, exponents, reduced numerator and positive denominator, in
@@ -20,6 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from nullag.polyfield import monomials_upto
+from nullag.rund import GenPoly
 
 
 class ReferenceTable(NamedTuple):
@@ -33,6 +36,13 @@ class ReferenceTable(NamedTuple):
 def table_of(g) -> ReferenceTable:
     """The exact table of a `GeneratorSet` as plain lists."""
     return ReferenceTable(g.n, g.poly.tolist(), g.expos.tolist(), g.num.tolist(), g.den.tolist())
+
+
+def polys_of(g) -> tuple:
+    """The three generators of a `GeneratorSet` as `GenPoly`s, rebuilt from
+    its exact table."""
+    rows = list(zip(g.poly.tolist(), g.expos.tolist(), g.num.tolist(), g.den.tolist()))
+    return tuple(GenPoly(3 + g.n, [(e, Fraction(u, d)) for b, e, u, d in rows if b == a]) for a in range(3))
 
 
 def _table(n: int, terms: dict) -> ReferenceTable:

@@ -178,26 +178,28 @@ def test_check_null_sufficient_projected_model_passes():
 
 
 def test_coupling_entrywise_zero_passes():
-    assert mp.check_coupling_entrywise(np.zeros((3, 3, 3, 3))).passed
+    assert not np.any(mp.coupling_entrywise_rows() @ np.zeros(81))
+    assert mp.check_null_sufficient(mp.MicropolarModuli(Z4, Z4, Z4)).passed
 
 
 def test_coupling_entrywise_isotropic_chiral_form_fails():
     # zeta*(d_ij d_kl - d_il d_jk) violates the alternating balance: at
-    # (m,i,n)=(1,2,3) the balance evaluates to 2*zeta, and equivalently the
-    # transposed-diagonal entrywise rule fails, so the report must fail.
+    # (m,i,n)=(1,2,3) the balance evaluates to 2*zeta, its largest entry,
+    # and equivalently the transposed-diagonal entrywise rows do not vanish.
     zeta = 2.0
     d = zeta * iso_b(1.0, 0.0, -1.0)
     lc = levi_civita()
     balance = np.einsum("mkl,klin->min", lc, d) - np.einsum("ijk,jkmn->min", lc, d)
     assert abs(balance[0, 1, 2]) == pytest.approx(2.0 * zeta)
-    report = mp.check_coupling_entrywise(d)
+    report = mp.check_null_sufficient(mp.MicropolarModuli(Z4, Z4, d))
     assert not report.passed
-    assert not report["D opposite transposed diagonals"].passed
+    assert report["D alternating balance"].max_violation == pytest.approx(2.0 * zeta)
+    assert np.max(np.abs(mp.coupling_entrywise_rows()[81::2] @ d.reshape(81))) == pytest.approx(2.0 * zeta)
 
 
 def test_coupling_entrywise_identity_pairing_fails_antisymmetry():
     d = np.einsum("ik,jl->ijkl", np.eye(3), np.eye(3))
-    report = mp.check_coupling_entrywise(d)
+    report = mp.check_null_sufficient(mp.MicropolarModuli(Z4, Z4, d))
     assert not report.passed
     # the j = l diagonal forces 2*D_1111 = 0
     assert report["D swap24 antisym"].max_violation == pytest.approx(2.0)
@@ -233,7 +235,7 @@ def test_hemitropic_params_expand_exactly():
 def test_coupling_entrywise_projected_passes():
     rng = np.random.default_rng(9)
     d = (mp.coupling_entrywise_projector() @ rng.uniform(-1, 1, 81)).reshape(3, 3, 3, 3)
-    assert mp.check_coupling_entrywise(d).passed
+    assert mp.check_null_sufficient(mp.MicropolarModuli(Z4, Z4, d)).passed
 
 
 def test_coupling_equivalence_probe():
@@ -247,7 +249,7 @@ def test_coupling_equivalence_probe():
         via2 = (p2 @ t).reshape(3, 3, 3, 3)
         assert coupling_equivalence_probe(via1)
         assert coupling_equivalence_probe(via2)
-        assert mp.check_coupling_entrywise(via1).passed
+        assert np.max(np.abs(mp.coupling_entrywise_rows() @ via1.reshape(81))) <= 1e-13
         assert np.max(np.abs(mp.coupling_direct_rows() @ via2.reshape(81))) <= 1e-13
 
 
@@ -314,23 +316,25 @@ def test_coupling_rows_are_the_condition_maps_written_out():
 
 
 def test_coupling_entrywise_violations_match_the_permutation_loop():
+    """The (b, c) rows of each permutation, applied to a tensor, give the
+    loop's sums: b exactly (two terms), c to rounding (three terms, in the
+    order of the matrix product)."""
+    rows = mp.coupling_entrywise_rows()[81:]
     rng = np.random.default_rng(31)
     for _ in range(200):
         d = rng.uniform(-1, 1, (3, 3, 3, 3)) * 10.0 ** rng.uniform(-5, 5, (3, 3, 3, 3))
-        v_b = v_c = 0.0
-        for i, j, k in itertools.permutations(range(3)):
-            v_b = max(v_b, abs(d[i, j, j, i] + d[i, k, k, i]))
-            v_c = max(v_c, abs(d[i, j, j, k] - d[k, i, k, k] - d[j, i, j, k]))
-        report = mp.check_coupling_entrywise(d)
-        assert report["D opposite transposed diagonals"].max_violation == v_b
-        assert report["D mixed-entry sum rule"].max_violation == v_c
+        b, c = (rows @ d.reshape(81)).reshape(6, 2).T
+        for p, (i, j, k) in enumerate(itertools.permutations(range(3))):
+            assert b[p] == d[i, j, j, i] + d[i, k, k, i]
+            terms = (d[i, j, j, k], d[k, i, k, k], d[j, i, j, k])
+            assert abs(c[p] - (terms[0] - terms[1] - terms[2])) <= 4e-16 * sum(map(abs, terms))
 
 
 def test_coupling_entrywise_rejects_sums_beyond_the_double_range():
     d = np.zeros((3, 3, 3, 3))
     d[0, 1, 1, 0] = d[0, 2, 2, 0] = 1.5e308
-    with pytest.raises(ValueError, match="overflows"):
-        mp.check_coupling_entrywise(d)
+    with pytest.raises(ValueError, match="'D alternating balance': violation overflows"):
+        mp.check_null_sufficient(mp.MicropolarModuli(Z4, Z4, d))
 
 
 def test_phason_null_class_is_the_tilde_class():
@@ -339,14 +343,16 @@ def test_phason_null_class_is_the_tilde_class():
     assert quasicrystal.PHASON_NULL_CLASS is mp.TILDE_CLASS
 
 
-def test_check_centrosymmetric_null():
+def test_coupling_free_null_models_are_the_tilde_wryness_moduli():
+    """The coupling-free model is null exactly for a zero strain modulus and
+    a tilde-class wryness modulus."""
     rng = np.random.default_rng(21)
     parts = mp.split_B(random_major_symmetric(rng))
-    assert mp.check_centrosymmetric_null(Z4, parts.b_tilde).passed
-    report = mp.check_centrosymmetric_null(Z4, parts.b_hat)
+    assert mp.check_null_sufficient(mp.MicropolarModuli(Z4, parts.b_tilde, Z4)).passed
+    report = mp.check_null_sufficient(mp.MicropolarModuli(Z4, parts.b_hat, Z4))
     assert not report.passed
     assert not report["B swap24 antisym"].passed
-    assert mp.check_centrosymmetric_null(Z4, Z4).passed
+    assert mp.check_null_sufficient(mp.MicropolarModuli(Z4, Z4, Z4)).passed
 
 
 # ------------------------------------------------------------------ splitting
@@ -566,9 +572,7 @@ def test_isotropic_constants_are_the_hemitropic_ones_without_chirality():
 
 @pytest.mark.parametrize("c", [1.0, -2.5, 1e-3])
 def test_hemitropic_null_family_passes_the_isotropic_null_constants(c):
-    report = mp.hemitropic_null_family(mp.IsotropicParams(0.0, 0.0, 0.0, c, 0.0, -c))
-    assert report.passed
-    assert (report.extra["lambda_eff"], report.extra["beta1_eff"], report.extra["zeta_eff"]) == (0.0, c, 0.0)
+    assert mp.check_null_sufficient(mp.IsotropicParams(0.0, 0.0, 0.0, c, 0.0, -c).moduli()).passed
 
 
 def isotropic_positive_definite(p):
@@ -632,21 +636,24 @@ def test_null_lagrangian_iso_second_invariant_link():
 
 
 def test_hemitropic_null_family_verdicts():
+    """Each broken hemitropic relation fails its own condition; the sweep over
+    all nine constants is in tests/test_verifier.py."""
     good = mp.HemitropicParams(0.0, 0.0, 0.0, 1.0, 0.0, -1.0, 0.0, 0.0, 0.0)
-    report = mp.hemitropic_null_family(good)
-    assert report.passed
-    assert report.extra["beta1_eff"] == 1.0
+    assert mp.check_null_sufficient(good.moduli()).passed
 
+    # mu + lambda = mu + kappa = 0 keeps A swap24 antisymmetric; lambda != 0 leaves A nonzero
     lam_bad = mp.HemitropicParams(1.0, -1.0, 1.0, 1.0, 0.0, -1.0, 0.0, 0.0, 0.0)
-    report = mp.hemitropic_null_family(lam_bad)
+    report = mp.check_null_sufficient(lam_bad.moduli())
     assert not report.passed
-    assert not report["lambda"].passed
-    assert report["mu + lambda"].passed
+    assert not report["A zero"].passed
+    assert report["A swap24 antisym"].passed
 
+    # nu + zeta = nu + rho = 0 keeps D swap24 antisymmetric; zeta != 0 breaks its balance
     zeta_bad = mp.HemitropicParams(0.0, 0.0, 0.0, 1.0, 0.0, -1.0, 1.0, -1.0, 1.0)
-    report = mp.hemitropic_null_family(zeta_bad)
+    report = mp.check_null_sufficient(zeta_bad.moduli())
     assert not report.passed
-    assert not report["zeta"].passed
+    assert not report["D alternating balance"].passed
+    assert report["D swap24 antisym"].passed
 
 
 # -------------------------------------------------------- variational aspects

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import re
 import tracemalloc
 from fractions import Fraction
@@ -1046,14 +1047,91 @@ def test_coded_null_conditions_pass_exactly_the_null_criterion(family, check, mo
     assert np.max(np.abs(kernel.T @ kernel - criterion.T @ criterion)) <= 1e-12
 
 
-@pytest.mark.parametrize("check, keys, dim, projector", [
-    (mp.check_centrosymmetric_null, "ab", 9,
-     lambda: np.block([[np.zeros((81, 81)), np.zeros((81, 81))], [np.zeros((81, 81)), class_projector_matrix(TILDE)]])),
-    (mp.check_coupling_entrywise, "d", 18, mp.coupling_direct_projector),
-], ids=["centrosymmetric", "coupling-entrywise"])
-def test_coded_raw_tensor_conditions_have_the_class_kernel(check, keys, dim, projector):
-    tensors, conditions = recorded_conditions(mp, check, *[np.zeros((3, 3, 3, 3))] * len(keys))
-    assert list(tensors) == list(keys)
-    kernel, _ = condition_kernel(tensors, conditions, dict.fromkeys(keys, np.eye(81)))
-    assert len(kernel) == dim
-    assert np.max(np.abs(kernel.T @ kernel - projector())) <= 1e-12
+def hemitropic_cells():
+    """Hemitropic constants (lam, mu, kappa, beta1, beta2, beta3, zeta, nu,
+    rho): the null, lambda-broken and zeta-broken cells of
+    `test_hemitropic_null_family_verdicts`, then 400 seeded null cells
+    (beta1 = -beta3, the rest 0) with up to three of the nine set to +-1,
+    2 or a uniform draw."""
+    cells = [(0.0, 0.0, 0.0, 1.0, 0.0, -1.0, 0.0, 0.0, 0.0), (1.0, -1.0, 1.0, 1.0, 0.0, -1.0, 0.0, 0.0, 0.0),
+             (0.0, 0.0, 0.0, 1.0, 0.0, -1.0, 1.0, -1.0, 1.0)]
+    rng = np.random.default_rng(34)
+    for _ in range(400):
+        cell = np.zeros(9)
+        cell[3] = rng.uniform(-2, 2)
+        cell[5] = -cell[3]
+        for k in rng.choice(9, size=rng.integers(4), replace=False):
+            cell[k] = rng.choice([-1.0, 1.0, 2.0]) if rng.uniform() < 0.5 else rng.uniform(-2, 2)
+        cells.append(tuple(cell.tolist()))
+    return cells
+
+
+def test_hemitropic_models_are_null_exactly_for_the_hemitropic_relations():
+    """lam = mu = kappa = beta2 = zeta = nu = rho = 0 and beta1 + beta3 = 0:
+    the sufficient conditions and the exact criterion both hold exactly there."""
+    verdicts = []
+    for cell in hemitropic_cells():
+        p = mp.HemitropicParams(*cell)
+        null = not any(cell[k] for k in (0, 1, 2, 4, 6, 7, 8)) and p.beta1 + p.beta3 == 0.0
+        assert mp.check_null_sufficient(p.moduli()).passed == null, cell
+        assert (not np.any(null_criterion(mp.lagrangian(p.moduli())))) == null, cell
+        verdicts.append(null)
+    assert verdicts[:3] == [True, False, False]
+    assert 100 <= sum(verdicts) <= len(verdicts) - 100
+
+
+def rund_sets(n):
+    """Rund's construction at field dimension n, the third generator 0: the
+    "minor" sets S^a = y_i, S^b = y_j (a < b, i < j), whose density is the
+    minor (i, j | a, b) of Dy, then the "divergence" sets S^a = x_a,
+    S^b = y_k y_j (a = b + 1 mod 3, k <= j), whose density is D_b(y_k y_j)."""
+    def monomial(*variables):
+        expo = [0] * (3 + n)
+        for v in variables:
+            expo[v] += 1
+        return rund.GenPoly(3 + n, {tuple(expo): 1})
+
+    def generator_set(polys):
+        return rund.GeneratorSet([polys.get(a, rund.GenPoly(3 + n)) for a in range(3)], n)
+
+    minors = [generator_set({a: monomial(3 + i), b: monomial(3 + j)})
+              for a, b in itertools.combinations(range(3), 2) for i, j in itertools.combinations(range(n), 2)]
+    divergences = [generator_set({(b + 1) % 3: monomial((b + 1) % 3), b: monomial(3 + k, 3 + j)})
+                   for b in range(3) for k, j in itertools.combinations_with_replacement(range(n), 2)]
+    return minors + divergences
+
+
+def rund_blocks(g):
+    """The P and Q blocks, flattened and stacked, of the density of a set
+    whose d2 is constant and d1 linear in y, laid out as those of
+    `QuadraticLagrangian`: p[i,a,j,b] = d2[a,b,i,j] and q[i,a,j] = d1[a,i]
+    at y = e_j.  Asserts that d0 vanishes at each of those points."""
+    x = np.array([0.3, 0.1, 0.9])
+    states = [rund.rund_coefficients(g, x, y) for y in np.eye(g.n + 1, g.n, -1)]  # y = 0, e_1 .. e_N
+    assert all(c.d0 == 0.0 for c in states)
+    q = np.stack([c.d1.T for c in states[1:]], axis=-1)
+    return np.concatenate([np.transpose(states[0].d2, (2, 0, 3, 1)).ravel(), q.ravel()])
+
+
+def test_rund_construction_spans_every_null_density_at_n6():
+    """The 108 sets are independent, and each null density of micropolar
+    (27 dimensions) and quasicrystal (9) moduli is a sum of their densities:
+    Rund's sufficient conditions give every null quadratic density of
+    these media."""
+    rows = np.array([rund_blocks(g) for g in rund_sets(6)])
+    assert len(rows) == 108
+    assert np.linalg.matrix_rank(rows) == 108
+    s = np.linalg.svd(rows, compute_uv=False)
+    assert np.all((s >= np.sqrt(2.0) - 1e-12) & (s <= 2.0 + 1e-12))
+    for family, dim in (("micropolar", 27), ("quasicrystal", 9)):
+        density, shapes = ADMISSIBLE[family]
+        kernel, _, bases = criterion_kernel(family, range(len(shapes)))
+        assert len(kernel) == dim
+        splits = np.cumsum([basis.shape[1] for basis in bases])[:-1]
+        for vector in kernel:
+            lag = density(*[(basis @ part).reshape(shape) for basis, part, (shape, _)
+                            in zip(bases, np.split(vector, splits), shapes)])
+            assert np.max(np.abs(lag.r)) <= 1e-15
+            target = np.concatenate([lag.p.ravel(), lag.q.ravel()])
+            coefficients = np.linalg.lstsq(rows.T, target, rcond=None)[0]
+            assert np.max(np.abs(rows.T @ coefficients - target)) <= 1e-14
